@@ -1,5 +1,7 @@
 #include "src/apps/framework/cluster.h"
 
+#include <algorithm>
+
 #include "src/apps/framework/guest_node.h"
 #include "src/common/strings.h"
 
@@ -18,8 +20,10 @@ NodeId Cluster::AddNode(NodeFactory factory) {
   const auto id = static_cast<NodeId>(slots_.size());
   Slot slot;
   slot.factory = std::move(factory);
+  const std::string ip = StrFormat("10.0.0.%d", id + 1);
+  kernel_->RegisterNode(id, ip);
+  slot.ip = network_->InternIp(ip);
   slots_.push_back(std::move(slot));
-  kernel_->RegisterNode(id, StrFormat("10.0.0.%d", id + 1));
   return id;
 }
 
@@ -34,9 +38,10 @@ void Cluster::BootNode(NodeId id) {
   Slot& slot = slots_[static_cast<size_t>(id)];
   slot.generation++;
   slot.guest = slot.factory(this, id);
+  slot.crashed_guest = nullptr;
   slot.pid = kernel_->Spawn(id, slot.guest->name());
   slot.guest->set_pid(slot.pid);
-  slot.conn_fds.clear();
+  slot.conn_fds.assign(slots_.size(), -1);
   slot.timers.clear();
   slot.pending_messages.clear();
   slot.pending_timers.clear();
@@ -63,7 +68,8 @@ bool Cluster::IsNodeAlive(NodeId id) const {
   return slot.pid != kNoPid && kernel_->IsAlive(slot.pid);
 }
 
-bool Cluster::Dispatch(NodeId id, const std::function<void(GuestNode*)>& fn) {
+template <typename Fn>
+bool Cluster::Dispatch(NodeId id, Fn&& fn) {
   Slot& slot = slots_[static_cast<size_t>(id)];
   if (slot.guest == nullptr || slot.pid == kNoPid) {
     return false;
@@ -81,37 +87,40 @@ bool Cluster::Dispatch(NodeId id, const std::function<void(GuestNode*)>& fn) {
 }
 
 bool Cluster::SendMessage(GuestNode* src, NodeId dst, Message msg) {
+  if (dst < 0 || dst >= node_count()) {
+    return false;
+  }
   const NodeId src_id = src->id();
   Slot& slot = slots_[static_cast<size_t>(src_id)];
   msg.from = src_id;
   msg.to = dst;
 
-  auto fd_it = slot.conn_fds.find(dst);
-  int32_t fd = -1;
-  if (fd_it == slot.conn_fds.end()) {
+  if (slot.conn_fds.size() < slots_.size()) {
+    slot.conn_fds.resize(slots_.size(), -1);
+  }
+  int32_t fd = slot.conn_fds[static_cast<size_t>(dst)];
+  if (fd < 0) {
     const SyscallResult result = kernel_->Connect(src->pid(), kernel_->IpOf(dst));
     if (!result.ok()) {
       return false;
     }
     fd = static_cast<int32_t>(result.value);
-    slot.conn_fds[dst] = fd;
-  } else {
-    fd = fd_it->second;
-  }
-
-  const SyscallResult sent = kernel_->SendTo(src->pid(), fd, msg.ByteSize());
-  if (!sent.ok()) {
-    slot.conn_fds.erase(dst);
-    return false;
+    slot.conn_fds[static_cast<size_t>(dst)] = fd;
   }
 
   const int64_t size = msg.ByteSize();
-  network_->Send(kernel_->IpOf(src_id), kernel_->IpOf(dst), size,
+  const SyscallResult sent = kernel_->SendTo(src->pid(), fd, size);
+  if (!sent.ok()) {
+    slot.conn_fds[static_cast<size_t>(dst)] = -1;
+    return false;
+  }
+
+  network_->Send(slot.ip, slots_[static_cast<size_t>(dst)].ip, size,
                  [this, dst, msg = std::move(msg)] { Deliver(dst, msg); });
   return true;
 }
 
-void Cluster::Deliver(NodeId dst, Message msg) {
+void Cluster::Deliver(NodeId dst, const Message& msg) {
   Slot& slot = slots_[static_cast<size_t>(dst)];
   if (slot.pid == kNoPid || slot.guest == nullptr) {
     return;
@@ -121,27 +130,44 @@ void Cluster::Deliver(NodeId dst, Message msg) {
     return;
   }
   if (state == ProcState::kPaused) {
-    slot.pending_messages.push_back(std::move(msg));
+    slot.pending_messages.push_back(msg);
     return;
   }
   Dispatch(dst, [&msg](GuestNode* guest) { guest->OnMessage(msg); });
 }
 
-void Cluster::SetTimer(GuestNode* node, const std::string& name, SimTime delay) {
+namespace {
+
+template <typename Timers>
+auto FindTimer(Timers& timers, std::string_view name) {
+  return std::find_if(timers.begin(), timers.end(),
+                      [name](const auto& timer) { return timer.first == name; });
+}
+
+}  // namespace
+
+void Cluster::SetTimer(GuestNode* node, std::string_view name, SimTime delay) {
   Slot& slot = slots_[static_cast<size_t>(node->id())];
-  auto existing = slot.timers.find(name);
+  auto existing = FindTimer(slot.timers, name);
   if (existing != slot.timers.end()) {
     loop().Cancel(existing->second);
   }
   const NodeId id = node->id();
   const uint64_t generation = slot.generation;
-  slot.timers[name] = loop().ScheduleAfter(
-      delay, [this, id, generation, name] { TimerFired(id, generation, name); });
+  const TimerId timer = loop().ScheduleAfter(
+      delay, [this, id, generation, name = std::string(name)] {
+        TimerFired(id, generation, name);
+      });
+  if (existing != slot.timers.end()) {
+    existing->second = timer;
+  } else {
+    slot.timers.emplace_back(std::string(name), timer);
+  }
 }
 
-void Cluster::CancelTimer(GuestNode* node, const std::string& name) {
+void Cluster::CancelTimer(GuestNode* node, std::string_view name) {
   Slot& slot = slots_[static_cast<size_t>(node->id())];
-  auto it = slot.timers.find(name);
+  auto it = FindTimer(slot.timers, name);
   if (it != slot.timers.end()) {
     loop().Cancel(it->second);
     slot.timers.erase(it);
@@ -153,7 +179,9 @@ void Cluster::TimerFired(NodeId id, uint64_t generation, const std::string& name
   if (slot.generation != generation || slot.guest == nullptr || slot.pid == kNoPid) {
     return;  // Timer belongs to a previous incarnation.
   }
-  slot.timers.erase(name);
+  if (auto it = FindTimer(slot.timers, name); it != slot.timers.end()) {
+    slot.timers.erase(it);
+  }
   const ProcState state = kernel_->StateOf(slot.pid);
   if (state == ProcState::kCrashed || state == ProcState::kExited) {
     return;
@@ -183,8 +211,8 @@ void Cluster::Panic(GuestNode* node, const std::string& reason) {
 void Cluster::HandleCrash(NodeId id) {
   Slot& slot = slots_[static_cast<size_t>(id)];
   AppendLog(id, "process crashed");
-  slot.guest = nullptr;
-  slot.conn_fds.clear();
+  slot.crashed_guest = std::move(slot.guest);
+  slot.conn_fds.assign(slots_.size(), -1);
   if (!config_.auto_restart || slot.permanently_down) {
     return;
   }

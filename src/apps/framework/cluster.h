@@ -14,9 +14,10 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/apps/framework/message.h"
@@ -64,8 +65,8 @@ class Cluster : public KernelObserver {
 
   // --- Services used by GuestNode --------------------------------------------
   bool SendMessage(GuestNode* src, NodeId dst, Message msg);
-  void SetTimer(GuestNode* node, const std::string& name, SimTime delay);
-  void CancelTimer(GuestNode* node, const std::string& name);
+  void SetTimer(GuestNode* node, std::string_view name, SimTime delay);
+  void CancelTimer(GuestNode* node, std::string_view name);
   void AppendLog(NodeId id, const std::string& line);
   // Deliberate self-crash (panic); unwinds via ProcessInterrupted.
   [[noreturn]] void Panic(GuestNode* node, const std::string& reason);
@@ -83,23 +84,30 @@ class Cluster : public KernelObserver {
 
   struct Slot {
     NodeFactory factory;
-    std::unique_ptr<GuestNode> guest;
+    std::unique_ptr<GuestNode> guest;  // Null while crashed.
+    // The crashed incarnation, freed only once its replacement exists, so a
+    // restarted node is always a distinct object from the one that crashed.
+    std::unique_ptr<GuestNode> crashed_guest;
     Pid pid = kNoPid;
     uint64_t generation = 0;
     int restarts = 0;
     bool permanently_down = false;
+    IpId ip = 0;  // The node's address, interned in the network.
     std::deque<Message> pending_messages;
     std::deque<std::string> pending_timers;
-    std::map<std::string, TimerId> timers;
-    std::map<NodeId, int32_t> conn_fds;
+    // (name, id) of armed timers; a node has a handful, so a flat scan.
+    std::vector<std::pair<std::string, TimerId>> timers;
+    // conn_fds[dst] is the connected socket to node dst, -1 when none.
+    std::vector<int32_t> conn_fds;
     std::vector<std::string> log;
   };
 
   void BootNode(NodeId id);
-  void Deliver(NodeId dst, Message msg);
-  // Runs `fn` against the current guest of `id`, converting a crash unwind
-  // into supervision. Returns false if the node was not runnable.
-  bool Dispatch(NodeId id, const std::function<void(GuestNode*)>& fn);
+  void Deliver(NodeId dst, const Message& msg);
+  // Runs `fn(GuestNode*)` against the current guest of `id`, converting a
+  // crash unwind into supervision. Returns false if the node was not runnable.
+  template <typename Fn>
+  bool Dispatch(NodeId id, Fn&& fn);
   void HandleCrash(NodeId id);
   void FlushPending(NodeId id);
   void TimerFired(NodeId id, uint64_t generation, const std::string& name);

@@ -48,8 +48,8 @@ class GuestNode {
   void Broadcast(const Message& msg, int node_count);
 
   // --- Timers ------------------------------------------------------------------
-  void SetTimer(const std::string& name, SimTime delay) { cluster_->SetTimer(this, name, delay); }
-  void CancelTimer(const std::string& name) { cluster_->CancelTimer(this, name); }
+  void SetTimer(std::string_view name, SimTime delay) { cluster_->SetTimer(this, name, delay); }
+  void CancelTimer(std::string_view name) { cluster_->CancelTimer(this, name); }
 
   // --- Observability ------------------------------------------------------------
   void Log(const std::string& line) { cluster_->AppendLog(id_, line); }

@@ -14,6 +14,13 @@ constexpr char kSnapshotPath[] = "/data/snapshot";
 constexpr char kSnapshotTmpPath[] = "/data/snapshot.tmp";
 constexpr char kLogTmpPath[] = "/data/raft.log.tmp";
 
+// AppendEntries field key of the i-th carried entry: "e<i>".
+std::string EntryKey(int i) {
+  std::string key = "e";
+  AppendDecimal(&key, i);
+  return key;
+}
+
 }  // namespace
 
 BinaryInfo BuildRaftKvBinary() {
@@ -74,15 +81,42 @@ void RaftKvNode::PersistState() {
                                          voted_for_));
 }
 
+// "index|term|key|value|op_id|client", integers in decimal.
 std::string RaftKvNode::EncodeEntry(const LogEntry& entry) {
-  return StrFormat("%lld|%lld|%s|%s|%s|%d", static_cast<long long>(entry.index),
-                   static_cast<long long>(entry.term), entry.key.c_str(),
-                   entry.value.c_str(), entry.op_id.c_str(), entry.client);
+  std::string out;
+  out.reserve(48 + entry.key.size() + entry.value.size() + entry.op_id.size());
+  AppendDecimal(&out, entry.index);
+  out += '|';
+  AppendDecimal(&out, entry.term);
+  out += '|';
+  out += entry.key;
+  out += '|';
+  out += entry.value;
+  out += '|';
+  out += entry.op_id;
+  out += '|';
+  AppendDecimal(&out, entry.client);
+  return out;
 }
 
-std::optional<RaftKvNode::LogEntry> RaftKvNode::DecodeEntry(const std::string& line) {
-  const std::vector<std::string> parts = Split(line, '|');
-  if (parts.size() != 6) {
+std::optional<RaftKvNode::LogEntry> RaftKvNode::DecodeEntry(std::string_view line) {
+  // Exactly six '|'-separated fields, empty ones included.
+  std::string_view parts[6];
+  size_t count = 0;
+  size_t start = 0;
+  while (true) {
+    if (count == 6) {
+      return std::nullopt;
+    }
+    const size_t pos = line.find('|', start);
+    if (pos == std::string_view::npos) {
+      parts[count++] = line.substr(start);
+      break;
+    }
+    parts[count++] = line.substr(start, pos - start);
+    start = pos + 1;
+  }
+  if (count != 6) {
     return std::nullopt;
   }
   LogEntry entry;
@@ -597,7 +631,7 @@ void RaftKvNode::SendHeartbeats() {
       if (entry == nullptr) {
         break;  // Compaction hole (e.g. the bug42 off-by-one): nothing to send.
       }
-      msg.SetStr(StrFormat("e%d", count), EncodeEntry(*entry));
+      msg.SetStr(EntryKey(count), EncodeEntry(*entry));
     }
     msg.SetInt("n", count);
     Send(peer, std::move(msg));
@@ -682,7 +716,7 @@ void RaftKvNode::HandleAppendEntries(const Message& msg) {
 
   const auto count = static_cast<int>(msg.IntField("n"));
   for (int i = 0; i < count; i++) {
-    auto entry = DecodeEntry(msg.StrField(StrFormat("e%d", i)));
+    auto entry = DecodeEntry(msg.StrField(EntryKey(i)));
     if (!entry.has_value() || entry->index <= snap_index_) {
       continue;
     }

@@ -35,6 +35,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/apps/framework/guest_node.h"
@@ -91,7 +92,7 @@ class RaftKvNode : public GuestNode {
   void AppendEntryToDisk(const LogEntry& entry);
   void RewriteLogFile();
   static std::string EncodeEntry(const LogEntry& entry);
-  static std::optional<LogEntry> DecodeEntry(const std::string& line);
+  static std::optional<LogEntry> DecodeEntry(std::string_view line);
 
   // --- Recovery ---------------------------------------------------------------
   void RaftLogOpen();

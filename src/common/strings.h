@@ -2,6 +2,7 @@
 #ifndef SRC_COMMON_STRINGS_H_
 #define SRC_COMMON_STRINGS_H_
 
+#include <charconv>
 #include <cstdarg>
 #include <string>
 #include <string_view>
@@ -14,6 +15,13 @@ std::vector<std::string> Split(std::string_view s, char sep);
 
 // Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
+
+// Appends the decimal form of an integer (what %d / %lld / %llu print).
+template <typename Int>
+void AppendDecimal(std::string* out, Int value) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
 
 // printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

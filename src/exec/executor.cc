@@ -76,10 +76,10 @@ NodeId Executor::NodeOfPid(Pid pid) const {
 
 std::string Executor::InputOf(const SyscallInvocation& inv) const {
   if (SysTakesPath(inv.sys)) {
-    return inv.path;
+    return std::string(inv.path);
   }
   if (!inv.remote_ip.empty()) {
-    return "sock:" + inv.remote_ip;
+    return std::string("sock:").append(inv.remote_ip);
   }
   if (inv.fd >= 0) {
     return kernel_->PathOfFd(inv.pid, inv.fd);
@@ -249,8 +249,7 @@ std::optional<SyscallResult> Executor::MaybeOverride(const SyscallInvocation& in
     // is the indexed address of this very invocation. Matching is three
     // integer compares against the online (digest, seq) — no counter scan.
     const uint64_t digest = index_.DigestOf(inv.pid);
-    const uint32_t seq =
-        index_.NextSeq(NodeOfPid(inv.pid), digest, inv.sys, IndexInputOf(inv));
+    const uint32_t seq = index_.NextSeq(NodeOfPid(inv.pid), digest, inv);
     for (size_t i = 0; i < runtime_.size(); i++) {
       FaultRuntime& rt = runtime_[i];
       const ScheduledFault& fault = schedule_.faults[i];

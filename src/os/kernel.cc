@@ -23,30 +23,44 @@ std::string_view ProcStateName(ProcState state) {
 SimKernel::SimKernel(EventLoop* loop) : loop_(loop) {}
 
 void SimKernel::RegisterNode(NodeId node, const std::string& ip) {
-  node_ips_[node] = ip;
-  ip_nodes_[ip] = node;
-  if (disks_.find(node) == disks_.end()) {
-    disks_[node] = std::make_unique<InMemoryFileSystem>();
+  if (node < 0) {
+    throw std::logic_error("RegisterNode: negative node id");
+  }
+  const auto index = static_cast<size_t>(node);
+  if (index >= node_ips_.size()) {
+    node_ips_.resize(index + 1);
+    disks_.resize(index + 1);
+  }
+  node_ips_[index] = ip;
+  ip_nodes_.emplace_back(ip, node);
+  if (disks_[index] == nullptr) {
+    disks_[index] = std::make_unique<InMemoryFileSystem>();
   }
 }
 
 const std::string& SimKernel::IpOf(NodeId node) const {
   static const std::string kEmpty;
-  auto it = node_ips_.find(node);
-  return it == node_ips_.end() ? kEmpty : it->second;
+  if (node < 0 || static_cast<size_t>(node) >= node_ips_.size()) {
+    return kEmpty;
+  }
+  return node_ips_[static_cast<size_t>(node)];
 }
 
 NodeId SimKernel::NodeOfIp(const std::string& ip) const {
-  auto it = ip_nodes_.find(ip);
-  return it == ip_nodes_.end() ? kNoNode : it->second;
+  for (auto it = ip_nodes_.rbegin(); it != ip_nodes_.rend(); ++it) {
+    if (it->first == ip) {
+      return it->second;
+    }
+  }
+  return kNoNode;
 }
 
 InMemoryFileSystem& SimKernel::DiskOf(NodeId node) {
-  auto it = disks_.find(node);
-  if (it == disks_.end()) {
+  if (node < 0 || static_cast<size_t>(node) >= disks_.size() ||
+      disks_[static_cast<size_t>(node)] == nullptr) {
     throw std::logic_error("DiskOf: unregistered node");
   }
-  return *it->second;
+  return *disks_[static_cast<size_t>(node)];
 }
 
 void SimKernel::AddObserver(KernelObserver* observer) { observers_.push_back(observer); }
@@ -66,15 +80,14 @@ void SimKernel::RemoveInterposer(SyscallInterposer* interposer) {
 }
 
 Pid SimKernel::Spawn(NodeId node, const std::string& name, Pid parent) {
-  const Pid pid = next_pid_++;
-  Process proc;
+  const Pid pid = kFirstPid + static_cast<Pid>(processes_.size());
+  Process& proc = *processes_.emplace_back(std::make_unique<Process>());
   proc.pid = pid;
   proc.node = node;
   proc.name = name;
   proc.parent = parent;
   proc.state = ProcState::kRunning;
   proc.state_since = now();
-  processes_[pid] = std::move(proc);
   for (KernelObserver* obs : observers_) {
     obs->OnProcessSpawned(now(), pid, node, parent);
   }
@@ -139,41 +152,32 @@ void SimKernel::Exit(Pid pid) {
 }
 
 bool SimKernel::IsAlive(Pid pid) const {
-  auto it = processes_.find(pid);
-  return it != processes_.end() && (it->second.state == ProcState::kRunning ||
-                                    it->second.state == ProcState::kPaused);
+  const Process* proc = FindProcess(pid);
+  return proc != nullptr &&
+         (proc->state == ProcState::kRunning || proc->state == ProcState::kPaused);
 }
 
 ProcState SimKernel::StateOf(Pid pid) const { return Proc(pid).state; }
 
-const Process* SimKernel::FindProcess(Pid pid) const {
-  auto it = processes_.find(pid);
-  return it == processes_.end() ? nullptr : &it->second;
-}
-
 std::vector<Pid> SimKernel::AllPids() const {
   std::vector<Pid> pids;
   pids.reserve(processes_.size());
-  for (const auto& [pid, proc] : processes_) {
-    pids.push_back(pid);
+  for (const auto& proc : processes_) {
+    pids.push_back(proc->pid);
   }
   return pids;
 }
 
 Process& SimKernel::Proc(Pid pid) {
-  auto it = processes_.find(pid);
-  if (it == processes_.end()) {
-    throw std::logic_error("unknown pid");
-  }
-  return it->second;
+  return const_cast<Process&>(static_cast<const SimKernel*>(this)->Proc(pid));
 }
 
 const Process& SimKernel::Proc(Pid pid) const {
-  auto it = processes_.find(pid);
-  if (it == processes_.end()) {
+  const Process* proc = FindProcess(pid);
+  if (proc == nullptr) {
     throw std::logic_error("unknown pid");
   }
-  return it->second;
+  return *proc;
 }
 
 void SimKernel::CheckInterrupt(Pid pid) {
@@ -184,8 +188,8 @@ void SimKernel::CheckInterrupt(Pid pid) {
   }
 }
 
-SyscallResult SimKernel::DoSyscall(SyscallInvocation inv,
-                                   const std::function<SyscallResult()>& body) {
+template <typename Body>
+SyscallResult SimKernel::DoSyscall(const SyscallInvocation& inv, Body&& body) {
   CheckInterrupt(inv.pid);
   for (KernelObserver* obs : observers_) {
     obs->OnSyscallEnter(now(), inv);
@@ -212,72 +216,34 @@ int32_t SimKernel::AllocFd(Process& proc, OpenFile file) {
   return fd;
 }
 
-SyscallResult SimKernel::Open(Pid pid, const std::string& path, OpenFlags flags) {
+SyscallResult SimKernel::OpenPath(Pid pid, Sys sys, const std::string& path,
+                                  OpenFlags flags) {
   SyscallInvocation inv;
   inv.pid = pid;
-  inv.sys = Sys::kOpen;
+  inv.sys = sys;
   inv.path = path;
   return DoSyscall(inv, [&]() -> SyscallResult {
     Process& proc = Proc(pid);
-    InMemoryFileSystem& disk = DiskOf(proc.node);
-    if (!disk.Exists(path)) {
-      if (!flags.create) {
-        return SyscallResult::Fail(Err::kENOENT);
-      }
-      const Err err = disk.Create(path, /*truncate=*/false);
-      if (err != Err::kOk) {
-        return SyscallResult::Fail(err);
-      }
-    } else {
-      const uint32_t mode = disk.ModeOf(path);
-      const uint32_t needed = flags.readonly ? 0400u : 0600u;
-      if (!disk.IsDirectory(path) && (mode & needed) != needed) {
-        return SyscallResult::Fail(Err::kEACCES);
-      }
-      if (flags.truncate) {
-        disk.Truncate(path, 0);
-      }
+    int64_t size = 0;
+    const Err err =
+        DiskOf(proc.node).OpenPath(path, flags.create, flags.truncate, flags.readonly, &size);
+    if (err != Err::kOk) {
+      return SyscallResult::Fail(err);
     }
     OpenFile file;
     file.path = path;
     file.readonly = flags.readonly;
-    file.offset = flags.append ? disk.SizeOf(path) : 0;
+    file.offset = flags.append ? size : 0;
     return SyscallResult::Ok(AllocFd(proc, std::move(file)));
   });
 }
 
+SyscallResult SimKernel::Open(Pid pid, const std::string& path, OpenFlags flags) {
+  return OpenPath(pid, Sys::kOpen, path, flags);
+}
+
 SyscallResult SimKernel::OpenAt(Pid pid, const std::string& path, OpenFlags flags) {
-  SyscallInvocation inv;
-  inv.pid = pid;
-  inv.sys = Sys::kOpenAt;
-  inv.path = path;
-  return DoSyscall(inv, [&]() -> SyscallResult {
-    Process& proc = Proc(pid);
-    InMemoryFileSystem& disk = DiskOf(proc.node);
-    if (!disk.Exists(path)) {
-      if (!flags.create) {
-        return SyscallResult::Fail(Err::kENOENT);
-      }
-      const Err err = disk.Create(path, /*truncate=*/false);
-      if (err != Err::kOk) {
-        return SyscallResult::Fail(err);
-      }
-    } else {
-      const uint32_t mode = disk.ModeOf(path);
-      const uint32_t needed = flags.readonly ? 0400u : 0600u;
-      if (!disk.IsDirectory(path) && (mode & needed) != needed) {
-        return SyscallResult::Fail(Err::kEACCES);
-      }
-      if (flags.truncate) {
-        disk.Truncate(path, 0);
-      }
-    }
-    OpenFile file;
-    file.path = path;
-    file.readonly = flags.readonly;
-    file.offset = flags.append ? disk.SizeOf(path) : 0;
-    return SyscallResult::Ok(AllocFd(proc, std::move(file)));
-  });
+  return OpenPath(pid, Sys::kOpenAt, path, flags);
 }
 
 SyscallResult SimKernel::Close(Pid pid, int32_t fd) {

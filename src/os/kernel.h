@@ -15,11 +15,10 @@
 #ifndef SRC_OS_KERNEL_H_
 #define SRC_OS_KERNEL_H_
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/os/fs.h"
@@ -60,6 +59,8 @@ class NetReachability {
 };
 
 class SimKernel {
+  static constexpr Pid kFirstPid = 100;
+
  public:
   explicit SimKernel(EventLoop* loop);
   SimKernel(const SimKernel&) = delete;
@@ -94,8 +95,13 @@ class SimKernel {
 
   bool IsAlive(Pid pid) const;
   ProcState StateOf(Pid pid) const;
-  const Process* FindProcess(Pid pid) const;
-  // Pids of all processes ever spawned (the procfs analogue).
+  const Process* FindProcess(Pid pid) const {
+    if (pid < kFirstPid || static_cast<size_t>(pid - kFirstPid) >= processes_.size()) {
+      return nullptr;
+    }
+    return processes_[static_cast<size_t>(pid - kFirstPid)].get();
+  }
+  // Pids of all processes ever spawned (the procfs analogue), ascending.
   std::vector<Pid> AllPids() const;
 
   // --- Syscalls (invoked by guest code) --------------------------------------
@@ -148,19 +154,23 @@ class SimKernel {
  private:
   Process& Proc(Pid pid);
   const Process& Proc(Pid pid) const;
-  SyscallResult DoSyscall(SyscallInvocation inv,
-                          const std::function<SyscallResult()>& body);
+  // Runs the hook chain around `body` (a `SyscallResult()` callable).
+  template <typename Body>
+  SyscallResult DoSyscall(const SyscallInvocation& inv, Body&& body);
+  SyscallResult OpenPath(Pid pid, Sys sys, const std::string& path, OpenFlags flags);
   int32_t AllocFd(Process& proc, OpenFile file);
   void SetState(Pid pid, ProcState state);
 
   EventLoop* loop_;
   NetReachability* reachability_ = nullptr;
   SimTime syscall_cost_ = Micros(2);
-  Pid next_pid_ = 100;
-  std::map<Pid, Process> processes_;
-  std::map<NodeId, std::string> node_ips_;
-  std::map<std::string, NodeId> ip_nodes_;
-  std::map<NodeId, std::unique_ptr<InMemoryFileSystem>> disks_;
+  // Pid kFirstPid + i lives at processes_[i], each at a stable address
+  // while later spawns append.
+  std::vector<std::unique_ptr<Process>> processes_;
+  std::vector<std::string> node_ips_;  // Indexed by NodeId.
+  // (ip, node) in registration order; the latest registration of an ip wins.
+  std::vector<std::pair<std::string, NodeId>> ip_nodes_;
+  std::vector<std::unique_ptr<InMemoryFileSystem>> disks_;  // Indexed by NodeId.
   std::vector<KernelObserver*> observers_;
   std::vector<SyscallInterposer*> interposers_;
 };

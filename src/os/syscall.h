@@ -59,16 +59,18 @@ bool SysTakesPath(Sys sys);
 // True for syscalls whose primary argument is a file descriptor.
 bool SysTakesFd(Sys sys);
 
-// A single syscall invocation as seen at the kernel boundary.
+// A single syscall invocation as seen at the kernel boundary. The string
+// arguments view the caller's buffers: they are valid for the duration of
+// the hook call only, so an observer that keeps one must copy it.
 struct SyscallInvocation {
   Pid pid = kNoPid;
   Sys sys = Sys::kOpen;
   // Pathname argument for path-based syscalls (open/openat/stat/...).
-  std::string path;
+  std::string_view path;
   // File-descriptor argument for fd-based syscalls; -1 when not applicable.
   int32_t fd = -1;
   // Destination/source IP for network syscalls; empty otherwise.
-  std::string remote_ip;
+  std::string_view remote_ip;
   // Payload size for read/write/send/recv.
   int64_t length = 0;
 };

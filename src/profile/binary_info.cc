@@ -28,7 +28,7 @@ const FunctionInfo* BinaryInfo::Find(int32_t id) const {
   return &functions_[static_cast<size_t>(id)];
 }
 
-const FunctionInfo* BinaryInfo::FindByName(const std::string& name) const {
+const FunctionInfo* BinaryInfo::FindByName(std::string_view name) const {
   auto it = by_name_.find(name);
   return it == by_name_.end() ? nullptr : Find(it->second);
 }

@@ -13,6 +13,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/os/syscall.h"
@@ -46,7 +47,7 @@ class BinaryInfo {
                            std::vector<OffsetInfo> offsets = {});
 
   const FunctionInfo* Find(int32_t id) const;
-  const FunctionInfo* FindByName(const std::string& name) const;
+  const FunctionInfo* FindByName(std::string_view name) const;
   std::string NameOf(int32_t id) const;
 
   // Function ids whose source file is in `files` — the developer-provided
@@ -61,7 +62,7 @@ class BinaryInfo {
 
  private:
   std::vector<FunctionInfo> functions_;
-  std::map<std::string, int32_t> by_name_;
+  std::map<std::string, int32_t, std::less<>> by_name_;  // Transparent: no key temporaries.
 };
 
 }  // namespace rose

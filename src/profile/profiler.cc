@@ -45,7 +45,7 @@ void Profiler::OnSyscallExit(SimTime /*now*/, const SyscallInvocation& inv,
                              const SyscallResult& result) {
   syscall_counts_[static_cast<int32_t>(inv.sys)]++;
   if (!result.ok()) {
-    const std::string filename = SysTakesPath(inv.sys) ? inv.path : "";
+    const std::string filename(SysTakesPath(inv.sys) ? inv.path : std::string_view());
     benign_scf_.insert(ScfSignature(inv.sys, filename, result.err));
     // Also record the input-less form so fd-based failures whose path
     // resolution differs across runs still match.

@@ -174,19 +174,19 @@ void ServeClient::Poll() {
   // Backoff bookkeeping: jobs waiting out a queue-full rejection re-enter the
   // wire when their counter hits zero. Resubmission order follows handle
   // order, which keeps the FIFO correlation well-defined.
-  for (auto& [handle, job] : jobs_) {
-    if (job.state != JobState::kBackoff) {
-      continue;
-    }
+  for (auto it = backoff_.begin(); it != backoff_.end();) {
+    PendingJob& job = jobs_.at(*it);
     if (--job.backoff_left > 0) {
+      ++it;
       continue;
     }
     job.state = JobState::kAwaitingAccept;
     AppendServeFrame(&outbox_,
                      job.is_stream ? ServeFrame::kStreamOpen : ServeFrame::kSubmit,
                      job.encoded);
-    accept_fifo_.push_back(handle);
+    accept_fifo_.push_back(job.handle);
     retries_performed_++;
+    it = backoff_.erase(it);
   }
 
   // Flush as much of the outbox as the transport accepts (short writes mean
@@ -219,6 +219,7 @@ void ServeClient::Poll() {
     }
     if (status == FrameDecoder::Status::kBadStream) {
       broken_ = true;
+      backoff_.clear();
       // Every in-flight job fails: the stream cannot carry answers anymore.
       for (auto& [handle, job] : jobs_) {
         if (job.state != JobState::kDone && job.state != JobState::kFailed) {
@@ -304,6 +305,7 @@ void ServeClient::HandleFrame(const DecodedFrame& frame) {
           job->attempts < config_.max_retries) {
         job->state = JobState::kBackoff;
         job->backoff_left = BackoffRounds(*job);
+        backoff_.insert(job->handle);
         job->attempts++;
         return;
       }

@@ -21,6 +21,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -173,6 +174,8 @@ class ServeClient {
   std::string outbox_;
   size_t outbox_sent_ = 0;
   std::map<uint64_t, PendingJob> jobs_;
+  // Handles in JobState::kBackoff, in handle order (Poll walks only these).
+  std::set<uint64_t> backoff_;
   // Submission order on the wire — the server's response order.
   std::deque<uint64_t> accept_fifo_;
   uint64_t next_handle_ = 1;

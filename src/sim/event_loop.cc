@@ -1,58 +1,87 @@
 #include "src/sim/event_loop.h"
 
-#include <memory>
+#include <algorithm>
 #include <utility>
 
 namespace rose {
 
-TimerId EventLoop::ScheduleAt(SimTime when, std::function<void()> fn) {
+TimerId EventLoop::ScheduleAt(SimTime when, EventCallback fn) {
   if (when < now_) {
     when = now_;
   }
-  const TimerId id = next_id_++;
-  queue_.push(Entry{when, next_seq_++, id,
-                    std::make_shared<std::function<void()>>(std::move(fn))});
-  return id;
+  uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  const uint64_t seq = next_seq_++;
+  Slot& entry = slots_[slot];
+  entry.fn = std::move(fn);
+  entry.seq = seq;
+  live_++;
+  heap_.push_back(HeapEntry{when, seq, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later);
+  return (static_cast<TimerId>(entry.generation) << 32) | slot;
+}
+
+void EventLoop::FreeSlot(uint32_t slot) {
+  Slot& entry = slots_[slot];
+  entry.seq = 0;
+  entry.generation = entry.generation == UINT32_MAX ? 1 : entry.generation + 1;
+  free_slots_.push_back(slot);
+  live_--;
 }
 
 void EventLoop::Cancel(TimerId id) {
-  if (id != kInvalidTimer) {
-    cancelled_.insert(id);
+  const auto slot = static_cast<uint32_t>(id);
+  const auto generation = static_cast<uint32_t>(id >> 32);
+  if (slot >= slots_.size() || slots_[slot].seq == 0 ||
+      slots_[slot].generation != generation) {
+    return;  // Invalid, already fired, or already cancelled.
+  }
+  slots_[slot].fn.Reset();
+  FreeSlot(slot);
+}
+
+void EventLoop::SkipCancelled() {
+  while (!heap_.empty() && slots_[heap_.front().slot].seq != heap_.front().seq) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later);
+    heap_.pop_back();
   }
 }
 
 bool EventLoop::Step() {
-  while (!halted_ && !queue_.empty()) {
-    Entry entry = queue_.top();
-    queue_.pop();
-    if (auto it = cancelled_.find(entry.id); it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
-    }
-    if (entry.when > now_) {
-      now_ = entry.when;
-    }
-    (*entry.fn)();
-    return true;
+  if (halted_) {
+    return false;
   }
-  return false;
+  SkipCancelled();
+  if (heap_.empty()) {
+    return false;
+  }
+  const HeapEntry top = heap_.front();
+  std::pop_heap(heap_.begin(), heap_.end(), Later);
+  heap_.pop_back();
+  if (top.when > now_) {
+    now_ = top.when;
+  }
+  // Move the callback out and retire its slot before running it: the
+  // callback may schedule (growing the slab) or cancel its own, now stale, id.
+  EventCallback fn = std::move(slots_[top.slot].fn);
+  FreeSlot(top.slot);
+  fn();
+  return true;
 }
 
 uint64_t EventLoop::RunUntil(SimTime until) {
   uint64_t executed = 0;
-  while (!halted_ && !queue_.empty()) {
+  while (!halted_) {
     // Purge cancelled entries first so the horizon check below inspects a
-    // live event — otherwise Step() would skip the tombstone and run an
-    // event beyond `until`.
-    while (!queue_.empty()) {
-      auto it = cancelled_.find(queue_.top().id);
-      if (it == cancelled_.end()) {
-        break;
-      }
-      cancelled_.erase(it);
-      queue_.pop();
-    }
-    if (queue_.empty() || queue_.top().when > until) {
+    // live event, never one beyond `until`.
+    SkipCancelled();
+    if (heap_.empty() || heap_.front().when > until) {
       break;
     }
     if (!Step()) {

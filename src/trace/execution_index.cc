@@ -15,9 +15,11 @@ uint64_t Mix(uint64_t z) {
 
 uint64_t Fold(uint64_t h, uint64_t v) { return Mix(h + 0x9e3779b97f4a7c15ULL + v); }
 
-uint64_t HashBytes(std::string_view s) {
-  // FNV-1a, the same scheme the canonical trace hash uses.
-  uint64_t h = 0xcbf29ce484222325ULL;
+constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+
+// FNV-1a, the same scheme the canonical trace hash uses. Chaining `h` hashes
+// a concatenation piecewise.
+uint64_t HashBytes(std::string_view s, uint64_t h = kFnvOffset) {
   for (char c : s) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x100000001b3ULL;
@@ -28,8 +30,8 @@ uint64_t HashBytes(std::string_view s) {
 }  // namespace
 
 std::string IndexInputOf(const SyscallInvocation& inv) {
-  if (SysTakesPath(inv.sys)) return inv.path;
-  if (!inv.remote_ip.empty()) return "sock:" + inv.remote_ip;
+  if (SysTakesPath(inv.sys)) return std::string(inv.path);
+  if (!inv.remote_ip.empty()) return std::string("sock:").append(inv.remote_ip);
   return std::string();
 }
 
@@ -61,18 +63,34 @@ uint64_t ExecutionIndexTracker::DigestChain(const Chain& chain) {
   return h == 0 ? 0x9e3779b97f4a7c15ULL : h;
 }
 
-uint64_t ExecutionIndexTracker::SeqKey(NodeId node, uint64_t digest, Sys sys,
-                                       std::string_view input) {
+uint64_t ExecutionIndexTracker::SeqKeyOfHash(NodeId node, uint64_t digest, Sys sys,
+                                             uint64_t input_hash) {
   uint64_t h = digest;
   h = Fold(h, static_cast<uint64_t>(static_cast<uint32_t>(node)));
   h = Fold(h, static_cast<uint64_t>(static_cast<int32_t>(sys)));
-  h = Fold(h, HashBytes(input));
+  h = Fold(h, input_hash);
   return h;
+}
+
+uint64_t ExecutionIndexTracker::SeqKey(NodeId node, uint64_t digest, Sys sys,
+                                       std::string_view input) {
+  return SeqKeyOfHash(node, digest, sys, HashBytes(input));
 }
 
 uint32_t ExecutionIndexTracker::NextSeq(NodeId node, uint64_t digest, Sys sys,
                                         std::string_view input) {
   return ++seq_[SeqKey(node, digest, sys, input)];
+}
+
+uint32_t ExecutionIndexTracker::NextSeq(NodeId node, uint64_t digest,
+                                        const SyscallInvocation& inv) {
+  uint64_t input_hash = kFnvOffset;
+  if (SysTakesPath(inv.sys)) {
+    input_hash = HashBytes(inv.path);
+  } else if (!inv.remote_ip.empty()) {
+    input_hash = HashBytes(inv.remote_ip, HashBytes("sock:"));
+  }
+  return ++seq_[SeqKeyOfHash(node, digest, inv.sys, input_hash)];
 }
 
 void ExecutionIndexTracker::Reset() {

@@ -47,6 +47,7 @@ inline constexpr int kExecutionContextDepth = 8;
 // the tracer (at syscall exit) and the executor (at interpose time) see the
 // same SyscallInvocation, so keying on its immediate arguments — never on
 // post-hoc fd resolution — guarantees the two sides count identically.
+// NextSeq(node, digest, inv) hashes exactly these bytes in place.
 std::string IndexInputOf(const SyscallInvocation& inv);
 
 class ExecutionIndexTracker {
@@ -63,6 +64,8 @@ class ExecutionIndexTracker {
   // matching (node, digest, sys, input). Call exactly once per syscall
   // invocation on each side of the capture/replay pair.
   uint32_t NextSeq(NodeId node, uint64_t digest, Sys sys, std::string_view input);
+  // Same, with the input taken from `inv` (IndexInputOf) without building it.
+  uint32_t NextSeq(NodeId node, uint64_t digest, const SyscallInvocation& inv);
 
   // Forgets all per-pid chains and sequence counters.
   void Reset();
@@ -80,6 +83,7 @@ class ExecutionIndexTracker {
   };
 
   static uint64_t DigestChain(const Chain& chain);
+  static uint64_t SeqKeyOfHash(NodeId node, uint64_t digest, Sys sys, uint64_t input_hash);
 
   std::unordered_map<Pid, Chain> chains_;
   std::unordered_map<uint64_t, uint32_t> seq_;

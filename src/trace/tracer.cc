@@ -104,8 +104,7 @@ void Tracer::OnSyscallExit(SimTime now, const SyscallInvocation& inv,
   // sequence numbers stay in lockstep with the executor's replay-side
   // tracker, which also counts every invocation.
   const uint64_t ctx_digest = index_.DigestOf(inv.pid);
-  const uint32_t ctx_seq =
-      index_.NextSeq(NodeOfPid(inv.pid), ctx_digest, inv.sys, IndexInputOf(inv));
+  const uint32_t ctx_seq = index_.NextSeq(NodeOfPid(inv.pid), ctx_digest, inv);
 
   // Maintain the lightweight fd -> filename map (open/close/dup bookkeeping
   // only; reconstruction happens during dump post-processing).
@@ -114,12 +113,12 @@ void Tracer::OnSyscallExit(SimTime now, const SyscallInvocation& inv,
       case Sys::kOpen:
       case Sys::kOpenAt:
         fd_bindings_[FdKey(inv.pid, static_cast<int32_t>(result.value))].push_back(
-            FdBinding{now, inv.path});
+            FdBinding{now, std::string(inv.path)});
         break;
       case Sys::kConnect:
       case Sys::kAccept:
         fd_bindings_[FdKey(inv.pid, static_cast<int32_t>(result.value))].push_back(
-            FdBinding{now, "sock:" + inv.remote_ip});
+            FdBinding{now, std::string("sock:").append(inv.remote_ip)});
         break;
       case Sys::kDup: {
         std::string source = ResolveFd(inv.pid, inv.fd, now);
@@ -160,7 +159,7 @@ void Tracer::OnSyscallExit(SimTime now, const SyscallInvocation& inv,
   if (SysTakesPath(inv.sys)) {
     info.filename = pool_.Intern(inv.path);
   } else if (!inv.remote_ip.empty()) {
-    info.filename = pool_.Intern("sock:" + inv.remote_ip);
+    info.filename = pool_.Intern(std::string("sock:").append(inv.remote_ip));
   }
 
   TraceEvent event;
@@ -204,9 +203,8 @@ bool Tracer::QualifiesAsPartitionSilence(const ConnState& conn, SimTime gap) con
   return rate >= 2.0;
 }
 
-void Tracer::OnPacketIn(SimTime now, const std::string& src_ip, const std::string& dst_ip,
-                        int64_t /*size*/) {
-  ConnState& conn = connections_[{src_ip, dst_ip}];
+void Tracer::OnPacketIn(SimTime now, IpId src, IpId dst, int64_t /*size*/) {
+  ConnState& conn = connections_[ConnKey(src, dst)];
   conn.packet_count++;
   if (conn.first_packet == 0) {
     conn.first_packet = now;
@@ -216,6 +214,8 @@ void Tracer::OnPacketIn(SimTime now, const std::string& src_ip, const std::strin
     if (QualifiesAsPartitionSilence(conn, gap)) {
       TraceEvent event;
       event.ts = now;
+      const std::string& src_ip = network_->IpName(src);
+      const std::string& dst_ip = network_->IpName(dst);
       event.node = kernel_->NodeOfIp(dst_ip);
       event.type = EventType::kND;
       event.info = NdInfo{pool_.Intern(src_ip), pool_.Intern(dst_ip), gap, conn.packet_count};
@@ -316,18 +316,32 @@ void Tracer::AppendOpenEndedEvents(std::vector<TraceEvent>* out) {
     }
   }
   // ...and connections silent for longer than the ND threshold (but not so
-  // long that they are simply idle, and only if they carried real traffic).
+  // long that they are simply idle, and only if they carried real traffic),
+  // in (src ip, dst ip) string order.
+  struct Silent {
+    const std::string* src;
+    const std::string* dst;
+    const ConnState* conn;
+  };
+  std::vector<Silent> silent;
   for (const auto& [key, conn] : connections_) {
     if (conn.last_packet != 0 &&
         QualifiesAsPartitionSilence(conn, now - conn.last_packet)) {
-      TraceEvent event;
-      event.ts = now;
-      event.node = kernel_->NodeOfIp(key.second);
-      event.type = EventType::kND;
-      event.info = NdInfo{pool_.Intern(key.first), pool_.Intern(key.second),
-                          now - conn.last_packet, conn.packet_count};
-      out->push_back(std::move(event));
+      silent.push_back(Silent{&network_->IpName(static_cast<IpId>(key >> 32)),
+                              &network_->IpName(static_cast<IpId>(key)), &conn});
     }
+  }
+  std::sort(silent.begin(), silent.end(), [](const Silent& a, const Silent& b) {
+    return *a.src != *b.src ? *a.src < *b.src : *a.dst < *b.dst;
+  });
+  for (const Silent& entry : silent) {
+    TraceEvent event;
+    event.ts = now;
+    event.node = kernel_->NodeOfIp(*entry.dst);
+    event.type = EventType::kND;
+    event.info = NdInfo{pool_.Intern(*entry.src), pool_.Intern(*entry.dst),
+                        now - entry.conn->last_packet, entry.conn->packet_count};
+    out->push_back(std::move(event));
   }
 }
 

@@ -19,6 +19,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/net/network.h"
@@ -111,8 +112,7 @@ class Tracer : public KernelObserver, public IngressTap {
   void OnFunctionEnter(SimTime now, Pid pid, int32_t function_id) override;
 
   // --- IngressTap -------------------------------------------------------------
-  void OnPacketIn(SimTime now, const std::string& src_ip, const std::string& dst_ip,
-                  int64_t size) override;
+  void OnPacketIn(SimTime now, IpId src, IpId dst, int64_t size) override;
 
  private:
   struct FdBinding {
@@ -128,6 +128,9 @@ class Tracer : public KernelObserver, public IngressTap {
   static uint64_t FdKey(Pid pid, int32_t fd) {
     return (static_cast<uint64_t>(static_cast<uint32_t>(pid)) << 32) |
            static_cast<uint32_t>(fd);
+  }
+  static uint64_t ConnKey(IpId src, IpId dst) {
+    return (static_cast<uint64_t>(src) << 32) | dst;
   }
 
   // True when a silent connection looks like a partition rather than an
@@ -158,8 +161,9 @@ class Tracer : public KernelObserver, public IngressTap {
   // tracing (ids of overwritten events are never reused), so Dump() compacts
   // into the output trace's own pool.
   StringPool pool_;
-  std::map<uint64_t, std::vector<FdBinding>> fd_bindings_;
-  std::map<std::pair<std::string, std::string>, ConnState> connections_;
+  std::unordered_map<uint64_t, std::vector<FdBinding>> fd_bindings_;
+  // Keyed by ConnKey(src, dst) over the network's interned addresses.
+  std::unordered_map<uint64_t, ConnState> connections_;
   std::set<Pid> crash_reported_;
   std::map<Pid, size_t> pauses_reported_;
 

@@ -18,13 +18,18 @@ void KvClient::OnStart() {
 
 void KvClient::NextOp() {
   OpRecord record;
-  record.op_id = StrFormat("%s%d-%llu", options_.op_prefix.c_str(), id(),
-                           static_cast<unsigned long long>(op_counter_++));
+  // "<prefix><node>-<n>", "key-<k>", "v<r>".
+  record.op_id = options_.op_prefix;
+  AppendDecimal(&record.op_id, id());
+  record.op_id += '-';
+  AppendDecimal(&record.op_id, op_counter_++);
   const uint64_t key_index =
       zipf_.has_value() ? zipf_->Next(rng())
                         : rng().NextBelow(static_cast<uint64_t>(options_.key_space));
-  record.key = StrFormat("key-%llu", static_cast<unsigned long long>(key_index));
-  record.value = StrFormat("v%llu", static_cast<unsigned long long>(rng().Next() % 100000));
+  record.key = "key-";
+  AppendDecimal(&record.key, key_index);
+  record.value = "v";
+  AppendDecimal(&record.value, rng().Next() % 100000);
   record.sent_at = now();
   history_.push_back(std::move(record));
   current_ = history_.size() - 1;

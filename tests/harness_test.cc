@@ -3,7 +3,12 @@
 // determinism properties of the whole stack.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <string>
+
 #include "src/apps/framework/message.h"
+#include "src/common/rng.h"
 #include "src/common/strings.h"
 #include "src/harness/bug_registry.h"
 #include "src/harness/rose.h"
@@ -32,6 +37,111 @@ TEST(MessageTest, ByteSizeGrowsWithPayload) {
   Message large("T", 0, 1);
   large.SetStr("data", std::string(500, 'x'));
   EXPECT_GT(large.ByteSize(), small.ByteSize() + 400);
+}
+
+// The size formula of the original all-strings encoding: every value stored
+// as its decimal text in a std::map<std::string, std::string>.
+class ReferenceMessage {
+ public:
+  explicit ReferenceMessage(std::string type) : type_(std::move(type)) {}
+  void SetInt(const std::string& key, int64_t value) { fields_[key] = std::to_string(value); }
+  void SetStr(const std::string& key, std::string value) { fields_[key] = std::move(value); }
+  int64_t ByteSize() const {
+    int64_t size = static_cast<int64_t>(type_.size()) + 8;
+    for (const auto& [key, value] : fields_) {
+      size += static_cast<int64_t>(key.size() + value.size()) + 2;
+    }
+    return size;
+  }
+
+ private:
+  std::string type_;
+  std::map<std::string, std::string> fields_;
+};
+
+TEST(MessageTest, ByteSizeMatchesTheAllStringsFormula) {
+  Message msg("AppendEntries", 0, 1);
+  ReferenceMessage ref("AppendEntries");
+  EXPECT_EQ(msg.ByteSize(), ref.ByteSize());
+  const int64_t ints[] = {0, 7, -7, 10, -10, 99, 100, 123456789, -1000000000000LL,
+                          INT64_MAX, INT64_MIN, INT64_MIN + 1};
+  int i = 0;
+  for (int64_t value : ints) {
+    const std::string key = "i" + std::to_string(i++);
+    msg.SetInt(key, value);
+    ref.SetInt(key, value);
+    EXPECT_EQ(msg.ByteSize(), ref.ByteSize()) << value;
+  }
+  msg.SetStr("s", "");
+  ref.SetStr("s", "");
+  msg.SetStr("long", std::string(300, 'x'));
+  ref.SetStr("long", std::string(300, 'x'));
+  EXPECT_EQ(msg.ByteSize(), ref.ByteSize());
+  // Overwrites in both directions keep one field per key.
+  msg.SetStr("i0", "now a string");
+  ref.SetStr("i0", "now a string");
+  msg.SetInt("s", INT64_MIN);
+  ref.SetInt("s", INT64_MIN);
+  msg.SetInt("i1", -3);
+  ref.SetInt("i1", -3);
+  EXPECT_EQ(msg.ByteSize(), ref.ByteSize());
+
+  // A seeded random mix of the same operations.
+  Rng rng(5);
+  for (int step = 0; step < 500; step++) {
+    const std::string key = "k" + std::to_string(rng.NextBelow(12));
+    if (rng.NextBool(0.5)) {
+      const auto value = static_cast<int64_t>(rng.Next());
+      msg.SetInt(key, value);
+      ref.SetInt(key, value);
+    } else {
+      std::string value(rng.NextBelow(40), 'v');
+      ref.SetStr(key, value);
+      msg.SetStr(key, std::move(value));
+    }
+    ASSERT_EQ(msg.ByteSize(), ref.ByteSize()) << "step " << step;
+  }
+}
+
+TEST(MessageTest, IntFieldParsesStringsAndFallsBackOnGarbage) {
+  Message msg("T", 0, 1);
+  msg.SetStr("num", "123");
+  msg.SetStr("signed", "+5");
+  msg.SetStr("bad", "12abc");
+  msg.SetStr("empty", "");
+  msg.SetInt("max", INT64_MAX);
+  msg.SetInt("min", INT64_MIN);
+  EXPECT_EQ(msg.IntField("num"), 123);
+  EXPECT_EQ(msg.IntField("signed"), 5);
+  EXPECT_EQ(msg.IntField("bad", -9), -9);
+  EXPECT_EQ(msg.IntField("empty", 4), 4);
+  EXPECT_EQ(msg.IntField("max"), INT64_MAX);
+  EXPECT_EQ(msg.IntField("min"), INT64_MIN);
+  msg.SetStr("max", "not a number");
+  EXPECT_EQ(msg.IntField("max", 1), 1);
+}
+
+TEST(MessageTest, StrFieldOfAnIntIsItsDecimalForm) {
+  Message msg("T", 0, 1);
+  msg.SetInt("zero", 0);
+  msg.SetInt("neg", -42);
+  msg.SetInt("min", INT64_MIN);
+  msg.SetInt("max", INT64_MAX);
+  EXPECT_EQ(msg.StrField("zero"), "0");
+  EXPECT_EQ(msg.StrField("neg"), "-42");
+  EXPECT_EQ(msg.StrField("min"), "-9223372036854775808");
+  EXPECT_EQ(msg.StrField("max"), "9223372036854775807");
+  msg.SetStr("neg", "text");
+  EXPECT_EQ(msg.StrField("neg"), "text");
+}
+
+TEST(MessageTest, DebugStringListsKeysSorted) {
+  Message msg("Ping", 1, 2);
+  msg.SetStr("zeta", "z");
+  msg.SetInt("alpha", -1);
+  msg.SetStr("mid", "m");
+  msg.SetInt("beta", 20);
+  EXPECT_EQ(msg.DebugString(), "Ping(1->2 alpha=-1 beta=20 mid=m zeta=z)");
 }
 
 TEST(RunnerTest, OracleTriggeredHaltShortensRun) {

@@ -7,14 +7,17 @@ namespace {
 
 class CountingTap : public IngressTap {
  public:
-  void OnPacketIn(SimTime /*now*/, const std::string& src, const std::string& dst,
-                  int64_t /*size*/) override {
+  explicit CountingTap(const Network* net) : net_(net) {}
+  void OnPacketIn(SimTime /*now*/, IpId src, IpId dst, int64_t /*size*/) override {
     packets++;
-    last_src = src;
-    last_dst = dst;
+    last_src = net_->IpName(src);
+    last_dst = net_->IpName(dst);
   }
   int packets = 0;
   std::string last_src, last_dst;
+
+ private:
+  const Network* net_;
 };
 
 TEST(NetworkTest, DeliversWithLatency) {
@@ -96,7 +99,7 @@ TEST(NetworkTest, InFlightPacketsDropWhenPartitionRaisedMidFlight) {
 TEST(NetworkTest, IngressTapsFireBeforeDelivery) {
   EventLoop loop;
   Network net(&loop, 1);
-  CountingTap tap;
+  CountingTap tap(&net);
   net.AddIngressTap(&tap);
   bool delivered = false;
   net.Send("x", "y", 42, [&] { delivered = true; });
@@ -114,7 +117,7 @@ TEST(NetworkTest, IngressTapsFireBeforeDelivery) {
 TEST(NetworkTest, DroppedPacketsDoNotReachTaps) {
   EventLoop loop;
   Network net(&loop, 1);
-  CountingTap tap;
+  CountingTap tap(&net);
   net.AddIngressTap(&tap);
   net.Block("a", "b");
   net.Send("a", "b", 10, [] {});

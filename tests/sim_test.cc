@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <vector>
 
 #include "src/sim/event_loop.h"
@@ -128,6 +129,89 @@ TEST(EventLoopTest, PendingEventsCountExcludesCancelled) {
   EXPECT_EQ(loop.pending_events(), 2u);
   loop.Cancel(id);
   EXPECT_EQ(loop.pending_events(), 1u);
+}
+
+TEST(EventLoopTest, CancelAfterFireIsNoOpAndPendingDrainsToZero) {
+  EventLoop loop;
+  int ran = 0;
+  const TimerId id = loop.ScheduleAt(Millis(1), [&] { ran++; });
+  loop.RunToCompletion();
+  loop.Cancel(id);  // Already fired.
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(loop.pending_events(), 0u);
+  loop.ScheduleAt(Millis(2), [&] { ran++; });
+  EXPECT_EQ(loop.pending_events(), 1u);
+  loop.RunToCompletion();
+  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(loop.pending_events(), 0u);
+}
+
+TEST(EventLoopTest, StaleIdDoesNotCancelALaterTimer) {
+  EventLoop loop;
+  int cancelled_ran = 0;
+  int fired_ran = 0;
+  int later_ran = 0;
+  const TimerId cancelled = loop.ScheduleAt(Millis(1), [&] { cancelled_ran++; });
+  loop.Cancel(cancelled);
+  const TimerId fired = loop.ScheduleAt(Millis(1), [&] { fired_ran++; });
+  loop.RunUntil(Millis(1));
+  // Both earlier timers are gone; new timers may take over their storage.
+  std::vector<TimerId> later;
+  for (int i = 0; i < 4; i++) {
+    later.push_back(loop.ScheduleAt(Millis(5), [&] { later_ran++; }));
+  }
+  for (TimerId id : later) {
+    EXPECT_NE(id, cancelled);
+    EXPECT_NE(id, fired);
+  }
+  loop.Cancel(cancelled);
+  loop.Cancel(fired);
+  EXPECT_EQ(loop.pending_events(), 4u);
+  loop.RunToCompletion();
+  EXPECT_EQ(cancelled_ran, 0);
+  EXPECT_EQ(fired_ran, 1);
+  EXPECT_EQ(later_ran, 4);
+}
+
+TEST(EventLoopTest, CancellingOwnTimerInsideItsCallbackIsNoOp) {
+  EventLoop loop;
+  TimerId self = kInvalidTimer;
+  int next_ran = 0;
+  self = loop.ScheduleAt(Millis(1), [&] {
+    loop.ScheduleAfter(Millis(1), [&] { next_ran++; });
+    loop.Cancel(self);  // Fired already: must not touch the timer just scheduled.
+  });
+  loop.RunToCompletion();
+  EXPECT_EQ(next_ran, 1);
+  EXPECT_EQ(loop.pending_events(), 0u);
+}
+
+TEST(EventLoopTest, EqualTimesStayFifoAcrossCancellationAndReuse) {
+  EventLoop loop;
+  std::vector<int> order;
+  std::vector<TimerId> ids;
+  for (int i = 0; i < 6; i++) {
+    ids.push_back(loop.ScheduleAt(Millis(5), [&order, i] { order.push_back(i); }));
+  }
+  loop.Cancel(ids[1]);
+  loop.Cancel(ids[3]);
+  for (int i = 6; i < 9; i++) {
+    loop.ScheduleAt(Millis(5), [&order, i] { order.push_back(i); });
+  }
+  loop.RunToCompletion();
+  EXPECT_EQ(order, (std::vector<int>{0, 2, 4, 5, 6, 7, 8}));
+}
+
+TEST(EventLoopTest, CallbacksLargerThanInlineStorageRun) {
+  EventLoop loop;
+  std::array<int64_t, 32> payload{};  // Larger than the inline buffer.
+  payload[31] = 7;
+  int64_t seen = 0;
+  loop.ScheduleAt(Millis(1), [&seen, payload] { seen = payload[31]; });
+  const TimerId cancelled = loop.ScheduleAt(Millis(1), [&seen, payload] { seen = -1; });
+  loop.Cancel(cancelled);
+  loop.RunToCompletion();
+  EXPECT_EQ(seen, 7);
 }
 
 TEST(TimeTest, ConversionHelpers) {
