@@ -5,6 +5,8 @@
 // invocation inside the executor.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/analyze/schedule_linter.h"
 #include "src/exec/executor.h"
 #include "src/net/network.h"
@@ -85,6 +87,24 @@ TEST(ExecutionIndexTest, IndexInputUsesImmediateArgumentsOnly) {
   inv.fd = 3;  // Fd-only invocations index with an empty input: the tracer
                // resolves fds at Dump time, far too late for online parity.
   EXPECT_EQ(IndexInputOf(inv), "");
+}
+
+TEST(ExecutionIndexTest, InPlaceInputHashKeysLikeIndexInputOf) {
+  // NextSeq(node, digest, inv) must count under the same key as NextSeq over
+  // the materialized IndexInputOf(inv): the second call then sees seq 2.
+  std::vector<SyscallInvocation> invs(4);
+  invs[0].sys = Sys::kOpen;
+  invs[0].path = "/data/raft.log.tmp";
+  invs[1].sys = Sys::kConnect;
+  invs[1].remote_ip = "10.0.0.2";
+  invs[2].sys = Sys::kWrite;
+  invs[2].fd = 5;
+  invs[3].sys = Sys::kStat;  // Path-based with an empty path.
+  for (const SyscallInvocation& inv : invs) {
+    ExecutionIndexTracker tracker;
+    EXPECT_EQ(tracker.NextSeq(2, 77, inv), 1u);
+    EXPECT_EQ(tracker.NextSeq(2, 77, inv.sys, IndexInputOf(inv)), 2u) << SysName(inv.sys);
+  }
 }
 
 TEST(ExecutionIndexConditionTest, YamlRoundTripPreservesAddress) {
