@@ -9,11 +9,6 @@
 //   --parallelism=N     worker threads for candidate execution (default: the
 //                       machine's hardware concurrency). Any value yields the
 //                       identical report; it only changes wall-clock time.
-//   --indexing=MODE     SCF fault targeting: "flat" (nth-invocation counters,
-//                       the historical default) or "context" (execution-
-//                       indexed addresses recorded in the trace; DESIGN.md
-//                       §14). Context mode shrinks Level-2 sweeps to the
-//                       residual same-context window.
 //   --tries=N           retry with fresh seeds up to N times when a run ends
 //                       without reproduction (default 3).
 //   --schedule-out=FILE write the confirmed schedule's canonical YAML to FILE
@@ -52,10 +47,6 @@ flags:
   --parallelism=N     worker threads for candidate execution (default: the
                       machine's hardware concurrency); any value yields the
                       identical report, only wall-clock time changes
-  --indexing=MODE     SCF fault targeting: flat (nth-invocation counters,
-                      default) or context (execution-indexed addresses from
-                      the trace; shrinks Level-2 sweeps to the residual
-                      same-context window — see DESIGN.md section 14)
   --tries=N           retry with fresh seeds up to N times when a run ends
                       without reproduction (default 3)
   --schedule-out=FILE write the confirmed schedule's canonical YAML to FILE
@@ -66,12 +57,10 @@ flags:
 )";
 
 int RunOne(const rose::BugSpec& spec, uint64_t seed, int parallelism, int tries,
-           bool verbose, const std::string& schedule_out,
-           rose::DiagnosisConfig::IndexingMode indexing) {
+           bool verbose, const std::string& schedule_out) {
   rose::RoseConfig config;
   config.seed = seed;
   config.diagnosis.parallelism = parallelism;
-  config.diagnosis.indexing = indexing;
   const rose::RoseReport report = rose::ReproduceBugRobust(spec, config, tries);
   if (!report.trace_obtained) {
     std::printf("%-18s  NO PRODUCTION TRACE (after %d attempts)\n", spec.id.c_str(),
@@ -106,8 +95,6 @@ int main(int argc, char** argv) {
   int tries = 3;
   std::string schedule_out;
   std::string stats_out;
-  rose::DiagnosisConfig::IndexingMode indexing =
-      rose::DiagnosisConfig::IndexingMode::kFlat;
   // Peel off flags; what remains is <bug-id>|all [seed].
   const char* positional[2] = {nullptr, nullptr};
   int num_positional = 0;
@@ -133,16 +120,6 @@ int main(int argc, char** argv) {
       }
     } else if (std::strncmp(argv[i], "--schedule-out=", 15) == 0) {
       schedule_out = argv[i] + 15;
-    } else if (std::strncmp(argv[i], "--indexing=", 11) == 0) {
-      const char* mode = argv[i] + 11;
-      if (std::strcmp(mode, "flat") == 0) {
-        indexing = rose::DiagnosisConfig::IndexingMode::kFlat;
-      } else if (std::strcmp(mode, "context") == 0) {
-        indexing = rose::DiagnosisConfig::IndexingMode::kContext;
-      } else {
-        std::fprintf(stderr, "--indexing must be flat or context\n");
-        return 2;
-      }
     } else if (std::strncmp(argv[i], "--", 2) == 0) {
       std::fprintf(stderr, "unknown flag %s (see --help)\n", argv[i]);
       return 2;
@@ -176,7 +153,7 @@ int main(int argc, char** argv) {
     int failures = 0;
     for (const rose::BugSpec* spec : rose::AllBugs()) {
       failures += RunOne(*spec, seed, parallelism, tries, /*verbose=*/false,
-                         /*schedule_out=*/"", indexing);
+                         /*schedule_out=*/"");
     }
     if (!flush_stats()) {
       return 2;
@@ -188,8 +165,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown bug id: %s\n", positional[0]);
     return 2;
   }
-  const int rc =
-      RunOne(*spec, seed, parallelism, tries, /*verbose=*/true, schedule_out, indexing);
+  const int rc = RunOne(*spec, seed, parallelism, tries, /*verbose=*/true, schedule_out);
   if (!flush_stats()) {
     return 2;
   }

@@ -13,8 +13,7 @@
 //   ./build/examples/rose_routerd [flags] <bug-id>[=DUMPBASE] ...
 //
 // Example — two shards, one killed mid-job; the survivor finishes all jobs:
-//   ./build/examples/rose_routerd --shards 2 --kill-shard shard0 \
-//       RedisRaft-42 RedisRaft-43
+//   ./build/examples/rose_routerd --shards 2 --kill-shard shard0 RedisRaft-42 RedisRaft-43
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

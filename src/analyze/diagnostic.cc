@@ -74,10 +74,6 @@ std::string_view DiagCodeName(DiagCode code) {
       return "TB303";
     case DiagCode::kCausalCommutedOrder:
       return "TB304";
-    case DiagCode::kBadIndexSeq:
-      return "TB401";
-    case DiagCode::kEmptyIndexContext:
-      return "TB402";
   }
   return "??";
 }

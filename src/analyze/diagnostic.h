@@ -61,9 +61,6 @@ enum class DiagCode : int16_t {
   kCausalUnmatchedFault,    // TB302: schedule fault matches no fault event in the trace.
   kCausalInconsistentTrace, // TB303: trace contradicts the causal model (pid on two nodes, ...).
   kCausalCommutedOrder,     // TB304: commuting concurrent faults in non-canonical order.
-  // --- Execution-index targeting (TB4xx) ---
-  kBadIndexSeq,             // TB401: kExecutionIndex sequence number < 1 can never match.
-  kEmptyIndexContext,       // TB402: kExecutionIndex with a zero context digest.
 };
 
 // Stable short form, e.g. "SL001" / "TV103" — what tests assert against and

@@ -191,22 +191,6 @@ std::vector<Diagnostic> ScheduleLinter::Lint(const FaultSchedule& schedule) cons
                 "use a non-negative relative time"));
           }
           break;
-        case Condition::Kind::kExecutionIndex:
-          if (cond.count < 1) {
-            diags.push_back(MakeDiag(
-                DiagCode::kBadIndexSeq, Severity::kError, index,
-                StrFormat("exec_index with seq=%d can never match (sequence numbers "
-                          "are 1-based)",
-                          cond.count),
-                "use a sequence number >= 1 from a recorded trace event"));
-          }
-          if (cond.ctx_digest == 0) {
-            diags.push_back(MakeDiag(
-                DiagCode::kEmptyIndexContext, Severity::kError, index,
-                "exec_index with a zero context digest addresses no calling context",
-                "take ctx from an indexed trace event, or fall back to syscall_count"));
-          }
-          break;
       }
     }
   }
@@ -274,11 +258,6 @@ void AppendCondition(const Condition& cond, std::string* out) {
       break;
     case Condition::Kind::kAtTime:
       *out += StrFormat("at(%lld)", static_cast<long long>(cond.at_time));
-      break;
-    case Condition::Kind::kExecutionIndex:
-      *out += StrFormat("index(%s,%s,%llx,%d)", std::string(SysName(cond.sys)).c_str(),
-                        cond.path_filter.c_str(),
-                        static_cast<unsigned long long>(cond.ctx_digest), cond.count);
       break;
   }
 }

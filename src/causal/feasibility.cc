@@ -14,38 +14,14 @@ bool PathMatches(std::string_view filter, std::string_view filename) {
   return filter.empty() || filename.find(filter) != std::string_view::npos;
 }
 
-// The fault's kExecutionIndex condition, or null for flat targeting.
-const Condition* IndexCondition(const ScheduledFault& fault) {
-  for (const Condition& cond : fault.conditions) {
-    if (cond.kind == Condition::Kind::kExecutionIndex) {
-      return &cond;
-    }
-  }
-  return nullptr;
-}
-
 // Does `event` look like the production occurrence of `fault`?
 bool EventMatches(const ScheduledFault& fault, const TraceEvent& event, TraceView trace) {
   switch (fault.kind) {
-    case FaultKind::kSyscallFailure: {
-      if (event.type != EventType::kSCF || event.scf().sys != fault.syscall.sys ||
-          event.scf().err != fault.syscall.err ||
-          (fault.target_node != kNoNode && event.node != fault.target_node) ||
-          !PathMatches(fault.syscall.path_filter, trace.str(event.scf().filename))) {
-        return false;
-      }
-      // An indexed fault names one exact invocation: require the recorded
-      // (digest, seq) to agree when the trace carries the index. Unindexed
-      // (pre-v2) events keep the loose signature match, so legacy dumps
-      // behave exactly as before.
-      const Condition* index = IndexCondition(fault);
-      if (index != nullptr && event.scf().ctx_digest != 0 &&
-          (event.scf().ctx_digest != index->ctx_digest ||
-           event.scf().ctx_seq != static_cast<uint32_t>(index->count))) {
-        return false;
-      }
-      return true;
-    }
+    case FaultKind::kSyscallFailure:
+      return event.type == EventType::kSCF && event.scf().sys == fault.syscall.sys &&
+             event.scf().err == fault.syscall.err &&
+             (fault.target_node == kNoNode || event.node == fault.target_node) &&
+             PathMatches(fault.syscall.path_filter, trace.str(event.scf().filename));
     case FaultKind::kProcessCrash:
       return event.type == EventType::kPS && event.ps().state == ProcState::kCrashed &&
              (fault.target_node == kNoNode || event.node == fault.target_node);

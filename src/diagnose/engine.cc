@@ -56,9 +56,6 @@ DiagnosisEngine::DiagnosisEngine(TraceView production, const Profile* profile,
   metrics_.speculation_misses = reg.GetCounter("engine.speculation_misses");
   metrics_.speculative_abandoned = reg.GetCounter("engine.speculative_abandoned");
   metrics_.confirm_early_abandons = reg.GetCounter("engine.confirm_early_abandons");
-  metrics_.index_targeted = reg.GetCounter("engine.index_targeted");
-  metrics_.index_fallback_flat = reg.GetCounter("engine.index_fallback_flat");
-  metrics_.index_sweep_width = reg.GetHistogram("engine.index_sweep_width");
   for (int level = 1; level <= 3; level++) {
     const std::string prefix = "engine.level" + std::to_string(level);
     metrics_.level_candidates[level] = reg.GetCounter(prefix + ".candidates");
@@ -72,8 +69,7 @@ DiagnosisEngine::DiagnosisEngine(TraceView production, const Profile* profile,
   metrics_.confirm_ns = reg.GetHistogram("engine.confirm_ns");
 }
 
-ScheduledFault DiagnosisEngine::MakeScheduledFault(const CandidateFault& fault, int index,
-                                                   bool with_index) const {
+ScheduledFault DiagnosisEngine::MakeScheduledFault(const CandidateFault& fault, int index) const {
   ScheduledFault scheduled;
   scheduled.target_node = fault.node;
   if (config_.enforce_fault_order && index > 0) {
@@ -86,20 +82,6 @@ ScheduledFault DiagnosisEngine::MakeScheduledFault(const CandidateFault& fault, 
       scheduled.syscall.err = fault.err;
       scheduled.syscall.path_filter = fault.filename;
       scheduled.syscall.nth = 1;
-      if (with_index && config_.indexing == DiagnosisConfig::IndexingMode::kContext) {
-        if (fault.ctx_digest != 0) {
-          // Aim at the recorded calling-context address: the index condition
-          // arms the fault on exactly that invocation, and nth=1 fails the
-          // same invocation at the same kernel boundary.
-          scheduled.conditions.push_back(Condition::ExecutionIndex(
-              fault.sys, fault.ctx_digest, static_cast<int32_t>(fault.ctx_seq),
-              fault.filename));
-          metrics_.index_targeted->Inc();
-        } else {
-          // Pre-index trace: this candidate degrades to flat targeting.
-          metrics_.index_fallback_flat->Inc();
-        }
-      }
       break;
     case FaultKind::kProcessCrash:
       scheduled.kind = FaultKind::kProcessCrash;
@@ -119,43 +101,6 @@ ScheduledFault DiagnosisEngine::MakeScheduledFault(const CandidateFault& fault, 
       break;
   }
   return scheduled;
-}
-
-namespace {
-
-// Removes every kExecutionIndex condition, leaving the flat-targeting form
-// of a context-mode schedule (DESIGN.md §14). Returns whether anything was
-// stripped.
-bool StripIndexConditions(FaultSchedule* schedule) {
-  bool stripped = false;
-  for (ScheduledFault& fault : schedule->faults) {
-    auto it = std::remove_if(fault.conditions.begin(), fault.conditions.end(),
-                             [](const Condition& cond) {
-                               return cond.kind == Condition::Kind::kExecutionIndex;
-                             });
-    stripped = stripped || it != fault.conditions.end();
-    fault.conditions.erase(it, fault.conditions.end());
-  }
-  return stripped;
-}
-
-}  // namespace
-
-int DiagnosisEngine::PlannedScfSweepWidth(const CandidateFault& candidate) const {
-  if (config_.indexing == DiagnosisConfig::IndexingMode::kContext &&
-      candidate.ctx_digest != 0) {
-    // Residual same-context window: seq-radius..seq+radius clamped >= 1.
-    const int radius = std::max(config_.index_sweep_radius, 0);
-    const int below = static_cast<int>(
-        std::min<int64_t>(radius, static_cast<int64_t>(candidate.ctx_seq) - 1));
-    return 1 + radius + std::max(below, 0);
-  }
-  int limit = config_.max_scf_sweep;
-  if (candidate.filename.empty()) {
-    const auto profiled = static_cast<int>(profile_->SyscallCount(candidate.sys));
-    limit = std::min(config_.max_scf_sweep, std::max(profiled, 1));
-  }
-  return limit;
 }
 
 FaultSchedule DiagnosisEngine::BuildLevel1() const {
@@ -542,82 +487,24 @@ bool DiagnosisEngine::Level2(FaultSchedule* schedule, const std::vector<size_t>&
     const size_t fault_index = candidate_index;  // Schedule mirrors extraction order.
 
     if (candidate.kind == FaultKind::kSyscallFailure) {
+      // Sweep the invocation count: with inputs, 1..cap; without inputs, up
+      // to the profiling-run frequency (hard cap, paper §4.5.2). Every nth is
+      // an independent candidate, so the sweep executes as wave-fronts.
       const ScheduledFault original = schedule->faults[fault_index];
-      const bool indexed = config_.indexing == DiagnosisConfig::IndexingMode::kContext &&
-                           candidate.ctx_digest != 0;
-      bool reproduced = false;
-      if (indexed) {
-        // Residual sweep: the indexed address already names one invocation,
-        // so the only remaining ambiguity is same-context drift — the call
-        // site re-executing a few iterations earlier or later under replay
-        // timing. Probe seq values by distance from the recorded one
-        // (clamped >= 1); distance 0 is the Level-1 schedule again and is
-        // pruned as a duplicate, mirroring the flat sweep's nth=1 entry.
-        std::vector<FaultSchedule> sweep;
-        for (int d = 0; d <= config_.index_sweep_radius; d++) {
-          for (const int sign : {-1, +1}) {
-            if (d == 0 && sign > 0) {
-              continue;
-            }
-            const int64_t seq = static_cast<int64_t>(candidate.ctx_seq) + sign * d;
-            if (seq < 1) {
-              continue;
-            }
-            ScheduledFault& fault = schedule->faults[fault_index];
-            for (Condition& cond : fault.conditions) {
-              if (cond.kind == Condition::Kind::kExecutionIndex) {
-                cond.count = static_cast<int32_t>(seq);
-              }
-            }
-            FaultSchedule attempt = *schedule;
-            attempt.name = StrFormat("level2-f%zu-seq%d", fault_index,
-                                     static_cast<int>(seq));
-            sweep.push_back(std::move(attempt));
-          }
-        }
-        // Sweep-width accounting for the flat-vs-context bench, taken at
-        // planning — before dedup/budget pruning — so both modes are
-        // measured on the ambiguity they pose.
-        result->scf_sweeps++;
-        result->scf_sweep_width += static_cast<int>(sweep.size());
-        metrics_.index_sweep_width->Record(sweep.size());
-        reproduced = RunWave(sweep, 2, /*allow_duplicate=*/false, level2_cap_, result);
+      int limit = config_.max_scf_sweep;
+      if (candidate.filename.empty()) {
+        const auto profiled = static_cast<int>(profile_->SyscallCount(candidate.sys));
+        limit = std::min(config_.max_scf_sweep, std::max(profiled, 1));
       }
-      if (!reproduced && result->schedules_generated < level2_cap_) {
-        // Flat sweep of the invocation count: with inputs, 1..cap; without
-        // inputs, up to the profiling-run frequency (hard cap, paper
-        // §4.5.2). Every nth is an independent candidate, so the sweep
-        // executes as wave-fronts. In context mode this is the retained
-        // fallback: it runs only after the indexed window misses (the
-        // recorded context drifted beyond recognition), with the index
-        // condition stripped so nth matching is unconstrained.
-        if (indexed) {
-          ScheduledFault& fault = schedule->faults[fault_index];
-          fault.conditions.erase(
-              std::remove_if(fault.conditions.begin(), fault.conditions.end(),
-                             [](const Condition& cond) {
-                               return cond.kind == Condition::Kind::kExecutionIndex;
-                             }),
-              fault.conditions.end());
-        }
-        int limit = config_.max_scf_sweep;
-        if (candidate.filename.empty()) {
-          const auto profiled = static_cast<int>(profile_->SyscallCount(candidate.sys));
-          limit = std::min(config_.max_scf_sweep, std::max(profiled, 1));
-        }
-        std::vector<FaultSchedule> sweep;
-        sweep.reserve(static_cast<size_t>(limit));
-        for (int nth = 1; nth <= limit; nth++) {
-          schedule->faults[fault_index].syscall.nth = nth;
-          FaultSchedule attempt = *schedule;
-          attempt.name = StrFormat("level2-f%zu-nth%d", fault_index, nth);
-          sweep.push_back(std::move(attempt));
-        }
-        result->scf_sweeps++;
-        result->scf_sweep_width += static_cast<int>(sweep.size());
-        metrics_.index_sweep_width->Record(sweep.size());
-        reproduced = RunWave(sweep, 2, /*allow_duplicate=*/false, level2_cap_, result);
+      std::vector<FaultSchedule> sweep;
+      sweep.reserve(static_cast<size_t>(limit));
+      for (int nth = 1; nth <= limit; nth++) {
+        schedule->faults[fault_index].syscall.nth = nth;
+        FaultSchedule attempt = *schedule;
+        attempt.name = StrFormat("level2-f%zu-nth%d", fault_index, nth);
+        sweep.push_back(std::move(attempt));
       }
+      const bool reproduced = RunWave(sweep, 2, /*allow_duplicate=*/false, level2_cap_, result);
       schedule->faults[fault_index] = original;
       if (reproduced) {
         return true;
@@ -682,11 +569,6 @@ DiagnosisResult DiagnosisEngine::Run() {
   if (extraction_.faults.empty()) {
     return result;
   }
-  for (const CandidateFault& candidate : extraction_.faults) {
-    if (candidate.kind == FaultKind::kSyscallFailure) {
-      result.planned_scf_sweep_widths.push_back(PlannedScfSweepWidth(candidate));
-    }
-  }
 
   // Level 1: fault order + inputs only. The re-attempts intentionally
   // re-execute the same schedule (the paper's answer to one-clean-run false
@@ -696,57 +578,7 @@ DiagnosisResult DiagnosisEngine::Run() {
       static_cast<size_t>(std::max(config_.level1_attempts, 0)), schedule);
   notify_level_ = 1;
   Notify(DiagnosisProgress::Kind::kLevelStart, result, 0, "level 1: production order");
-  const bool level1_confirmed = RunWave(attempts, 1, /*allow_duplicate=*/true,
-                                        /*budget=*/0, &result);
-  if (level1_confirmed && (config_.indexing != DiagnosisConfig::IndexingMode::kContext ||
-                           result.replay_rate >= 99.5)) {
-    result.fault_summary = result.schedule.Summary();
-    return result;
-  }
-
-  // Context-mode fallback (DESIGN.md §14): indexed targeting may only add
-  // sharper candidates ahead of the flat plan, never replace it. Two ways
-  // the indexed aim falls short of flat targeting:
-  //  - it missed outright (the recorded context drifted across replay
-  //    seeds): re-pose the production order with the index conditions
-  //    stripped — exactly the schedule flat mode runs first;
-  //  - it confirmed but replays below 100% (exact-index conditions are
-  //    tighter, hence more seed-sensitive): measure the flat schedule too
-  //    and keep whichever replays better, indexed winning ties.
-  if (config_.indexing == DiagnosisConfig::IndexingMode::kContext) {
-    FaultSchedule flat_schedule = schedule;
-    if (StripIndexConditions(&flat_schedule)) {
-      const FaultSchedule indexed_confirmed = result.schedule;
-      const double indexed_rate = level1_confirmed ? result.replay_rate : 0;
-      flat_schedule.name = "level1-flat";
-      const std::vector<FaultSchedule> fallback(
-          static_cast<size_t>(std::max(config_.level1_attempts, 0)), flat_schedule);
-      Notify(DiagnosisProgress::Kind::kLevelStart, result, 0,
-             "level 1: flat-targeting fallback");
-      const bool flat_confirmed =
-          RunWave(fallback, 1, /*allow_duplicate=*/true, /*budget=*/0, &result);
-      if (flat_confirmed && result.replay_rate > indexed_rate) {
-        result.fault_summary = result.schedule.Summary();
-        return result;
-      }
-      if (level1_confirmed) {
-        result.reproduced = true;
-        result.level = 1;
-        result.schedule = indexed_confirmed;
-        result.replay_rate = indexed_rate;
-        result.fault_summary = result.schedule.Summary();
-        return result;
-      }
-      if (flat_confirmed) {
-        result.fault_summary = result.schedule.Summary();
-        return result;
-      }
-    } else if (level1_confirmed) {
-      // Nothing to strip (unindexed trace): the wave was already flat.
-      result.fault_summary = result.schedule.Summary();
-      return result;
-    }
-  } else if (level1_confirmed) {
+  if (RunWave(attempts, 1, /*allow_duplicate=*/true, /*budget=*/0, &result)) {
     result.fault_summary = result.schedule.Summary();
     return result;
   }
@@ -782,12 +614,8 @@ DiagnosisResult DiagnosisEngine::Run() {
       FaultSchedule alternate;
       alternate.name = StrFormat("level1-order%zu", alternates.size() + 1);
       for (size_t i = 0; i < fault_count; i++) {
-        // Order exploration aims flat even in context mode: the indexed
-        // production order already ran, and a drifted context would make
-        // every permutation miss for the same reason.
-        alternate.faults.push_back(MakeScheduledFault(extraction_.faults[order[i]],
-                                                      static_cast<int>(i),
-                                                      /*with_index=*/false));
+        alternate.faults.push_back(
+            MakeScheduledFault(extraction_.faults[order[i]], static_cast<int>(i)));
       }
       if (config_.level1_dedup_commuted && feasibility_.valid() &&
           !feasibility_.Check(alternate).canonical_order) {

@@ -93,24 +93,6 @@ struct DiagnosisProgress {
 };
 
 struct DiagnosisConfig {
-  // How SCF candidates are aimed at an invocation (DESIGN.md §14).
-  //   kFlat    — historical nth-invocation counters: the candidate matches
-  //              the nth (syscall, input) invocation after arming, and
-  //              Level 2 sweeps nth = 1..max_scf_sweep. Byte-identical to
-  //              every pre-index release; the default.
-  //   kContext — when the production trace recorded an execution index for
-  //              the candidate (ctx_digest != 0), target that
-  //              calling-context address directly with a kExecutionIndex
-  //              condition, and shrink the Level-2 sweep to the residual
-  //              same-context window (± index_sweep_radius around the
-  //              recorded seq). Candidates from pre-index traces fall back
-  //              to flat targeting individually.
-  enum class IndexingMode : int8_t { kFlat = 0, kContext };
-  IndexingMode indexing = IndexingMode::kFlat;
-  // Context-mode Level-2 residual sweep: seq values within this distance of
-  // the recorded one (clamped >= 1), ordered by distance. Radius 3 gives a
-  // worst-case width of 7 — against max_scf_sweep (50) for flat sweeps.
-  int index_sweep_radius = 3;
   double target_replay_rate = 60.0;
   int confirm_runs = 10;
   // confirmBug abandons once this many clean runs accumulate.
@@ -186,19 +168,6 @@ struct DiagnosisResult {
   double fr_percent = 0;
   int level = 0;  // 1..3, or 0 if never reproduced.
   std::string fault_summary;
-  // Level-2 SCF sweep accounting for the flat-vs-context bench: how many
-  // sweeps were planned and their total candidate width (mean width =
-  // scf_sweep_width / scf_sweeps). Counted at planning time, before
-  // dedup/budget pruning, so the two modes are compared on the ambiguity
-  // they pose, not on how fast a lucky hit cut a sweep short.
-  int scf_sweeps = 0;
-  int scf_sweep_width = 0;
-  // Static plan, filled before any run: for each extracted SCF candidate,
-  // the width of the Level-2 sweep the configured indexing mode would pose
-  // (flat: the nth grind up to max_scf_sweep; context: the residual
-  // same-context window). The flat-vs-context bench compares these per-bug
-  // even when diagnosis never reaches Level 2.
-  std::vector<int> planned_scf_sweep_widths;
 };
 
 class DiagnosisEngine {
@@ -240,13 +209,7 @@ class DiagnosisEngine {
   };
 
   FaultSchedule BuildLevel1() const;
-  // `with_index` false builds the flat-targeting form even in context mode
-  // (fallback waves — DESIGN.md §14).
-  ScheduledFault MakeScheduledFault(const CandidateFault& fault, int index,
-                                    bool with_index = true) const;
-  // Width of the Level-2 SCF sweep this candidate would pose under the
-  // engine's configured indexing mode (static plan; nothing runs).
-  int PlannedScfSweepWidth(const CandidateFault& candidate) const;
+  ScheduledFault MakeScheduledFault(const CandidateFault& fault, int index) const;
 
   uint64_t SeedFor(uint64_t schedule_hash, uint32_t run_index) const {
     return DeriveRunSeed(config_.base_seed, schedule_hash, run_index);
@@ -345,10 +308,6 @@ class DiagnosisEngine {
     Counter* speculation_misses;
     Counter* speculative_abandoned;
     Counter* confirm_early_abandons;
-    // Execution-index targeting (DESIGN.md §14).
-    Counter* index_targeted;       // SCF faults emitted with an indexed address.
-    Counter* index_fallback_flat;  // Context-mode SCFs without a recorded index.
-    Histogram* index_sweep_width;  // Planned Level-2 SCF sweep widths (both modes).
     // Indexed by level 1..3 (slot 0 unused).
     Counter* level_candidates[4];
     Counter* level_confirmed[4];

@@ -132,12 +132,6 @@ ExtractionResult ExtractFaults(TraceView trace, const Profile& profile,
         fault.sys = scf.sys;
         fault.err = scf.err;
         fault.filename = filename;
-        // First production occurrence carries its execution index (0/0 on
-        // pre-index traces). The dedup key above deliberately ignores it:
-        // extraction output is byte-identical to the flat era, and the
-        // engine decides whether to target the indexed address.
-        fault.ctx_digest = scf.ctx_digest;
-        fault.ctx_seq = scf.ctx_seq;
         faults.push_back(std::move(fault));
         break;
       }

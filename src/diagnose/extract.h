@@ -30,11 +30,6 @@ struct CandidateFault {
   Sys sys = Sys::kOpen;
   Err err = Err::kEIO;
   std::string filename;
-  // Execution index of the first production occurrence (0/0 when the trace
-  // predates indexing); context-mode candidate generation targets this
-  // address directly instead of sweeping flat nth counters.
-  uint64_t ctx_digest = 0;
-  uint32_t ctx_seq = 0;
 
   // kProcessPause:
   SimTime pause_duration = 0;

@@ -17,13 +17,6 @@ Executor::Executor(SimKernel* kernel, Network* network, FaultSchedule schedule,
   }
   schedule_valid_ = !HasErrors(diagnostics_);
   runtime_.resize(schedule_.faults.size());
-  for (const ScheduledFault& fault : schedule_.faults) {
-    for (const Condition& cond : fault.conditions) {
-      if (cond.kind == Condition::Kind::kExecutionIndex) {
-        uses_index_ = true;
-      }
-    }
-  }
 }
 
 Executor::~Executor() { Detach(); }
@@ -67,11 +60,6 @@ ExecutionFeedback Executor::Feedback() const {
 bool Executor::PidOnNode(Pid pid, NodeId node) const {
   const Process* proc = kernel_->FindProcess(pid);
   return proc != nullptr && proc->node == node;
-}
-
-NodeId Executor::NodeOfPid(Pid pid) const {
-  const Process* proc = kernel_->FindProcess(pid);
-  return proc == nullptr ? kNoNode : proc->node;
 }
 
 std::string Executor::InputOf(const SyscallInvocation& inv) const {
@@ -121,8 +109,7 @@ void Executor::TryAdvance(size_t index) {
       kernel_->loop().ScheduleAt(cond.at_time, [this, index] { TryAdvance(index); });
       return;
     }
-    // Function / syscall-count / execution-index conditions advance from the
-    // kernel hooks.
+    // Function / syscall-count conditions advance from the kernel hooks.
     return;
   }
   Arm(index);
@@ -183,12 +170,6 @@ void Executor::OnProcessSpawned(SimTime /*now*/, Pid pid, NodeId node, Pid paren
 }
 
 void Executor::OnFunctionEnter(SimTime /*now*/, Pid pid, int32_t function_id) {
-  if (uses_index_) {
-    // Every enter, before any condition matching — mirrors the tracer's
-    // unfiltered shadow-chain update so digests agree between capture and
-    // replay.
-    index_.OnFunctionEnter(pid, function_id);
-  }
   for (size_t i = 0; i < runtime_.size(); i++) {
     FaultRuntime& rt = runtime_[i];
     const ScheduledFault& fault = schedule_.faults[i];
@@ -242,33 +223,6 @@ void Executor::OnSyscallExit(SimTime /*now*/, const SyscallInvocation& inv,
 }
 
 std::optional<SyscallResult> Executor::MaybeOverride(const SyscallInvocation& inv) {
-  if (uses_index_) {
-    // Advance the execution index exactly once per invocation (the
-    // interposer sees every syscall, overridden or not — the same stream the
-    // tracer counts at sys_exit), then step any fault whose next condition
-    // is the indexed address of this very invocation. Matching is three
-    // integer compares against the online (digest, seq) — no counter scan.
-    const uint64_t digest = index_.DigestOf(inv.pid);
-    const uint32_t seq = index_.NextSeq(NodeOfPid(inv.pid), digest, inv);
-    for (size_t i = 0; i < runtime_.size(); i++) {
-      FaultRuntime& rt = runtime_[i];
-      const ScheduledFault& fault = schedule_.faults[i];
-      if (rt.armed || rt.injected || rt.next_condition >= fault.conditions.size()) {
-        continue;
-      }
-      const Condition& cond = fault.conditions[rt.next_condition];
-      if (cond.kind == Condition::Kind::kExecutionIndex && cond.sys == inv.sys &&
-          cond.ctx_digest == digest && static_cast<uint32_t>(cond.count) == seq &&
-          PidOnNode(inv.pid, fault.target_node) &&
-          InputMatches(cond.path_filter, InputOf(inv))) {
-        rt.next_condition++;
-        // Arms SCF faults (and fires non-SCF ones) at this kernel boundary;
-        // for an SCF fault the armed scan below then fails this same
-        // invocation — the indexed address names the injection point itself.
-        TryAdvance(i);
-      }
-    }
-  }
   for (size_t i = 0; i < runtime_.size(); i++) {
     FaultRuntime& rt = runtime_[i];
     const ScheduledFault& fault = schedule_.faults[i];

@@ -22,7 +22,6 @@
 #include "src/net/network.h"
 #include "src/os/kernel.h"
 #include "src/schedule/fault_schedule.h"
-#include "src/trace/execution_index.h"
 
 namespace rose {
 
@@ -93,7 +92,6 @@ class Executor : public KernelObserver, public SyscallInterposer {
   };
 
   bool PidOnNode(Pid pid, NodeId node) const;
-  NodeId NodeOfPid(Pid pid) const;
   // Pathname-ish input of an invocation (path, fd-resolved path, or peer).
   std::string InputOf(const SyscallInvocation& inv) const;
   static bool InputMatches(const std::string& filter, const std::string& input);
@@ -113,14 +111,6 @@ class Executor : public KernelObserver, public SyscallInterposer {
   std::vector<FaultRuntime> runtime_;
   PidTracker pids_;
   bool attached_ = false;
-  // Replay-side execution index, fed the same hook stream as the tracer's
-  // capture-side tracker, so a recorded (digest, seq) address re-resolves to
-  // the same invocation here. kExecutionIndex conditions match against it in
-  // O(1) — no armed-counter scan.
-  ExecutionIndexTracker index_;
-  // True when any fault carries a kExecutionIndex condition; skips the
-  // per-invocation index bookkeeping entirely for flat schedules.
-  bool uses_index_ = false;
 };
 
 }  // namespace rose

@@ -99,8 +99,7 @@ std::string RenderTraceStats(TraceView trace, MetricRegistry* registry,
     // an index), collisions (a recorded address — (ctx, seq, sys, input) on
     // one node — occurring twice means the digest aliased two distinct
     // calling contexts and the address no longer names a unique invocation),
-    // and the seq-depth histogram (how deep same-context repetition runs —
-    // the residual ambiguity a context-mode Level-2 sweep still faces).
+    // and the seq-depth histogram (how deep same-context repetition runs).
     uint64_t indexed = 0;
     uint64_t unindexed = 0;
     uint32_t max_seq = 0;

@@ -58,17 +58,6 @@ Condition Condition::AtTime(SimTime at) {
   return c;
 }
 
-Condition Condition::ExecutionIndex(Sys sys, uint64_t ctx_digest, int32_t seq,
-                                    const std::string& path_filter) {
-  Condition c;
-  c.kind = Kind::kExecutionIndex;
-  c.sys = sys;
-  c.ctx_digest = ctx_digest;
-  c.count = seq;
-  c.path_filter = path_filter;
-  return c;
-}
-
 std::string Condition::ToString() const {
   switch (kind) {
     case Kind::kAfterFault:
@@ -82,10 +71,6 @@ std::string Condition::ToString() const {
                        path_filter.c_str(), count);
     case Kind::kAtTime:
       return StrFormat("at_time(%lld)", static_cast<long long>(at_time));
-    case Kind::kExecutionIndex:
-      return StrFormat("exec_index(%s,%s,%llx,%d)", std::string(SysName(sys)).c_str(),
-                       path_filter.c_str(), static_cast<unsigned long long>(ctx_digest),
-                       count);
   }
   return "?";
 }
@@ -179,16 +164,6 @@ std::string FaultSchedule::ToYaml() const {
             out += StrFormat("        - type: at_time\n          time: %lld\n",
                              static_cast<long long>(cond.at_time));
             break;
-          case Condition::Kind::kExecutionIndex:
-            out += StrFormat(
-                "        - type: exec_index\n          sys: %s\n          ctx: %llx\n"
-                "          count: %d\n",
-                std::string(SysName(cond.sys)).c_str(),
-                static_cast<unsigned long long>(cond.ctx_digest), cond.count);
-            if (!cond.path_filter.empty()) {
-              out += StrFormat("          path: %s\n", cond.path_filter.c_str());
-            }
-            break;
         }
       }
     }
@@ -206,29 +181,6 @@ struct Line {
   std::string key;
   std::string value;
 };
-
-// Parses a lowercase-hex 64-bit value (the ctx digest emitted as %llx).
-bool ParseHex64(std::string_view s, uint64_t* out) {
-  if (s.empty()) {
-    return false;
-  }
-  uint64_t parsed = 0;
-  for (char c : s) {
-    int digit;
-    if (c >= '0' && c <= '9') {
-      digit = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
-    } else if (c >= 'A' && c <= 'F') {
-      digit = c - 'A' + 10;
-    } else {
-      return false;
-    }
-    parsed = (parsed << 4) | static_cast<uint64_t>(digit);
-  }
-  *out = parsed;
-  return true;
-}
 
 bool ParseLine(const std::string& raw, Line* out) {
   size_t i = 0;
@@ -315,8 +267,6 @@ bool FaultSchedule::FromYaml(const std::string& text, FaultSchedule* out) {
         cond->kind = Condition::Kind::kSyscallCount;
       } else if (line.value == "at_time") {
         cond->kind = Condition::Kind::kAtTime;
-      } else if (line.value == "exec_index") {
-        cond->kind = Condition::Kind::kExecutionIndex;
       } else {
         return false;
       }
@@ -339,11 +289,6 @@ bool FaultSchedule::FromYaml(const std::string& text, FaultSchedule* out) {
         cond->path_filter = line.value;
       } else if (line.key == "time" && is_number) {
         cond->at_time = number;
-      } else if (line.key == "ctx") {
-        uint64_t digest = 0;
-        if (ParseHex64(line.value, &digest)) {
-          cond->ctx_digest = digest;
-        }
       }
       continue;
     }

@@ -11,10 +11,6 @@
 //   kFunctionOffset— Level 3 intra-function offsets
 //   kSyscallCount  — nth invocation of a syscall (optionally input-filtered)
 //   kAtTime        — Level 1 relative-time injection
-//   kExecutionIndex— calling-context-qualified syscall address (context
-//                    digest + in-context sequence number, see
-//                    src/trace/execution_index.h); the stable replacement
-//                    for flat kSyscallCount targeting
 #ifndef SRC_SCHEDULE_FAULT_SCHEDULE_H_
 #define SRC_SCHEDULE_FAULT_SCHEDULE_H_
 
@@ -68,28 +64,21 @@ struct Condition {
     kFunctionOffset,
     kSyscallCount,
     kAtTime,
-    kExecutionIndex,
   };
   Kind kind = Kind::kAtTime;
   int32_t fault_index = -1;     // kAfterFault
   int32_t function_id = -1;     // kFunctionEnter / kFunctionOffset
   int32_t offset = -1;          // kFunctionOffset
-  Sys sys = Sys::kOpen;         // kSyscallCount / kExecutionIndex
-  std::string path_filter;      // kSyscallCount / kExecutionIndex
-  int32_t count = 1;            // kSyscallCount (nth) / kExecutionIndex (seq)
+  Sys sys = Sys::kOpen;         // kSyscallCount
+  std::string path_filter;      // kSyscallCount
+  int32_t count = 1;            // kSyscallCount (nth)
   SimTime at_time = 0;          // kAtTime (relative to run start)
-  uint64_t ctx_digest = 0;      // kExecutionIndex (calling-context digest)
 
   static Condition AfterFault(int32_t index);
   static Condition FunctionEnter(int32_t function_id);
   static Condition FunctionOffset(int32_t function_id, int32_t offset);
   static Condition SyscallCount(Sys sys, const std::string& path_filter, int32_t count);
   static Condition AtTime(SimTime at);
-  // Matches the seq'th (1-based) invocation of `sys` under the calling
-  // context `ctx_digest`, counted per (node, context, syscall, input);
-  // `path_filter` narrows matching the same way kSyscallCount's does.
-  static Condition ExecutionIndex(Sys sys, uint64_t ctx_digest, int32_t seq,
-                                  const std::string& path_filter = "");
 
   std::string ToString() const;
 };

@@ -1,9 +1,7 @@
 // Execution indexing: calling-context-qualified syscall addresses.
 //
-// A flat "nth matching invocation" counter drifts whenever concurrency noise
-// adds or removes an unrelated invocation before the target. Following the
-// distributed execution indexing idea (Meiklejohn et al.), Rose instead
-// addresses a syscall by
+// Following the distributed execution indexing idea (Meiklejohn et al.), the
+// tracer stamps every SCF event with a calling-context address
 //
 //   (context digest, sequence number)
 //
@@ -11,19 +9,18 @@
 // process's most recent function-enter chain (a bounded shadow stack: the
 // last kContextDepth uprobe hits, oldest to newest), and the sequence number
 // counts matching invocations *within* that context on that node, keyed by
-// (node, digest, syscall, input). Invocations from other calling contexts no
-// longer perturb the counter, so a recorded (digest, seq) pair re-resolves
-// to the same injection point across interleavings.
+// (node, digest, syscall, input). Invocations from other calling contexts do
+// not perturb the counter, unlike a flat "nth matching invocation" count.
 //
-// The tracer runs one tracker over the production execution and stamps every
-// SCF event with the pair; the executor runs an identical tracker online
-// during replay and matches scheduled faults against it in O(1). Both sides
-// must observe the same kernel hook stream — the tracker is fed from
-// OnFunctionEnter (every uprobe hit, before any monitored-set filtering) and
-// advanced once per syscall invocation.
+// The address is part of the trace format only (RTRC v2, the text codec's
+// ctx=/cseq= tokens, trace_explorer --index-stats). Fault schedules aim SCFs
+// with nth-invocation counters (DESIGN.md §14); nothing replays a recorded
+// address. The tracker is fed from OnFunctionEnter (every uprobe hit, before
+// any monitored-set filtering, so digests do not depend on the profiler's
+// monitored set) and advanced once per syscall invocation.
 //
 // A digest of 0 means "no context recorded" (e.g. a trace from a pre-index
-// tracer); all consumers treat it as absent and fall back to flat counting.
+// tracer or an RTRC v1 stream).
 #ifndef SRC_TRACE_EXECUTION_INDEX_H_
 #define SRC_TRACE_EXECUTION_INDEX_H_
 
@@ -43,18 +40,18 @@ namespace rose {
 inline constexpr int kExecutionContextDepth = 8;
 
 // The sequence-counter key input for a syscall invocation: the pathname for
-// path-based syscalls, "sock:<ip>" for network ones, empty otherwise. Both
-// the tracer (at syscall exit) and the executor (at interpose time) see the
-// same SyscallInvocation, so keying on its immediate arguments — never on
-// post-hoc fd resolution — guarantees the two sides count identically.
-// NextSeq(node, digest, inv) hashes exactly these bytes in place.
+// path-based syscalls, "sock:<ip>" for network ones, empty otherwise. It keys
+// on the invocation's immediate arguments, never on post-hoc fd resolution,
+// so the count is known at syscall exit. NextSeq(node, digest, inv) hashes
+// exactly these bytes in place; this string form is the reference the tests
+// check it against.
 std::string IndexInputOf(const SyscallInvocation& inv);
 
 class ExecutionIndexTracker {
  public:
   // Feeds one uprobe hit into pid's shadow chain. Must be called for every
   // function enter the kernel reports, regardless of any monitored-set
-  // configuration, or digests diverge between capture and replay.
+  // configuration, or digests would depend on that configuration.
   void OnFunctionEnter(Pid pid, int32_t function_id);
 
   // Current context digest of `pid`; 0 when no function has entered yet.
@@ -62,7 +59,7 @@ class ExecutionIndexTracker {
 
   // Advances and returns the 1-based sequence number of the next invocation
   // matching (node, digest, sys, input). Call exactly once per syscall
-  // invocation on each side of the capture/replay pair.
+  // invocation.
   uint32_t NextSeq(NodeId node, uint64_t digest, Sys sys, std::string_view input);
   // Same, with the input taken from `inv` (IndexInputOf) without building it.
   uint32_t NextSeq(NodeId node, uint64_t digest, const SyscallInvocation& inv);

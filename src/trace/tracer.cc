@@ -101,8 +101,7 @@ void Tracer::OnSyscallExit(SimTime now, const SyscallInvocation& inv,
   Charge(config_.probe_cost);
 
   // Advance the execution index for every invocation — recorded or not — so
-  // sequence numbers stay in lockstep with the executor's replay-side
-  // tracker, which also counts every invocation.
+  // sequence numbers count every invocation in the context.
   const uint64_t ctx_digest = index_.DigestOf(inv.pid);
   const uint32_t ctx_seq = index_.NextSeq(NodeOfPid(inv.pid), ctx_digest, inv);
 
@@ -173,7 +172,7 @@ void Tracer::OnSyscallExit(SimTime now, const SyscallInvocation& inv,
 void Tracer::OnFunctionEnter(SimTime now, Pid pid, int32_t function_id) {
   // The shadow chain covers every function enter, monitored or not —
   // filtering here would make context digests depend on the profiler's
-  // monitored set and break capture/replay digest parity.
+  // monitored set.
   index_.OnFunctionEnter(pid, function_id);
   if (config_.monitored_functions.count(function_id) == 0) {
     return;

@@ -153,7 +153,7 @@ class Tracer : public KernelObserver, public IngressTap {
 
   // Online execution index (shadow function chains + in-context sequence
   // counters). Fed from every kernel hook regardless of the monitored set so
-  // the executor's replay-side tracker sees the identical stream.
+  // digests do not depend on it.
   ExecutionIndexTracker index_;
 
   RingBuffer<TraceEvent> window_;

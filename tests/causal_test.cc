@@ -5,11 +5,13 @@
 // work it takes to get there.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "src/causal/causal_graph.h"
 #include "src/causal/feasibility.h"
+#include "src/common/parallel.h"
 #include "src/common/rng.h"
 #include "src/harness/bug_registry.h"
 #include "src/harness/rose.h"
@@ -321,15 +323,32 @@ TEST(FeasibilityTest, BothPartitionsNeverCommute) {
 // rate, and fault summary are identical with pruning on and off, while the
 // pruned run never generates more schedules.
 TEST(EngineCausalTest, PruningOnVsOffIsByteIdenticalAcrossTheCatalogue) {
-  int bugs_with_pruning = 0;
-  for (const BugSpec* spec : AllBugs()) {
-    RoseConfig on_config;
-    on_config.diagnosis.use_causal_pruning = true;
-    const RoseReport on = ReproduceBug(*spec, on_config);
+  // Every (on, off) pair is independent, so the pairs run concurrently on a
+  // small pool; results are consumed and asserted in catalogue order.
+  struct OnOff {
+    RoseReport on;
+    RoseReport off;
+  };
+  const std::vector<const BugSpec*>& bugs = AllBugs();
+  std::vector<std::function<OnOff()>> tasks;
+  tasks.reserve(bugs.size());
+  for (const BugSpec* spec : bugs) {
+    tasks.push_back([spec] {
+      RoseConfig on_config;
+      on_config.diagnosis.use_causal_pruning = true;
+      RoseConfig off_config;
+      off_config.diagnosis.use_causal_pruning = false;
+      return OnOff{ReproduceBug(*spec, on_config), ReproduceBug(*spec, off_config)};
+    });
+  }
+  WorkerPool pool(4);
+  OrderedBatch<OnOff> batch(&pool, std::move(tasks));
 
-    RoseConfig off_config;
-    off_config.diagnosis.use_causal_pruning = false;
-    const RoseReport off = ReproduceBug(*spec, off_config);
+  int bugs_with_pruning = 0;
+  for (size_t i = 0; i < bugs.size(); i++) {
+    const BugSpec* spec = bugs[i];
+    const RoseReport& on = batch.Get(i).on;
+    const RoseReport& off = batch.Get(i).off;
 
     EXPECT_EQ(on.reproduced(), off.reproduced()) << spec->id;
     EXPECT_EQ(on.diagnosis.schedule.ToYaml(), off.diagnosis.schedule.ToYaml()) << spec->id;

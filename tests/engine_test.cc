@@ -124,140 +124,6 @@ TEST(EngineTest, ScfSweepFindsNthInvocation) {
   EXPECT_EQ(result.schedule.faults[0].syscall.nth, 4);
 }
 
-// Like Scf(), but stamped with an execution index (DESIGN.md §14).
-TraceEvent IndexedScf(Trace& trace, SimTime ts, NodeId node, Sys sys, const std::string& file,
-                      Err err, uint64_t digest, uint32_t seq) {
-  TraceEvent event = Scf(trace, ts, node, sys, file, err);
-  ScfInfo info = event.scf();
-  info.ctx_digest = digest;
-  info.ctx_seq = seq;
-  event.info = info;
-  return event;
-}
-
-TEST(EngineTest, ContextModeTargetsRecordedAddressAtLevelOne) {
-  Trace production;
-  production.Append(IndexedScf(production, Seconds(5), 0, Sys::kWrite, "/data/txnlog",
-                               Err::kEIO, 0xABCD, 5));
-  Profile profile;
-
-  // The bug fires only when the schedule aims at the recorded address.
-  auto runner = PredicateRunner([](const FaultSchedule& schedule) {
-    for (const auto& fault : schedule.faults) {
-      for (const auto& cond : fault.conditions) {
-        if (cond.kind == Condition::Kind::kExecutionIndex && cond.ctx_digest == 0xABCD &&
-            cond.count == 5) {
-          return true;
-        }
-      }
-    }
-    return false;
-  });
-  BinaryInfo binary;
-  DiagnosisConfig config = TestConfig();
-  config.indexing = DiagnosisConfig::IndexingMode::kContext;
-  DiagnosisEngine engine(production, &profile, &binary, runner, config);
-  const DiagnosisResult result = engine.Run();
-  EXPECT_TRUE(result.reproduced);
-  EXPECT_EQ(result.level, 1);
-  EXPECT_EQ(result.schedules_generated, 1);
-  ASSERT_EQ(result.schedule.faults.size(), 1u);
-  ASSERT_EQ(result.schedule.faults[0].conditions.size(), 1u);
-  const Condition& cond = result.schedule.faults[0].conditions[0];
-  EXPECT_EQ(cond.kind, Condition::Kind::kExecutionIndex);
-  EXPECT_EQ(cond.ctx_digest, 0xABCDu);
-  EXPECT_EQ(cond.count, 5);
-}
-
-TEST(EngineTest, ContextModeSweepsResidualWindowOnly) {
-  Trace production;
-  production.Append(IndexedScf(production, Seconds(5), 0, Sys::kWrite, "/data/txnlog",
-                               Err::kEIO, 0xABCD, 5));
-  Profile profile;
-  BinaryInfo binary;
-
-  // Replay timing drifted the failing call two same-context iterations late:
-  // only seq=7 shows the bug. Flat targeting must grind an nth sweep to find
-  // the equivalent invocation; context targeting probes the residual window.
-  auto context_runner = PredicateRunner([](const FaultSchedule& schedule) {
-    for (const auto& fault : schedule.faults) {
-      for (const auto& cond : fault.conditions) {
-        if (cond.kind == Condition::Kind::kExecutionIndex && cond.count == 7) {
-          return true;
-        }
-      }
-    }
-    return false;
-  });
-  DiagnosisConfig config = TestConfig();
-  config.indexing = DiagnosisConfig::IndexingMode::kContext;
-  DiagnosisEngine engine(production, &profile, &binary, context_runner, config);
-  const DiagnosisResult result = engine.Run();
-  EXPECT_TRUE(result.reproduced);
-  EXPECT_EQ(result.level, 2);
-  // Residual window at radius 3 around seq 5: {5, 4, 6, 3, 7, 2, 8}, probed
-  // by distance; seq=5 is the Level-1 duplicate.
-  EXPECT_EQ(result.scf_sweeps, 1);
-  EXPECT_EQ(result.scf_sweep_width, 7);
-  EXPECT_EQ(result.schedules_pruned_duplicate, 1);
-  EXPECT_EQ(result.schedule.faults[0].conditions[0].count, 7);
-
-  // The flat engine facing the same bug (7th matching invocation) plans the
-  // full nth sweep — the funnel the index collapses.
-  auto flat_runner = PredicateRunner([](const FaultSchedule& schedule) {
-    for (const auto& fault : schedule.faults) {
-      if (fault.kind == FaultKind::kSyscallFailure && fault.syscall.nth == 7) {
-        return true;
-      }
-    }
-    return false;
-  });
-  DiagnosisEngine flat_engine(production, &profile, &binary, flat_runner, TestConfig());
-  const DiagnosisResult flat = flat_engine.Run();
-  EXPECT_TRUE(flat.reproduced);
-  EXPECT_EQ(flat.scf_sweeps, 1);
-  EXPECT_EQ(flat.scf_sweep_width, 50);  // max_scf_sweep: input-filtered cap.
-  EXPECT_LT(result.scf_sweep_width, flat.scf_sweep_width);
-}
-
-TEST(EngineTest, ContextModeFallsBackToFlatOnUnindexedTrace) {
-  // A pre-index production trace (ctx_digest 0 everywhere): context mode
-  // must degrade to flat targeting candidate-by-candidate — same schedules,
-  // same runs, byte-identical confirmed YAML.
-  auto build = [] {
-    Trace production;
-    production.Append(Scf(production, Seconds(5), 0, Sys::kWrite, "/data/txnlog", Err::kEIO));
-    return production;
-  };
-  const Trace flat_production = build();
-  const Trace ctx_production = build();
-  Profile profile;
-  BinaryInfo binary;
-  auto make_runner = [] {
-    return PredicateRunner([](const FaultSchedule& schedule) {
-      for (const auto& fault : schedule.faults) {
-        if (fault.kind == FaultKind::kSyscallFailure && fault.syscall.nth == 4) {
-          return true;
-        }
-      }
-      return false;
-    });
-  };
-  DiagnosisEngine flat_engine(flat_production, &profile, &binary, make_runner(), TestConfig());
-  DiagnosisConfig ctx_config = TestConfig();
-  ctx_config.indexing = DiagnosisConfig::IndexingMode::kContext;
-  DiagnosisEngine ctx_engine(ctx_production, &profile, &binary, make_runner(), ctx_config);
-  const DiagnosisResult flat = flat_engine.Run();
-  const DiagnosisResult ctx = ctx_engine.Run();
-  EXPECT_TRUE(flat.reproduced);
-  EXPECT_TRUE(ctx.reproduced);
-  EXPECT_EQ(flat.schedules_generated, ctx.schedules_generated);
-  EXPECT_EQ(flat.total_runs, ctx.total_runs);
-  EXPECT_EQ(flat.scf_sweep_width, ctx.scf_sweep_width);
-  EXPECT_EQ(CanonicalHash(flat.schedule), CanonicalHash(ctx.schedule));
-  EXPECT_EQ(flat.schedule.ToYaml(), ctx.schedule.ToYaml());
-}
-
 TEST(EngineTest, PrunedDuplicatesNeverReachTheRunner) {
   Trace production;
   production.Append(Scf(production, Seconds(5), 0, Sys::kWrite, "/data/txnlog", Err::kEIO));

@@ -25,12 +25,6 @@
 #       rose_serve_cli, once per --load-mode (mmap / heap), and require
 #       byte-identical confirmed-schedule YAML. Registered as
 #       `mmap_determinism`.
-#   tools/check_determinism.sh --indexing context [build_dir]
-#       execution-index determinism (DESIGN.md section 14): diagnose the same
-#       bug twice under --indexing=context (independent processes) and require
-#       byte-identical confirmed-schedule YAML — context digests and seqs must
-#       be pure functions of the simulated execution. Registered as
-#       `index_determinism`.
 #   tools/check_determinism.sh --cluster [build_dir]
 #       clustered serve determinism (DESIGN.md section 15): route the same
 #       submissions through a 2-shard rose_routerd twice — the second run
@@ -113,35 +107,6 @@ if [ "${1:-lint}" = "mmap" ]; then
     exit 1
   fi
   echo "mmap determinism OK: --load-mode mmap and heap -> byte-identical schedule YAML."
-  exit 0
-fi
-
-if [ "${1:-lint}" = "--indexing" ]; then
-  mode="${2:-context}"
-  build_dir="${3:-build}"
-  offline="${build_dir}/examples/reproduce_bug"
-  if [ ! -x "$offline" ]; then
-    echo "index determinism: build reproduce_bug first ($build_dir)" >&2
-    exit 1
-  fi
-  work="$(mktemp -d)"
-  trap 'rm -rf "$work"' EXIT
-  bug="${SERVE_DETERMINISM_BUG:-RedisRaft-42}"
-  seed="${SERVE_DETERMINISM_SEED:-42}"
-
-  # Two independent processes: any wall-clock or address-space leakage into
-  # the context digests would make the confirmed schedules diverge.
-  for run in 1 2; do
-    "$offline" "$bug" "$seed" --indexing="$mode" \
-      --schedule-out="$work/run$run.yaml" > /dev/null \
-      || { echo "index determinism: --indexing=$mode run $run failed" >&2; exit 1; }
-  done
-  if ! cmp -s "$work/run1.yaml" "$work/run2.yaml"; then
-    echo "index determinism FAILED: two --indexing=$mode runs disagree:" >&2
-    diff "$work/run1.yaml" "$work/run2.yaml" >&2 || true
-    exit 1
-  fi
-  echo "index determinism OK: --indexing=$mode twice -> byte-identical schedule YAML."
   exit 0
 fi
 

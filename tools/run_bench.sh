@@ -26,12 +26,6 @@
 #                          causal analysis ON (arg 1) vs the naive
 #                          order-enumeration baseline (arg 0), per
 #                          multi-fault catalogue bug (bench_causal)
-#   BENCH_indexing.json  — SCF fault targeting, flat nth counters vs
-#                          execution-indexed addresses (bench_indexing):
-#                          per-bug replay% (context must be >= flat
-#                          everywhere) and the planned Level-2 sweep funnel
-#                          width (context must be strictly narrower wherever
-#                          a sweep is posed); see DESIGN.md section 14
 #
 # Usage:
 #   tools/run_bench.sh [build_dir] [out_dir]
@@ -84,12 +78,6 @@
 #    engine. The acceptance bar is the `schedules` counter (candidates
 #    replayed) dropping >= 15% from arg 0 to arg 1 on the multi-fault bugs;
 #    the `reproduced` counter must match within each pair.
-#  - BENCH_indexing: per-bug "flat" vs "context" rows. The acceptance bars
-#    are summary.replay_regressions == 0 (context targeting keeps the flat
-#    plan as fallback, so replay% can only improve) and mean_planned_width
-#    strictly smaller under context on every sweep-posing bug (the residual
-#    same-context window vs the max_scf_sweep nth grind). The binary exits
-#    nonzero on a replay regression, failing the bench run.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -100,7 +88,7 @@ out_dir="${2:-.}"
 if [ ! -d "$build_dir" ]; then
   cmake -S . -B "$build_dir"
 fi
-cmake --build "$build_dir" --target bench_diagnosis_parallel bench_trace_io bench_serve bench_causal bench_indexing -j "$(nproc)"
+cmake --build "$build_dir" --target bench_diagnosis_parallel bench_trace_io bench_serve bench_causal -j "$(nproc)"
 
 "${build_dir}/bench/bench_diagnosis_parallel" \
   --benchmark_out="${out_dir}/BENCH_diagnosis.json" \
@@ -140,10 +128,6 @@ echo "wrote ${out_dir}/BENCH_stream.json"
   --benchmark_out_format=json \
   ${BENCH_ARGS:-}
 echo "wrote ${out_dir}/BENCH_causal.json"
-
-# Plain driver (not google-benchmark): writes its JSON itself and exits
-# nonzero if context-indexed targeting replays worse than flat anywhere.
-"${build_dir}/bench/bench_indexing" "${out_dir}/BENCH_indexing.json"
 
 # --- rose::obs overhead: same benchmark binary from an ON and an OFF tree ----
 off_dir="${build_dir}-obs-off"
