@@ -20,9 +20,6 @@
 //   --stats       print window statistics (events by type and node, string
 //                 pool size, window time span, encoded sizes) — rendered
 //                 from the rose::obs registry (src/obs/trace_report.h)
-//   --index-stats also print execution-index quality rows (implies --stats):
-//                 indexed-SCF coverage, digest-collision count, and the
-//                 context seq-depth histogram (DESIGN.md §14)
 //   --stats-out FILE  write the rose::obs metrics snapshot (YAML) to FILE
 //
 // Exit status: 0 on success; 1 when a loaded file carries error-severity
@@ -75,9 +72,6 @@ flags:
   --stats           print window statistics from the rose::obs registry
                     (events by kind and node, occupancy, pool, sizes);
                     loaded traces add load_mode and mapped-bytes rows
-  --index-stats     add execution-index quality rows to the statistics
-                    (implies --stats): indexed-SCF coverage, digest
-                    collisions, context seq-depth histogram
   --stats-out FILE  write the rose::obs metrics snapshot (YAML) to FILE
                     (see docs/metrics.md)
   --causal          print the happens-before analysis (rose::causal): chain
@@ -102,7 +96,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> merge_paths;
   bool merging = false;
   bool want_stats = false;
-  bool want_index_stats = false;
   bool want_causal = false;
   for (int i = 1; i < argc; i++) {
     if (std::strcmp(argv[i], "--help") == 0) {
@@ -125,10 +118,6 @@ int main(int argc, char** argv) {
       merging = true;
     } else if (std::strcmp(argv[i], "--stats") == 0) {
       want_stats = true;
-      merging = false;
-    } else if (std::strcmp(argv[i], "--index-stats") == 0) {
-      want_stats = true;
-      want_index_stats = true;
       merging = false;
     } else if (std::strcmp(argv[i], "--causal") == 0) {
       want_causal = true;
@@ -325,9 +314,8 @@ int main(int argc, char** argv) {
   if (want_stats) {
     // One code path for window statistics: the rose::obs registry renders the
     // report; lint_schedule --trace prints the same format.
-    std::printf("%s", rose::RenderTraceStats(view, &rose::MetricRegistry::Global(),
-                                             /*with_encoded_sizes=*/true, want_index_stats)
-                          .c_str());
+    std::printf("%s",
+                rose::RenderTraceStats(view, &rose::MetricRegistry::Global()).c_str());
     if (!load_path.empty()) {
       // How the bytes came in. resident estimate: a mapped trace keeps only
       // the event vector plus pool index on the heap — the string payload

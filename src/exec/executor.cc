@@ -99,17 +99,15 @@ void Executor::TryAdvance(size_t index) {
         rt.next_condition++;
         continue;
       }
-      return;
-    }
-    if (cond.kind == Condition::Kind::kAtTime) {
+    } else if (cond.kind == Condition::Kind::kAtTime) {
       if (kernel_->now() >= cond.at_time) {
         rt.next_condition++;
         continue;
       }
       kernel_->loop().ScheduleAt(cond.at_time, [this, index] { TryAdvance(index); });
-      return;
     }
     // Function / syscall-count conditions advance from the kernel hooks.
+    Track(index);
     return;
   }
   Arm(index);
@@ -121,11 +119,50 @@ void Executor::Arm(size_t index) {
     return;
   }
   rt.armed = true;
+  Track(index);
   const ScheduledFault& fault = schedule_.faults[index];
   if (fault.kind != FaultKind::kSyscallFailure) {
     // Non-syscall faults fire the instant their context completes.
     Inject(index);
   }
+}
+
+Executor::Hook Executor::HookOf(size_t index) const {
+  const FaultRuntime& rt = runtime_[index];
+  const ScheduledFault& fault = schedule_.faults[index];
+  if (rt.armed) {
+    const bool can_fail = fault.kind == FaultKind::kSyscallFailure &&
+                          (!rt.injected || fault.syscall.persistent);
+    return can_fail ? kOverrideHook : kNoHook;
+  }
+  if (rt.next_condition >= fault.conditions.size()) {
+    return kNoHook;
+  }
+  switch (fault.conditions[rt.next_condition].kind) {
+    case Condition::Kind::kSyscallCount:
+      return kSyscallHook;
+    case Condition::Kind::kFunctionEnter:
+      return kEnterHook;
+    case Condition::Kind::kFunctionOffset:
+      return kOffsetHook;
+    default:
+      return kNoHook;
+  }
+}
+
+void Executor::Track(size_t index) {
+  FaultRuntime& rt = runtime_[index];
+  const Hook hook = HookOf(index);
+  if (hook == rt.hook) {
+    return;
+  }
+  if (rt.hook != kNoHook) {
+    waiting_[rt.hook]--;
+  }
+  if (hook != kNoHook) {
+    waiting_[hook]++;
+  }
+  rt.hook = hook;
 }
 
 void Executor::Inject(size_t index) {
@@ -135,6 +172,7 @@ void Executor::Inject(size_t index) {
   }
   rt.injected = true;
   rt.injected_at = kernel_->now();
+  Track(index);
   const ScheduledFault& fault = schedule_.faults[index];
   switch (fault.kind) {
     case FaultKind::kSyscallFailure:
@@ -170,6 +208,9 @@ void Executor::OnProcessSpawned(SimTime /*now*/, Pid pid, NodeId node, Pid paren
 }
 
 void Executor::OnFunctionEnter(SimTime /*now*/, Pid pid, int32_t function_id) {
+  if (waiting_[kEnterHook] == 0) {
+    return;
+  }
   for (size_t i = 0; i < runtime_.size(); i++) {
     FaultRuntime& rt = runtime_[i];
     const ScheduledFault& fault = schedule_.faults[i];
@@ -186,6 +227,9 @@ void Executor::OnFunctionEnter(SimTime /*now*/, Pid pid, int32_t function_id) {
 }
 
 void Executor::OnFunctionOffset(SimTime /*now*/, Pid pid, int32_t function_id, int32_t offset) {
+  if (waiting_[kOffsetHook] == 0) {
+    return;
+  }
   for (size_t i = 0; i < runtime_.size(); i++) {
     FaultRuntime& rt = runtime_[i];
     const ScheduledFault& fault = schedule_.faults[i];
@@ -203,6 +247,9 @@ void Executor::OnFunctionOffset(SimTime /*now*/, Pid pid, int32_t function_id, i
 
 void Executor::OnSyscallExit(SimTime /*now*/, const SyscallInvocation& inv,
                              const SyscallResult& /*result*/) {
+  if (waiting_[kSyscallHook] == 0) {
+    return;
+  }
   for (size_t i = 0; i < runtime_.size(); i++) {
     FaultRuntime& rt = runtime_[i];
     const ScheduledFault& fault = schedule_.faults[i];
@@ -223,6 +270,9 @@ void Executor::OnSyscallExit(SimTime /*now*/, const SyscallInvocation& inv,
 }
 
 std::optional<SyscallResult> Executor::MaybeOverride(const SyscallInvocation& inv) {
+  if (waiting_[kOverrideHook] == 0) {
+    return std::nullopt;
+  }
   for (size_t i = 0; i < runtime_.size(); i++) {
     FaultRuntime& rt = runtime_[i];
     const ScheduledFault& fault = schedule_.faults[i];

@@ -13,6 +13,7 @@
 #ifndef SRC_EXEC_EXECUTOR_H_
 #define SRC_EXEC_EXECUTOR_H_
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -83,12 +84,18 @@ class Executor : public KernelObserver, public SyscallInterposer {
   std::optional<SyscallResult> MaybeOverride(const SyscallInvocation& inv) override;
 
  private:
+  // The kernel hook that can next advance a fault: the hook matching its
+  // pending syscall-count / function-enter / function-offset condition, or
+  // MaybeOverride for an armed SCF that can still fail a call.
+  enum Hook : uint8_t { kSyscallHook = 0, kEnterHook, kOffsetHook, kOverrideHook, kNoHook };
+
   struct FaultRuntime {
     size_t next_condition = 0;
     int32_t match_count = 0;  // Matching invocations seen while armed (SCF).
     bool armed = false;       // All conditions satisfied.
     bool injected = false;
     SimTime injected_at = 0;
+    Hook hook = kNoHook;      // Counted in waiting_.
   };
 
   bool PidOnNode(Pid pid, NodeId node) const;
@@ -102,6 +109,10 @@ class Executor : public KernelObserver, public SyscallInterposer {
   void AdvanceAll();
   void Arm(size_t index);
   void Inject(size_t index);
+  Hook HookOf(size_t index) const;
+  // Re-files fault `index` under its current hook; call after any change to
+  // its runtime state.
+  void Track(size_t index);
 
   SimKernel* kernel_;
   Network* network_;
@@ -109,6 +120,8 @@ class Executor : public KernelObserver, public SyscallInterposer {
   std::vector<Diagnostic> diagnostics_;
   bool schedule_valid_ = true;
   std::vector<FaultRuntime> runtime_;
+  // Faults per hook; a hook with none returns without scanning runtime_.
+  std::array<size_t, kNoHook> waiting_{};
   PidTracker pids_;
   bool attached_ = false;
 };

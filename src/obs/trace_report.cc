@@ -31,7 +31,7 @@ void Append(std::string* out, const char* fmt, ...) {
 }  // namespace
 
 std::string RenderTraceStats(TraceView trace, MetricRegistry* registry,
-                             bool with_encoded_sizes, bool with_index_stats) {
+                             bool with_encoded_sizes) {
   std::map<EventType, uint64_t> by_type;
   std::map<NodeId, uint64_t> by_node;
   for (const TraceEvent& event : trace) {
@@ -93,70 +93,6 @@ std::string RenderTraceStats(TraceView trace, MetricRegistry* registry,
            binary_bytes, text_bytes,
            text_bytes == 0 ? 0.0 : 100.0 * static_cast<double>(binary_bytes) /
                                        static_cast<double>(text_bytes));
-  }
-  if (with_index_stats) {
-    // Execution-index quality (DESIGN.md §14): coverage (how many SCFs carry
-    // an index), collisions (a recorded address — (ctx, seq, sys, input) on
-    // one node — occurring twice means the digest aliased two distinct
-    // calling contexts and the address no longer names a unique invocation),
-    // and the seq-depth histogram (how deep same-context repetition runs).
-    uint64_t indexed = 0;
-    uint64_t unindexed = 0;
-    uint32_t max_seq = 0;
-    uint64_t depth[5] = {0, 0, 0, 0, 0};  // seq 1 / 2 / 3-4 / 5-8 / >8.
-    std::map<std::string, uint64_t> addresses;
-    for (const TraceEvent& event : trace) {
-      if (event.type != EventType::kSCF) {
-        continue;
-      }
-      const ScfInfo& scf = event.scf();
-      if (scf.ctx_digest == 0) {
-        unindexed++;
-        continue;
-      }
-      indexed++;
-      const uint32_t seq = scf.ctx_seq;
-      if (seq > max_seq) {
-        max_seq = seq;
-      }
-      depth[seq <= 1 ? 0 : seq == 2 ? 1 : seq <= 4 ? 2 : seq <= 8 ? 3 : 4]++;
-      char key[64];
-      std::snprintf(key, sizeof(key), "%d|%llx|%u|%d", event.node,
-                    static_cast<unsigned long long>(scf.ctx_digest), seq,
-                    static_cast<int>(scf.sys));
-      addresses[std::string(key) + std::string(trace.str(scf.filename))]++;
-    }
-    uint64_t colliding = 0;
-    for (const auto& [key, count] : addresses) {
-      if (count > 1) {
-        colliding++;
-      }
-    }
-    if (registry != nullptr) {
-      registry->GetGauge("trace.index.indexed_scf")->Set(static_cast<int64_t>(indexed));
-      registry->GetGauge("trace.index.addresses")
-          ->Set(static_cast<int64_t>(addresses.size()));
-      registry->GetGauge("trace.index.collisions")->Set(static_cast<int64_t>(colliding));
-      Histogram* hist = registry->GetHistogram("trace.index.seq_depth");
-      for (const TraceEvent& event : trace) {
-        if (event.type == EventType::kSCF && event.scf().ctx_digest != 0) {
-          hist->Record(event.scf().ctx_seq);
-        }
-      }
-    }
-    Append(&out, "execution index: %llu of %llu SCF events indexed (%llu unindexed)\n",
-           static_cast<unsigned long long>(indexed),
-           static_cast<unsigned long long>(indexed + unindexed),
-           static_cast<unsigned long long>(unindexed));
-    Append(&out, "index addresses: %zu distinct, %llu colliding\n", addresses.size(),
-           static_cast<unsigned long long>(colliding));
-    Append(&out,
-           "context seq depth: 1:%llu 2:%llu 3-4:%llu 5-8:%llu >8:%llu (max %u)\n",
-           static_cast<unsigned long long>(depth[0]),
-           static_cast<unsigned long long>(depth[1]),
-           static_cast<unsigned long long>(depth[2]),
-           static_cast<unsigned long long>(depth[3]),
-           static_cast<unsigned long long>(depth[4]), max_seq);
   }
   return out;
 }

@@ -22,16 +22,10 @@ namespace rose {
 // — and returns the human-readable report both CLIs print.
 // `with_encoded_sizes` additionally serializes the trace both ways to report
 // binary-vs-text size (skipped where the extra work is unwanted).
-// `with_index_stats` adds execution-index quality rows (DESIGN.md §14):
-// indexed-SCF coverage, digest-collision count (addresses that fail to name
-// a unique invocation), and the context seq-depth histogram — folded into
-// the registry as trace.index.* (gauges indexed_scf, addresses, collisions;
-// histogram seq_depth).
 // Takes a view so zero-copy mapped traces render without promotion (an
 // owning Trace converts implicitly).
 std::string RenderTraceStats(TraceView trace, MetricRegistry* registry,
-                             bool with_encoded_sizes = true,
-                             bool with_index_stats = false);
+                             bool with_encoded_sizes = true);
 
 }  // namespace rose
 

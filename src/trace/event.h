@@ -45,11 +45,12 @@ struct ScfInfo {
   // kEmptyStrId when unknown.
   StrId filename = kEmptyStrId;
   Err err = Err::kOk;
-  // Execution index (src/trace/execution_index.h): the calling-context
-  // digest active at the invocation and the 1-based in-context sequence
-  // number. 0/0 means "not indexed" (pre-index dumps); the textual and
-  // binary codecs omit the fields in that case, so legacy traces round-trip
-  // byte-identically.
+  // Execution-index stamp: a calling-context digest and a 1-based
+  // in-context sequence number. The tracer records 0/0 ("not indexed");
+  // nonzero values come only from dumps recorded before it stopped
+  // stamping. The codecs and canonical hashes carry them and no analysis
+  // reads them. The text codec omits 0/0; RTRC v2 always writes both
+  // fields, so 0/0 costs two zero varints.
   uint64_t ctx_digest = 0;
   uint32_t ctx_seq = 0;
 };

@@ -18,9 +18,9 @@
 // zigzag-varint node, then the type-specific fields. The end frame (empty
 // payload) distinguishes a complete stream from one truncated at a frame
 // boundary. Version 2 appends two varints to every SCF record — the
-// execution-index context digest and sequence number (see
-// src/trace/execution_index.h); version 1 streams decode as before with
-// those fields zero.
+// execution-index context digest and sequence number (ScfInfo); writers
+// emit 0/0, readers still decode older nonzero stamps, and version 1
+// streams decode as before with those fields zero.
 //
 // Failure semantics: the reader never throws and never loses intact data —
 // a bad magic, version, CRC, or truncation stops decoding at the last good

@@ -95,36 +95,48 @@ void Tracer::RecordEvent(TraceEvent event) {
   Charge(config_.record_cost);
 }
 
+std::string_view Tracer::SockLabel(std::string_view ip) {
+  sock_label_.assign("sock:").append(ip);
+  return sock_label_;
+}
+
+void Tracer::BindFd(Pid pid, int32_t fd, SimTime ts, StrId path) {
+  if (pid < 0 || fd < 0) {
+    return;
+  }
+  if (static_cast<size_t>(pid) >= fd_heads_.size()) {
+    fd_heads_.resize(static_cast<size_t>(pid) + 1);
+  }
+  std::vector<uint32_t>& heads = fd_heads_[static_cast<size_t>(pid)];
+  if (static_cast<size_t>(fd) >= heads.size()) {
+    heads.resize(static_cast<size_t>(fd) + 1, 0);
+  }
+  uint32_t& head = heads[static_cast<size_t>(fd)];
+  fd_log_.push_back(FdBinding{ts, path, head});
+  head = static_cast<uint32_t>(fd_log_.size());
+}
+
 void Tracer::OnSyscallExit(SimTime now, const SyscallInvocation& inv,
                            const SyscallResult& result) {
   syscalls_observed_++;
   Charge(config_.probe_cost);
 
-  // Advance the execution index for every invocation — recorded or not — so
-  // sequence numbers count every invocation in the context.
-  const uint64_t ctx_digest = index_.DigestOf(inv.pid);
-  const uint32_t ctx_seq = index_.NextSeq(NodeOfPid(inv.pid), ctx_digest, inv);
-
   // Maintain the lightweight fd -> filename map (open/close/dup bookkeeping
   // only; reconstruction happens during dump post-processing).
   if (result.ok()) {
+    const auto new_fd = static_cast<int32_t>(result.value);
     switch (inv.sys) {
       case Sys::kOpen:
       case Sys::kOpenAt:
-        fd_bindings_[FdKey(inv.pid, static_cast<int32_t>(result.value))].push_back(
-            FdBinding{now, std::string(inv.path)});
+        BindFd(inv.pid, new_fd, now, fd_paths_.Intern(inv.path));
         break;
       case Sys::kConnect:
       case Sys::kAccept:
-        fd_bindings_[FdKey(inv.pid, static_cast<int32_t>(result.value))].push_back(
-            FdBinding{now, std::string("sock:").append(inv.remote_ip)});
+        BindFd(inv.pid, new_fd, now, fd_paths_.Intern(SockLabel(inv.remote_ip)));
         break;
-      case Sys::kDup: {
-        std::string source = ResolveFd(inv.pid, inv.fd, now);
-        fd_bindings_[FdKey(inv.pid, static_cast<int32_t>(result.value))].push_back(
-            FdBinding{now, std::move(source)});
+      case Sys::kDup:
+        BindFd(inv.pid, new_fd, now, ResolveFd(inv.pid, inv.fd, now));
         break;
-      }
       default:
         break;
     }
@@ -148,17 +160,16 @@ void Tracer::OnSyscallExit(SimTime now, const SyscallInvocation& inv,
     return;
   }
 
+  // The execution-index stamps (ctx_digest/ctx_seq) stay 0: "not indexed".
   ScfInfo info;
   info.pid = inv.pid;
   info.sys = inv.sys;
   info.fd = inv.fd;
   info.err = result.err;
-  info.ctx_digest = ctx_digest;
-  info.ctx_seq = ctx_seq;
   if (SysTakesPath(inv.sys)) {
     info.filename = pool_.Intern(inv.path);
   } else if (!inv.remote_ip.empty()) {
-    info.filename = pool_.Intern(std::string("sock:").append(inv.remote_ip));
+    info.filename = pool_.Intern(SockLabel(inv.remote_ip));
   }
 
   TraceEvent event;
@@ -169,12 +180,22 @@ void Tracer::OnSyscallExit(SimTime now, const SyscallInvocation& inv,
   RecordEvent(std::move(event));
 }
 
+bool Tracer::Monitored(int32_t function_id) {
+  if (function_id < 0) {
+    return false;
+  }
+  const auto id = static_cast<size_t>(function_id);
+  if (id >= monitored_.size()) {
+    monitored_.resize(id + 1, -1);
+  }
+  if (monitored_[id] < 0) {
+    monitored_[id] = config_.monitored_functions.count(function_id) > 0 ? 1 : 0;
+  }
+  return monitored_[id] == 1;
+}
+
 void Tracer::OnFunctionEnter(SimTime now, Pid pid, int32_t function_id) {
-  // The shadow chain covers every function enter, monitored or not —
-  // filtering here would make context digests depend on the profiler's
-  // monitored set.
-  index_.OnFunctionEnter(pid, function_id);
-  if (config_.monitored_functions.count(function_id) == 0) {
+  if (!Monitored(function_id)) {
     return;
   }
   function_probe_hits_++;
@@ -203,7 +224,14 @@ bool Tracer::QualifiesAsPartitionSilence(const ConnState& conn, SimTime gap) con
 }
 
 void Tracer::OnPacketIn(SimTime now, IpId src, IpId dst, int64_t /*size*/) {
-  ConnState& conn = connections_[ConnKey(src, dst)];
+  if (src >= connections_.size()) {
+    connections_.resize(static_cast<size_t>(src) + 1);
+  }
+  std::vector<ConnState>& row = connections_[src];
+  if (dst >= row.size()) {
+    row.resize(static_cast<size_t>(dst) + 1);
+  }
+  ConnState& conn = row[dst];
   conn.packet_count++;
   if (conn.first_packet == 0) {
     conn.first_packet = now;
@@ -259,18 +287,20 @@ void Tracer::PollProcessStates() {
   kernel_->loop().ScheduleAfter(config_.ps_poll_interval, [this] { PollProcessStates(); });
 }
 
-std::string Tracer::ResolveFd(Pid pid, int32_t fd, SimTime at) const {
-  auto it = fd_bindings_.find(FdKey(pid, fd));
-  if (it == fd_bindings_.end()) {
-    return "";
+StrId Tracer::ResolveFd(Pid pid, int32_t fd, SimTime at) const {
+  if (pid < 0 || static_cast<size_t>(pid) >= fd_heads_.size() || fd < 0) {
+    return kEmptyStrId;
   }
-  const std::string* best = nullptr;
-  for (const FdBinding& binding : it->second) {
+  const std::vector<uint32_t>& heads = fd_heads_[static_cast<size_t>(pid)];
+  uint32_t link = static_cast<size_t>(fd) < heads.size() ? heads[static_cast<size_t>(fd)] : 0;
+  while (link != 0) {
+    const FdBinding& binding = fd_log_[link - 1];
     if (binding.ts <= at) {
-      best = &binding.path;
+      return binding.path;
     }
+    link = binding.prev;
   }
-  return best == nullptr ? "" : *best;
+  return kEmptyStrId;
 }
 
 void Tracer::ResolveEventFds(std::vector<TraceEvent>* events) {
@@ -280,7 +310,7 @@ void Tracer::ResolveEventFds(std::vector<TraceEvent>* events) {
     }
     auto& info = std::get<ScfInfo>(event.info);
     if (info.filename == kEmptyStrId && info.fd >= 0) {
-      info.filename = pool_.Intern(ResolveFd(info.pid, info.fd, event.ts));
+      info.filename = pool_.Intern(fd_paths_.View(ResolveFd(info.pid, info.fd, event.ts)));
     }
   }
 }
@@ -323,11 +353,14 @@ void Tracer::AppendOpenEndedEvents(std::vector<TraceEvent>* out) {
     const ConnState* conn;
   };
   std::vector<Silent> silent;
-  for (const auto& [key, conn] : connections_) {
-    if (conn.last_packet != 0 &&
-        QualifiesAsPartitionSilence(conn, now - conn.last_packet)) {
-      silent.push_back(Silent{&network_->IpName(static_cast<IpId>(key >> 32)),
-                              &network_->IpName(static_cast<IpId>(key)), &conn});
+  for (size_t src = 0; src < connections_.size(); src++) {
+    for (size_t dst = 0; dst < connections_[src].size(); dst++) {
+      const ConnState& conn = connections_[src][dst];
+      if (conn.last_packet != 0 &&
+          QualifiesAsPartitionSilence(conn, now - conn.last_packet)) {
+        silent.push_back(Silent{&network_->IpName(static_cast<IpId>(src)),
+                                &network_->IpName(static_cast<IpId>(dst)), &conn});
+      }
     }
   }
   std::sort(silent.begin(), silent.end(), [](const Silent& a, const Silent& b) {

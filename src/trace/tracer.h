@@ -19,15 +19,14 @@
 #include <map>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/net/network.h"
 #include "src/obs/metrics.h"
 #include "src/os/kernel.h"
 #include "src/trace/event.h"
-#include "src/trace/execution_index.h"
 #include "src/trace/ring_buffer.h"
+#include "src/trace/string_pool.h"
 
 namespace rose {
 
@@ -115,9 +114,12 @@ class Tracer : public KernelObserver, public IngressTap {
   void OnPacketIn(SimTime now, IpId src, IpId dst, int64_t size) override;
 
  private:
+  // One fd -> path binding. Bindings append in time order; `prev` chains
+  // the earlier bindings of the same (pid, fd), 1-based (0 ends the chain).
   struct FdBinding {
     SimTime ts;
-    std::string path;
+    StrId path;  // In fd_paths_.
+    uint32_t prev;
   };
   struct ConnState {
     SimTime first_packet = 0;
@@ -125,22 +127,20 @@ class Tracer : public KernelObserver, public IngressTap {
     uint64_t packet_count = 0;
   };
 
-  static uint64_t FdKey(Pid pid, int32_t fd) {
-    return (static_cast<uint64_t>(static_cast<uint32_t>(pid)) << 32) |
-           static_cast<uint32_t>(fd);
-  }
-  static uint64_t ConnKey(IpId src, IpId dst) {
-    return (static_cast<uint64_t>(src) << 32) | dst;
-  }
-
   // True when a silent connection looks like a partition rather than an
   // idle client: enough packets, a sustained activity span, a real rate.
   bool QualifiesAsPartitionSilence(const ConnState& conn, SimTime gap) const;
 
   void RecordEvent(TraceEvent event);
+  bool Monitored(int32_t function_id);
+  // The "sock:<ip>" label of a network syscall, built in a reused buffer.
+  std::string_view SockLabel(std::string_view ip);
+  void BindFd(Pid pid, int32_t fd, SimTime ts, StrId path);
   // Dump-time fd -> pathname post-processing, shared with the stream path.
   void ResolveEventFds(std::vector<TraceEvent>* events);
-  std::string ResolveFd(Pid pid, int32_t fd, SimTime at) const;
+  // The newest binding of (pid, fd) made at or before `at`, as an id in
+  // fd_paths_ (kEmptyStrId when there is none).
+  StrId ResolveFd(Pid pid, int32_t fd, SimTime at) const;
   NodeId NodeOfPid(Pid pid) const;
   void PollProcessStates();
   void Charge(SimTime cost);
@@ -151,19 +151,26 @@ class Tracer : public KernelObserver, public IngressTap {
   bool attached_ = false;
   bool polling_ = false;
 
-  // Online execution index (shadow function chains + in-context sequence
-  // counters). Fed from every kernel hook regardless of the monitored set so
-  // digests do not depend on it.
-  ExecutionIndexTracker index_;
-
   RingBuffer<TraceEvent> window_;
   // Pool the in-window events' StrIds resolve against. It only grows while
   // tracing (ids of overwritten events are never reused), so Dump() compacts
   // into the output trace's own pool.
   StringPool pool_;
-  std::unordered_map<uint64_t, std::vector<FdBinding>> fd_bindings_;
-  // Keyed by ConnKey(src, dst) over the network's interned addresses.
-  std::unordered_map<uint64_t, ConnState> connections_;
+  // Paths the fd bindings name. Private so that bookkeeping for fds no
+  // event ever resolves does not show in stream deltas or memory_bytes.
+  StringPool fd_paths_;
+  std::vector<FdBinding> fd_log_;
+  // fd_heads_[pid][fd]: 1-based index of the newest binding in fd_log_
+  // (0: never bound).
+  std::vector<std::vector<uint32_t>> fd_heads_;
+  // connections_[src][dst] over the network's interned addresses.
+  std::vector<std::vector<ConnState>> connections_;
+  // Membership of function ids (registration indices, dense from 0) in the
+  // monitored set: 1 yes, 0 no, -1 not looked up yet. Filled as enters
+  // arrive, so its size follows the ids guests enter rather than the ids a
+  // profile names (a served profile is untrusted input).
+  std::vector<int8_t> monitored_;
+  std::string sock_label_;
   std::set<Pid> crash_reported_;
   std::map<Pid, size_t> pauses_reported_;
 

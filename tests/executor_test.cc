@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/exec/executor.h"
 #include "src/exec/pid_tracker.h"
 #include "src/harness/world.h"
@@ -218,6 +220,86 @@ TEST_F(ExecutorTest, AfterFaultEnforcesProductionOrder) {
   EXPECT_THROW(world_.kernel.FunctionEnter(p0, 9), ProcessInterrupted);
   EXPECT_TRUE(executor.Feedback().outcomes[1].injected);
 }
+
+// What gates the second fault in ConditionCurrentOnlyAfterDependencyStillFires:
+// a condition of one kernel hook, or (kOverride) arming an SCF, which
+// MaybeOverride then fires.
+enum class Gated { kSyscallCount, kFunctionEnter, kFunctionOffset, kOverride };
+
+void PrintTo(Gated gated, std::ostream* os) {
+  constexpr const char* kNames[] = {"SyscallCount", "FunctionEnter", "FunctionOffset",
+                                    "Override"};
+  *os << kNames[static_cast<int>(gated)];
+}
+
+class ExecutorHookTest : public ExecutorTest, public ::testing::WithParamInterface<Gated> {};
+
+// Hooks skip their scan while no fault waits on them, so a fault must be
+// counted the moment its after_fault dependency injects.
+TEST_P(ExecutorHookTest, ConditionCurrentOnlyAfterDependencyStillFires) {
+  FaultSchedule schedule;
+  ScheduledFault first;
+  first.kind = FaultKind::kProcessCrash;
+  first.target_node = 1;
+  first.conditions.push_back(Condition::AtTime(Seconds(3)));
+  schedule.faults.push_back(first);
+  ScheduledFault second;
+  second.kind = FaultKind::kProcessCrash;
+  second.target_node = 0;
+  second.conditions.push_back(Condition::AfterFault(0));
+  switch (GetParam()) {
+    case Gated::kSyscallCount:
+      second.conditions.push_back(Condition::SyscallCount(Sys::kStat, "/x", 1));
+      break;
+    case Gated::kFunctionEnter:
+      second.conditions.push_back(Condition::FunctionEnter(9));
+      break;
+    case Gated::kFunctionOffset:
+      second.conditions.push_back(Condition::FunctionOffset(9, 0x10));
+      break;
+    case Gated::kOverride:
+      second.kind = FaultKind::kSyscallFailure;
+      second.syscall.sys = Sys::kStat;
+      second.syscall.err = Err::kEIO;
+      break;
+  }
+  schedule.faults.push_back(second);
+  Executor executor(&world_.kernel, &world_.network, schedule);
+  ASSERT_TRUE(executor.Attach());
+  const Pid pid = world_.kernel.Spawn(0, "a");
+  world_.kernel.Spawn(1, "b");
+  world_.kernel.DiskOf(0).WriteAll("/x", "1");
+  // Drives the hook the second fault waits on; true once it injected.
+  auto poke = [&] {
+    try {
+      switch (GetParam()) {
+        case Gated::kSyscallCount:
+        case Gated::kOverride:
+          world_.kernel.Stat(pid, "/x");
+          break;
+        case Gated::kFunctionEnter:
+          world_.kernel.FunctionEnter(pid, 9);
+          break;
+        case Gated::kFunctionOffset:
+          world_.kernel.FunctionOffset(pid, 9, 0x10);
+          break;
+      }
+    } catch (const ProcessInterrupted&) {
+    }
+    return executor.Feedback().outcomes[1].injected;
+  };
+  EXPECT_FALSE(poke());  // Fault 0 has not injected yet.
+  world_.loop.RunUntil(Seconds(4));
+  ASSERT_TRUE(executor.Feedback().outcomes[0].injected);
+  EXPECT_TRUE(poke());
+  EXPECT_EQ(world_.kernel.StateOf(pid),
+            GetParam() == Gated::kOverride ? ProcState::kRunning : ProcState::kCrashed);
+}
+
+INSTANTIATE_TEST_SUITE_P(EachHook, ExecutorHookTest,
+                         ::testing::Values(Gated::kSyscallCount, Gated::kFunctionEnter,
+                                           Gated::kFunctionOffset, Gated::kOverride),
+                         ::testing::PrintToStringParamName());
 
 TEST_F(ExecutorTest, PartitionFaultInstallsDropRules) {
   FaultSchedule schedule;

@@ -175,6 +175,59 @@ TEST(ZeroCopyPipelineTest, MmapAndHeapLoadsDiagnoseByteIdentically) {
   }
 }
 
+TEST(PipelineTest, StampedDumpDiagnosesLikeItsZeroedCopy) {
+  // The tracer records ctx_digest = ctx_seq = 0, but dumps (and serve cache
+  // entries) recorded before it stopped stamping carry nonzero stamps. Such
+  // a dump must still round-trip byte-identically through RTRC v2 and text,
+  // and diagnose exactly like the same dump with the stamps zeroed.
+  const BugSpec* spec = FindBug("Zookeeper-3006");
+  ASSERT_NE(spec, nullptr);
+  BugRunner runner(spec);
+  const Profile profile = runner.RunProfiling(5);
+  std::optional<Trace> zeroed = runner.ObtainProductionTrace(profile, 5 + 17);
+  ASSERT_TRUE(zeroed.has_value());
+  Trace stamped = *zeroed;
+  size_t scfs = 0;
+  for (TraceEvent& event : stamped.events()) {
+    if (event.type != EventType::kSCF) {
+      continue;
+    }
+    ScfInfo info = event.scf();
+    ASSERT_EQ(info.ctx_digest, 0u);
+    ASSERT_EQ(info.ctx_seq, 0u);
+    scfs++;
+    info.ctx_digest = 0x9e3779b97f4a7c15ULL * scfs;
+    info.ctx_seq = static_cast<uint32_t>(scfs % 7 + 1);
+    event.info = info;
+  }
+  ASSERT_GT(scfs, 0u);
+
+  const std::string binary = stamped.SerializeBinary();
+  std::vector<Diagnostic> diags;
+  const Trace from_binary = Trace::ParseBinary(binary, &diags);
+  ASSERT_TRUE(diags.empty());
+  EXPECT_TRUE(TraceEquals(stamped, from_binary));
+  EXPECT_EQ(from_binary.SerializeBinary(), binary);
+  const std::string text = stamped.Serialize();
+  const Trace from_text = Trace::Parse(text);
+  EXPECT_TRUE(TraceEquals(stamped, from_text));
+  EXPECT_EQ(from_text.Serialize(), text);
+
+  RoseConfig config;
+  config.seed = 5;
+  const DiagnosisResult plain = DiagnoseTrace(*spec, profile, *zeroed, config);
+  const DiagnosisResult with_stamps = DiagnoseTrace(*spec, profile, from_binary, config);
+  ASSERT_TRUE(plain.reproduced);
+  EXPECT_EQ(with_stamps.reproduced, plain.reproduced);
+  EXPECT_EQ(with_stamps.schedule.ToYaml(), plain.schedule.ToYaml());
+  EXPECT_EQ(with_stamps.fault_summary, plain.fault_summary);
+  EXPECT_DOUBLE_EQ(with_stamps.replay_rate, plain.replay_rate);
+  EXPECT_EQ(with_stamps.level, plain.level);
+  EXPECT_EQ(with_stamps.schedules_generated, plain.schedules_generated);
+  EXPECT_EQ(with_stamps.total_runs, plain.total_runs);
+  EXPECT_EQ(with_stamps.virtual_time, plain.virtual_time);
+}
+
 TEST(PipelineTest, EndToEndTendermintReproduces) {
   const BugSpec* spec = FindBug("Tendermint-5839");
   ASSERT_NE(spec, nullptr);

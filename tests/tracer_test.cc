@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/net/network.h"
 #include "src/os/kernel.h"
 #include "src/trace/tracer.h"
@@ -85,17 +87,100 @@ TEST_F(TracerTest, FdResolutionInDumpPostProcessing) {
   EXPECT_EQ(trace.str(trace[0].scf().filename), "/data/journal");  // Resolved from the fd map.
 }
 
-TEST_F(TracerTest, MonitoredFunctionsProduceAfEvents) {
-  TracerConfig config;
-  config.monitored_functions = {7};
-  Tracer tracer = MakeTracer(config);
+TEST_F(TracerTest, FdFailureBeforeItsBindingResolvesToEmpty) {
+  Tracer tracer = MakeTracer();
   tracer.Attach();
-  kernel_.FunctionEnter(pid_, 7);   // Monitored.
-  kernel_.FunctionEnter(pid_, 8);   // Not monitored.
+  SimKernel::OpenFlags flags;
+  flags.create = true;
+  const auto first = static_cast<int32_t>(kernel_.Open(pid_, "/data/a", flags).value);
+  kernel_.Fsync(pid_, first + 1);  // EBADF: nothing holds first + 1 yet.
+  ASSERT_EQ(kernel_.Open(pid_, "/data/b", flags).value, first + 1);
   const Trace trace = tracer.Dump();
   ASSERT_EQ(trace.size(), 1u);
+  EXPECT_EQ(trace[0].scf().fd, first + 1);
+  EXPECT_EQ(trace.str(trace[0].scf().filename), "");  // /data/b was bound later.
+}
+
+TEST_F(TracerTest, SocketAndDupFdsResolveThroughTheirBindings) {
+  Tracer tracer = MakeTracer();
+  tracer.Attach();
+  const auto out = static_cast<int32_t>(kernel_.Connect(pid_, "10.0.0.2").value);
+  const auto in = static_cast<int32_t>(kernel_.Accept(pid_, "10.0.0.3").value);
+  kernel_.DiskOf(0).WriteAll("/data/a", "x");
+  SimKernel::OpenFlags ro;
+  ro.readonly = true;
+  const auto file = static_cast<int32_t>(kernel_.Open(pid_, "/data/a", ro).value);
+  const auto copy = static_cast<int32_t>(kernel_.Dup(pid_, file).value);
+  kernel_.Close(pid_, out);
+  kernel_.Close(pid_, out);        // EBADF on the closed connect fd.
+  kernel_.Close(pid_, in);
+  kernel_.Close(pid_, in);         // EBADF on the closed accept fd.
+  kernel_.Write(pid_, copy, "x");  // EBADF: the dup is read-only too.
+  const Trace trace = tracer.Dump();
+  ASSERT_EQ(trace.size(), 3u);
+  EXPECT_EQ(trace.str(trace[0].scf().filename), "sock:10.0.0.2");
+  EXPECT_EQ(trace.str(trace[1].scf().filename), "sock:10.0.0.3");
+  EXPECT_EQ(trace[2].scf().fd, copy);
+  EXPECT_EQ(trace.str(trace[2].scf().filename), "/data/a");
+}
+
+TEST_F(TracerTest, StreamDeltaResolvesFdsLikeDump) {
+  Tracer tracer = MakeTracer();
+  tracer.Attach();
+  kernel_.DiskOf(0).WriteAll("/data/a", "x");
+  kernel_.DiskOf(0).WriteAll("/data/b", "x");
+  SimKernel::OpenFlags ro;
+  ro.readonly = true;
+  std::vector<TraceEvent> streamed;
+  const auto a = static_cast<int32_t>(kernel_.Open(pid_, "/data/a", ro).value);
+  kernel_.Write(pid_, a, "x");  // EBADF on /data/a.
+  EXPECT_EQ(tracer.TakeStreamDelta(&streamed), 0u);
+  kernel_.Close(pid_, a);
+  const auto b = static_cast<int32_t>(kernel_.Open(pid_, "/data/b", ro).value);
+  kernel_.Write(pid_, b, "x");  // EBADF on /data/b.
+  kernel_.Write(pid_, a, "x");  // EBADF on the closed fd, still /data/a.
+  EXPECT_EQ(tracer.TakeStreamDelta(&streamed), 0u);
+  const Trace dumped = tracer.Dump();
+  ASSERT_EQ(dumped.size(), 3u);
+  ASSERT_EQ(streamed.size(), dumped.size());
+  const char* expected[] = {"/data/a", "/data/b", "/data/a"};
+  for (size_t i = 0; i < dumped.size(); i++) {
+    EXPECT_EQ(tracer.stream_pool().View(streamed[i].scf().filename),
+              dumped.str(dumped[i].scf().filename))
+        << i;
+    EXPECT_EQ(dumped.str(dumped[i].scf().filename), expected[i]) << i;
+  }
+}
+
+TEST_F(TracerTest, FailuresCarryNoExecutionIndexStamp) {
+  Tracer tracer = MakeTracer();
+  tracer.Attach();
+  kernel_.FunctionEnter(pid_, 11);
+  kernel_.FunctionEnter(pid_, 12);
+  kernel_.FunctionEnter(pid_, 11);
+  kernel_.Open(pid_, "/missing", {});  // ENOENT.
+  const Trace trace = tracer.Dump();
+  ASSERT_EQ(trace.size(), 1u);
+  ASSERT_EQ(trace[0].type, EventType::kSCF);
+  EXPECT_EQ(trace[0].scf().ctx_digest, 0u);
+  EXPECT_EQ(trace[0].scf().ctx_seq, 0u);
+}
+
+TEST_F(TracerTest, MonitoredFunctionsProduceAfEvents) {
+  TracerConfig config;
+  config.monitored_functions = {0, 7};
+  Tracer tracer = MakeTracer(config);
+  tracer.Attach();
+  for (int32_t id : {-1, 0, 7, 8, 1000}) {  // Only 0 and 7 are monitored.
+    kernel_.FunctionEnter(pid_, id);
+  }
+  const Trace trace = tracer.Dump();
+  ASSERT_EQ(trace.size(), 2u);
   EXPECT_EQ(trace[0].type, EventType::kAF);
-  EXPECT_EQ(trace[0].af().function_id, 7);
+  EXPECT_EQ(trace[0].af().function_id, 0);
+  EXPECT_EQ(trace[1].type, EventType::kAF);
+  EXPECT_EQ(trace[1].af().function_id, 7);
+  EXPECT_EQ(tracer.stats().function_probe_hits, 2u);
 }
 
 TEST_F(TracerTest, NdDetectedWhenEstablishedFlowGoesSilent) {
@@ -148,6 +233,25 @@ TEST_F(TracerTest, OngoingSilenceFlushedAtDump) {
   const auto nds = trace.OfType(EventType::kND);
   ASSERT_EQ(nds.size(), 1u);
   EXPECT_GT(nds[0].nd().duration, Seconds(6));
+}
+
+TEST_F(TracerTest, SilentFlowsFromLaterAddressesFlushInIpOrder) {
+  Tracer tracer = MakeTracer();
+  tracer.Attach();
+  // Both sources are interned only now, the later one sorting first.
+  for (int i = 0; i < 40; i++) {
+    loop_.ScheduleAt(Millis(100) * i, [this] {
+      network_.Send("10.0.0.9", "10.0.0.1", 64, [] {});
+      network_.Send("10.0.0.10", "10.0.0.1", 64, [] {});
+    });
+  }
+  loop_.RunUntil(Seconds(11));  // 4 s of traffic, then ~7 s of silence.
+  const Trace trace = tracer.Dump();
+  const auto nds = trace.OfType(EventType::kND);
+  ASSERT_EQ(nds.size(), 2u);
+  EXPECT_EQ(trace.str(nds[0].nd().src_ip), "10.0.0.10");
+  EXPECT_EQ(trace.str(nds[1].nd().src_ip), "10.0.0.9");
+  EXPECT_EQ(trace.str(nds[1].nd().dst_ip), "10.0.0.1");
 }
 
 TEST_F(TracerTest, PsPollerReportsCrashesOnce) {
