@@ -106,22 +106,6 @@ void BM_TraceEventSerialize(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceEventSerialize);
 
-void BM_TraceEventParse(benchmark::State& state) {
-  StringPool pool;
-  TraceEvent event;
-  event.ts = 123456789;
-  event.node = 2;
-  event.type = EventType::kSCF;
-  event.info = ScfInfo{101, Sys::kOpenAt, 5, pool.Intern("/data/edits.new"), Err::kEIO};
-  const std::string line = event.ToLine(pool);
-  StringPool parse_pool;
-  TraceEvent parsed;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(TraceEvent::FromLine(line, &parse_pool, &parsed));
-  }
-}
-BENCHMARK(BM_TraceEventParse);
-
 void BM_ScheduleYamlRoundTrip(benchmark::State& state) {
   FaultSchedule schedule;
   schedule.name = "bench";

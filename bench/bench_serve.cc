@@ -543,7 +543,7 @@ std::string PaddedBlob(const Trace& trace, size_t pad_bytes) {
   std::string framed;
   AppendRtrcFrame(&framed, kFramePool, payload);
   // Splice ahead of the trailing end frame (empty payload, header only).
-  blob.insert(blob.size() - kRtrcFrameHeaderSize, framed);
+  blob.insert(blob.size() - kFrameHeaderSize, framed);
   return blob;
 }
 

@@ -12,8 +12,8 @@
 //   ./build/examples/lint_schedule schedule.yaml --against trace.bin
 //   cat schedule.yaml | ./build/examples/lint_schedule
 //
-// --trace runs rose::analyze's TraceValidator over a trace dump (binary or
-// text, auto-detected). --against TRACE additionally checks the schedule's
+// --trace runs rose::analyze's TraceValidator over a binary trace dump (text
+// listings are display-only and report TB201). --against TRACE additionally checks the schedule's
 // enforced injection order against the trace's happens-before order
 // (rose::causal) and prints the feasibility verdict.
 //
@@ -55,9 +55,9 @@ is given (or the file is -).
 
 flags:
   --demo          lint a deliberately broken built-in schedule
-  --trace FILE    validate a saved trace dump instead (binary or text,
-                  auto-detected) with the TraceValidator; window statistics
-                  are rendered from the rose::obs registry
+  --trace FILE    validate a saved binary trace dump instead with the
+                  TraceValidator (text listings report TB201); window
+                  statistics are rendered from the rose::obs registry
   --against TRACE additionally check the schedule's enforced injection
                   order against TRACE's happens-before order (rose::causal)
                   and print the feasibility verdict: feasible, infeasible

@@ -105,11 +105,7 @@ bool ObtainDump(const Submission& sub, uint64_t seed, DumpPayload* out) {
       }
       return false;
     }
-    if (!out->mapped.zero_copy()) {
-      out->trace = out->mapped.Promote();
-      out->mapped = rose::MappedTrace();
-    }
-    out->events = out->mapped.valid() ? out->mapped.event_count() : out->trace.size();
+    out->events = out->mapped.event_count();
     if (!rose::ReadFileBytes(sub.dump_base + ".profile", &out->profile_text)) {
       std::fprintf(stderr, "rose_routerd: cannot open %s.profile\n", sub.dump_base.c_str());
       return false;

@@ -16,7 +16,7 @@
 //
 // Flags:
 //   --dump FILE       load the production dump from FILE instead of simulating
-//   --load-mode MODE  mmap (default, zero-copy raw-blob submit) or heap
+//                     (mapped; its raw container bytes are submitted as-is)
 //   --profile FILE    load the profiling baseline (required with --dump)
 //   --save-dump BASE  after generating, write BASE.trc + BASE.profile
 //   --yaml-out FILE   write the confirmed schedule YAML to FILE
@@ -62,10 +62,9 @@ positional arguments:
   seed              submission seed (default 42)
 
 flags:
-  --dump FILE       load the production dump from FILE instead of simulating
-  --load-mode MODE  how --dump comes in: 'mmap' (default) maps the file and
-                    submits its raw container bytes zero-copy; 'heap' reads
-                    and parses it into an owning trace first
+  --dump FILE       load the production dump from FILE instead of simulating;
+                    the file is mapped and its raw container bytes are
+                    submitted zero-copy
   --profile FILE    load the profiling baseline (required with --dump)
   --save-dump BASE  after generating, write BASE.trc + BASE.profile
   --yaml-out FILE   write the confirmed schedule YAML to FILE
@@ -112,7 +111,6 @@ int main(int argc, char** argv) {
   std::string bug_id;
   uint64_t seed = 42;
   std::string dump_path;
-  std::string load_mode = "mmap";
   std::string profile_path;
   std::string save_dump;
   std::string yaml_out;
@@ -129,12 +127,6 @@ int main(int argc, char** argv) {
       return 0;
     } else if (std::strcmp(argv[i], "--dump") == 0 && i + 1 < argc) {
       dump_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--load-mode") == 0 && i + 1 < argc) {
-      load_mode = argv[++i];
-      if (load_mode != "mmap" && load_mode != "heap") {
-        std::fprintf(stderr, "rose_serve_cli: --load-mode must be mmap or heap\n");
-        return 2;
-      }
     } else if (std::strcmp(argv[i], "--profile") == 0 && i + 1 < argc) {
       profile_path = argv[++i];
     } else if (std::strcmp(argv[i], "--save-dump") == 0 && i + 1 < argc) {
@@ -180,7 +172,7 @@ int main(int argc, char** argv) {
   // --- Obtain the dump + baseline: load a saved pair or simulate phases 1-2.
   rose::Profile profile;
   rose::Trace trace;
-  // mmap mode: the dump stays a mapped, zero-copy handle; its raw container
+  // --dump: the dump stays a mapped, zero-copy handle; its raw container
   // bytes are shipped to the server as-is (SubmitBlob), so no owning Trace
   // exists anywhere on the submission path.
   rose::MappedTrace mapped;
@@ -190,43 +182,21 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "rose_serve_cli: --dump requires --profile\n");
       return 2;
     }
-    size_t dump_events = 0;
-    if (load_mode == "mmap") {
-      mapped = rose::MappedTrace::OpenFile(dump_path);
-      for (const rose::Diagnostic& diag : mapped.diagnostics()) {
-        std::fprintf(stderr, "  %s\n", diag.ToString().c_str());
-      }
-      if (rose::HasErrors(mapped.diagnostics())) {
-        std::fprintf(stderr, "rose_serve_cli: dump %s is damaged\n", dump_path.c_str());
-        return 1;
-      }
-      if (!mapped.zero_copy()) {
-        // Text dump: there is no container blob to ship raw; fall back to
-        // the owning path (still loaded through the mapping).
-        trace = mapped.Promote();
-        mapped = rose::MappedTrace();
-      }
-      dump_events = mapped.valid() ? mapped.event_count() : trace.size();
-    } else {
-      std::vector<rose::Diagnostic> diags;
-      trace = rose::LoadTraceFile(dump_path, &diags);
-      for (const rose::Diagnostic& diag : diags) {
-        std::fprintf(stderr, "  %s\n", diag.ToString().c_str());
-      }
-      if (rose::HasErrors(diags)) {
-        std::fprintf(stderr, "rose_serve_cli: dump %s is damaged\n", dump_path.c_str());
-        return 1;
-      }
-      dump_events = trace.size();
+    mapped = rose::MappedTrace::OpenFile(dump_path);
+    for (const rose::Diagnostic& diag : mapped.diagnostics()) {
+      std::fprintf(stderr, "  %s\n", diag.ToString().c_str());
+    }
+    if (rose::HasErrors(mapped.diagnostics())) {
+      std::fprintf(stderr, "rose_serve_cli: dump %s is damaged\n", dump_path.c_str());
+      return 1;
     }
     if (!ReadWholeFile(profile_path, &profile_text) ||
         !rose::ParseProfile(profile_text, &profile)) {
       std::fprintf(stderr, "rose_serve_cli: cannot read profile %s\n", profile_path.c_str());
       return 2;
     }
-    std::printf("loaded dump %s (%zu events, %s) + profile %s\n", dump_path.c_str(),
-                dump_events, mapped.valid() ? mapped.load_mode() : "heap",
-                profile_path.c_str());
+    std::printf("loaded dump %s (%zu events) + profile %s\n", dump_path.c_str(),
+                mapped.event_count(), profile_path.c_str());
   } else {
     rose::BugRunner runner(spec);
     std::printf("--- phases 1-2: profiling + production tracing (%s, seed %llu) ---\n",
@@ -268,9 +238,9 @@ int main(int argc, char** argv) {
   service.Attach(server_end);
   rose::ServeClient client(client_end);
 
-  // mmap-loaded binary dumps ship their raw container bytes (SubmitBlob);
-  // everything else encodes the owning Trace the classic way. Both forms
-  // hash to the same cache key on the server.
+  // Loaded dumps ship their raw container bytes (SubmitBlob); simulated ones
+  // encode the owning Trace the classic way. Both forms hash to the same
+  // cache key on the server.
   auto submit_job = [&]() {
     if (mapped.valid()) {
       return client.SubmitBlob(bug_id, seed, "cli", profile_text, mapped.bytes());

@@ -11,9 +11,10 @@
 //   ./build/examples/trace_explorer --merge A B [C...] [--save FILE] [--stats]
 //
 //   --save FILE   write the dumped window to FILE — binary container unless
-//                 FILE ends in .txt (then the one-event-per-line text form)
-//   --load FILE   skip the simulated run and explore a saved trace instead;
-//                 binary vs text is auto-detected from the file's magic
+//                 FILE ends in .txt (then a display-only one-event-per-line
+//                 listing, which --load refuses with TB201)
+//   --load FILE   skip the simulated run and explore a saved binary dump
+//                 instead (mapped and decoded zero-copy)
 //   --merge ...   k-way merge saved per-node traces (Trace::Merge):
 //                 timestamp-ordered, stable for ties, strings re-interned
 //                 into one pool; combine with --save to persist the result
@@ -61,17 +62,15 @@ positional arguments:
 
 flags:
   --save FILE       write the dumped window to FILE (binary container, or
-                    one-event-per-line text when FILE ends in .txt)
-  --load FILE       explore a saved trace instead of running; binary vs
-                    text is auto-detected from the file's magic
-  --load-mode MODE  how --load brings the file in: 'mmap' (default) maps it
-                    and decodes zero-copy — pool strings resolve into the
-                    mapped bytes; 'heap' reads and parses the owning way
+                    a display-only one-event-per-line listing when FILE
+                    ends in .txt; listings cannot be loaded back)
+  --load FILE       explore a saved binary dump instead of running; the
+                    file is mapped and decoded zero-copy
   --merge A B ...   k-way merge saved per-node traces (timestamp-ordered,
                     stable for ties); combine with --save to persist
   --stats           print window statistics from the rose::obs registry
                     (events by kind and node, occupancy, pool, sizes);
-                    loaded traces add load_mode and mapped-bytes rows
+                    loaded traces add mapped-bytes and resident rows
   --stats-out FILE  write the rose::obs metrics snapshot (YAML) to FILE
                     (see docs/metrics.md)
   --causal          print the happens-before analysis (rose::causal): chain
@@ -91,7 +90,6 @@ int main(int argc, char** argv) {
   uint64_t seed = 1234;
   std::string save_path;
   std::string load_path;
-  std::string load_mode = "mmap";
   std::string stats_out;
   std::vector<std::string> merge_paths;
   bool merging = false;
@@ -107,13 +105,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--load") == 0 && i + 1 < argc) {
       load_path = argv[++i];
       merging = false;
-    } else if (std::strcmp(argv[i], "--load-mode") == 0 && i + 1 < argc) {
-      load_mode = argv[++i];
-      merging = false;
-      if (load_mode != "mmap" && load_mode != "heap") {
-        std::fprintf(stderr, "trace_explorer: --load-mode must be mmap or heap\n");
-        return 2;
-      }
     } else if (std::strcmp(argv[i], "--merge") == 0) {
       merging = true;
     } else if (std::strcmp(argv[i], "--stats") == 0) {
@@ -133,9 +124,9 @@ int main(int argc, char** argv) {
   }
 
   rose::Trace trace;
-  // Zero-copy handle for --load in mmap mode; `view` below reads through it
-  // without ever building an owning Trace (promotion happens only if --save
-  // needs to re-encode).
+  // Zero-copy handle for --load; `view` below reads through it without ever
+  // building an owning Trace (promotion happens only if --save needs to
+  // re-encode).
   rose::MappedTrace mapped;
   rose::Profile profile;
   const rose::Profile* profile_for_extract = nullptr;
@@ -164,26 +155,16 @@ int main(int argc, char** argv) {
     trace = rose::Trace::Merge(inputs);
     std::printf("--- merged %zu traces: %zu events ---\n", inputs.size(), trace.size());
   } else if (!load_path.empty()) {
-    std::vector<rose::Diagnostic> diags;
-    size_t loaded_events = 0;
-    if (load_mode == "mmap") {
-      mapped = rose::MappedTrace::OpenFile(load_path);
-      diags = mapped.diagnostics();
-      loaded_events = mapped.event_count();
-    } else {
-      trace = rose::LoadTraceFile(load_path, &diags);
-      loaded_events = trace.size();
-    }
-    std::printf("--- loaded %s: %zu events (%s) ---\n", load_path.c_str(),
-                loaded_events, load_mode.c_str());
-    for (const rose::Diagnostic& diag : diags) {
+    mapped = rose::MappedTrace::OpenFile(load_path);
+    std::printf("--- loaded %s: %zu events ---\n", load_path.c_str(), mapped.event_count());
+    for (const rose::Diagnostic& diag : mapped.diagnostics()) {
       std::printf("  %s\n", diag.ToString().c_str());
     }
-    if (rose::HasErrors(diags)) {
+    if (rose::HasErrors(mapped.diagnostics())) {
       // Keep exploring whatever survived, but fail the invocation: scripts
       // must not mistake a truncated dump for a good one.
       load_damaged = true;
-      if (loaded_events == 0) {
+      if (mapped.event_count() == 0) {
         return 1;
       }
     }
@@ -218,8 +199,8 @@ int main(int argc, char** argv) {
     trace = std::move(outcome.trace);
   }
 
-  // Every read path below goes through a view: backed by the mapped file in
-  // mmap mode, by the owning Trace otherwise.
+  // Every read path below goes through a view: backed by the mapped file for
+  // --load, by the owning Trace otherwise.
   const rose::TraceView view = mapped.valid() ? mapped.view() : rose::TraceView(trace);
 
   std::map<rose::EventType, int> counts;
@@ -317,14 +298,11 @@ int main(int argc, char** argv) {
     std::printf("%s",
                 rose::RenderTraceStats(view, &rose::MetricRegistry::Global()).c_str());
     if (!load_path.empty()) {
-      // How the bytes came in. resident estimate: a mapped trace keeps only
-      // the event vector plus pool index on the heap — the string payload
-      // stays in the (page-cached) mapping; a heap load owns everything.
-      const size_t event_bytes = view.size() * sizeof(rose::TraceEvent);
-      const size_t resident = event_bytes + (mapped.zero_copy()
-                                                 ? view.pool().size() * 8
-                                                 : view.pool().payload_bytes());
-      std::printf("load_mode: %s\n", mapped.valid() ? mapped.load_mode() : "heap");
+      // resident estimate: a mapped trace keeps only the event vector plus
+      // the pool index on the heap — the string payload stays in the
+      // (page-cached) mapping.
+      const size_t resident =
+          view.size() * sizeof(rose::TraceEvent) + view.pool().size() * 8;
       std::printf("mapped bytes: %zu\n", mapped.mapped_bytes());
       std::printf("resident estimate: %zu bytes\n", resident);
     }
@@ -351,7 +329,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     std::printf("\nsaved %zu events to %s (%s)\n", trace.size(), save_path.c_str(),
-                text ? "text" : "binary");
+                text ? "display listing" : "binary");
   }
   return load_damaged ? 1 : 0;
 }

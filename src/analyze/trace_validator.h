@@ -36,7 +36,7 @@ class TraceValidator {
       : options_(std::move(options)) {}
 
   // Accepts any trace view (a Trace converts implicitly), including ones
-  // backed by a binary dump loaded via Trace::Load.
+  // backed by a mapped dump (MappedTrace).
   std::vector<Diagnostic> Validate(TraceView trace) const;
 
  private:
@@ -54,11 +54,11 @@ uint64_t CanonicalTraceHash(TraceView trace);
 // frame by frame and hashes each event's line without ever materializing an
 // owning Trace (no pool-string copies, no event vector). Produces the exact
 // hash CanonicalTraceHash yields for the parsed blob, so a serve cache key
-// computed here matches one computed from a Trace. Binary-only by design —
-// text blobs fail with kBadTraceMagic, mirroring the admission path's
-// Trace::ParseBinary behavior. Returns reader.ok(); decode diagnostics are
-// appended to `diags` and the event count stored in `*event_count` when
-// non-null (both best-effort on failure: the intact prefix).
+// computed here matches one computed from a Trace. Text listings fail with
+// kBadTraceMagic, like every trace reader. Returns reader.ok(); decode
+// diagnostics are appended to `diags` and the event count stored in
+// `*event_count` when non-null (both best-effort on failure: the intact
+// prefix).
 bool CanonicalBlobHash(std::string_view blob, uint64_t* hash_out,
                        std::vector<Diagnostic>* diags = nullptr,
                        size_t* event_count = nullptr);

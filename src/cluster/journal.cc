@@ -3,56 +3,9 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cstring>
-
 #include "src/trace/mmap_file.h"
-#include "src/trace/trace_io.h"
 
 namespace rose {
-
-namespace {
-
-constexpr size_t kRecordHeaderBytes = 1 + 4 + 4;  // type | len | crc.
-constexpr size_t kStreamHeaderBytes = 8;          // magic | version | reserved.
-
-void PutU32LE(std::string* out, uint32_t v) {
-  char bytes[4] = {static_cast<char>(v & 0xff), static_cast<char>((v >> 8) & 0xff),
-                   static_cast<char>((v >> 16) & 0xff),
-                   static_cast<char>((v >> 24) & 0xff)};
-  out->append(bytes, 4);
-}
-
-uint32_t ReadU32LE(const char* p) {
-  return static_cast<uint32_t>(static_cast<uint8_t>(p[0])) |
-         static_cast<uint32_t>(static_cast<uint8_t>(p[1])) << 8 |
-         static_cast<uint32_t>(static_cast<uint8_t>(p[2])) << 16 |
-         static_cast<uint32_t>(static_cast<uint8_t>(p[3])) << 24;
-}
-
-void PutLengthPrefixed(std::string* out, std::string_view bytes) {
-  PutVarint(out, bytes.size());
-  out->append(bytes.data(), bytes.size());
-}
-
-bool GetLengthPrefixed(std::string_view* data, std::string_view* out) {
-  uint64_t len = 0;
-  if (!GetVarint(data, &len) || len > data->size()) {
-    return false;
-  }
-  *out = data->substr(0, static_cast<size_t>(len));
-  data->remove_prefix(static_cast<size_t>(len));
-  return true;
-}
-
-std::string StreamHeader() {
-  std::string out(kJournalMagic, 4);
-  out.push_back(static_cast<char>(kJournalFormatVersion & 0xff));
-  out.push_back(static_cast<char>(kJournalFormatVersion >> 8));
-  out.append(2, '\0');
-  return out;
-}
-
-}  // namespace
 
 // --- Record codecs -----------------------------------------------------------
 
@@ -61,9 +14,9 @@ std::string EncodeDispatch(const DispatchRecord& record) {
   PutVarint(&out, record.job_id);
   PutVarint(&out, record.key);
   PutVarint(&out, record.trace_hash);
-  PutLengthPrefixed(&out, record.shard);
+  PutBytes(&out, record.shard);
   PutVarint(&out, record.redispatch ? 1 : 0);
-  PutLengthPrefixed(&out, record.payload);
+  PutBytes(&out, record.payload);
   return out;
 }
 
@@ -72,8 +25,8 @@ bool DecodeDispatch(std::string_view payload, DispatchRecord* out) {
   std::string_view shard;
   std::string_view submit;
   if (!GetVarint(&payload, &out->job_id) || !GetVarint(&payload, &out->key) ||
-      !GetVarint(&payload, &out->trace_hash) || !GetLengthPrefixed(&payload, &shard) ||
-      !GetVarint(&payload, &redispatch) || !GetLengthPrefixed(&payload, &submit)) {
+      !GetVarint(&payload, &out->trace_hash) || !GetBytes(&payload, &shard) ||
+      !GetVarint(&payload, &redispatch) || !GetBytes(&payload, &submit)) {
     return false;
   }
   out->shard = std::string(shard);
@@ -87,7 +40,7 @@ std::string EncodeRingEpoch(const RingEpochRecord& record) {
   PutVarint(&out, record.epoch);
   PutVarint(&out, record.shards.size());
   for (const std::string& shard : record.shards) {
-    PutLengthPrefixed(&out, shard);
+    PutBytes(&out, shard);
   }
   return out;
 }
@@ -100,7 +53,7 @@ bool DecodeRingEpoch(std::string_view payload, RingEpochRecord* out) {
   out->shards.clear();
   for (uint64_t i = 0; i < count; i++) {
     std::string_view shard;
-    if (!GetLengthPrefixed(&payload, &shard)) {
+    if (!GetBytes(&payload, &shard)) {
       return false;
     }
     out->shards.emplace_back(shard);
@@ -140,13 +93,12 @@ ClusterJournal::ClusterJournal(std::string path) : path_(std::move(path)) {
     }
   }
   if (history_.empty()) {
-    const std::string header = StreamHeader();
-    history_ = header;
+    AppendHeader(&history_, kJournalFormat, kJournalFormatVersion);
     if (fd_ >= 0) {
-      (void)!::write(fd_, header.data(), header.size());
+      (void)!::write(fd_, history_.data(), history_.size());
       ::fsync(fd_);
       fsyncs_++;
-      bytes_written_ += header.size();
+      bytes_written_ += history_.size();
     }
   }
 }
@@ -162,38 +114,26 @@ void ClusterJournal::Replay() {
   if (path_.empty() || !ReadFileBytes(path_, &bytes) || bytes.empty()) {
     return;
   }
-  if (bytes.size() < kStreamHeaderBytes ||
-      std::memcmp(bytes.data(), kJournalMagic, 4) != 0) {
-    // Not a journal: refuse to adopt it. Appends start a fresh stream at
-    // offset zero (the constructor truncates).
+  uint16_t version = 0;
+  if (ReadHeader(kJournalFormat, bytes, &version) != HeaderStatus::kOk) {
+    // Not a journal (or a torn or unknown header): refuse to adopt it.
+    // Appends start a fresh stream at offset zero (the constructor
+    // truncates).
     recovered_torn_tail_ = true;
     return;
   }
-  const uint16_t version = static_cast<uint16_t>(
-      static_cast<uint8_t>(bytes[4]) | static_cast<uint8_t>(bytes[5]) << 8);
-  if (version != kJournalFormatVersion) {
-    recovered_torn_tail_ = true;
-    return;
-  }
-  size_t offset = kStreamHeaderBytes;
-  size_t last_good = offset;
-  while (bytes.size() - offset >= kRecordHeaderBytes) {
-    const uint8_t type = static_cast<uint8_t>(bytes[offset]);
-    const uint32_t len = ReadU32LE(bytes.data() + offset + 1);
-    const uint32_t crc = ReadU32LE(bytes.data() + offset + 5);
-    if (len > kMaxJournalRecordPayload ||
-        bytes.size() - offset - kRecordHeaderBytes < len) {
-      break;  // Torn tail (crash mid-append).
-    }
-    const std::string_view payload(bytes.data() + offset + kRecordHeaderBytes, len);
-    if (Crc32(payload) != crc) {
-      break;  // Corrupt tail; everything before it is intact.
-    }
+  // Everything before the first short, over-long, CRC-broken or
+  // undecodable record is intact; that record and all after it are the torn
+  // tail of a crash mid-append.
+  std::string_view rest = std::string_view(bytes).substr(kStreamHeaderSize);
+  size_t last_good = kStreamHeaderSize;
+  Frame frame;
+  while (SplitFrame(&rest, kJournalFormat.max_payload, &frame) == SplitResult::kFrame) {
     bool decoded = true;
-    switch (static_cast<JournalRecordType>(type)) {
+    switch (static_cast<JournalRecordType>(frame.kind)) {
       case JournalRecordType::kRingEpoch: {
         RingEpochRecord record;
-        decoded = DecodeRingEpoch(payload, &record);
+        decoded = DecodeRingEpoch(frame.payload, &record);
         if (decoded) {
           last_epoch_ = std::move(record);
         }
@@ -201,7 +141,7 @@ void ClusterJournal::Replay() {
       }
       case JournalRecordType::kDispatch: {
         DispatchRecord record;
-        decoded = DecodeDispatch(payload, &record);
+        decoded = DecodeDispatch(frame.payload, &record);
         if (decoded) {
           if (record.job_id >= next_job_id_) {
             next_job_id_ = record.job_id + 1;
@@ -212,7 +152,7 @@ void ClusterJournal::Replay() {
       }
       case JournalRecordType::kComplete: {
         CompleteRecord record;
-        decoded = DecodeComplete(payload, &record);
+        decoded = DecodeComplete(frame.payload, &record);
         if (decoded) {
           pending_.erase(record.job_id);
         }
@@ -226,21 +166,18 @@ void ClusterJournal::Replay() {
     if (!decoded) {
       break;  // A framed-but-undecodable record is corruption, not extension.
     }
-    offset += kRecordHeaderBytes + len;
-    last_good = offset;
+    last_good = bytes.size() - rest.size();
     replayed_records_++;
   }
   recovered_torn_tail_ = last_good != bytes.size();
-  history_ = bytes.substr(0, last_good);
+  bytes.resize(last_good);
+  history_ = std::move(bytes);
 }
 
 void ClusterJournal::Append(JournalRecordType type, std::string_view payload) {
   std::string frame;
-  frame.reserve(kRecordHeaderBytes + payload.size());
-  frame.push_back(static_cast<char>(type));
-  PutU32LE(&frame, static_cast<uint32_t>(payload.size()));
-  PutU32LE(&frame, Crc32(payload));
-  frame.append(payload.data(), payload.size());
+  frame.reserve(kFrameHeaderSize + payload.size());
+  AppendFrame(&frame, static_cast<uint8_t>(type), payload);
   history_ += frame;
   appends_++;
   if (fd_ >= 0) {

@@ -5,7 +5,8 @@
 // consequential coordinator decision — ring membership epochs, job
 // dispatches (including the full submit payload, so a job can be re-posed
 // from the journal alone), and completions — to an append-only, CRC-framed
-// log modeled on the raft write-ahead-log shape:
+// log modeled on the raft write-ahead-log shape, in the shared framing of
+// src/common/framing.h:
 //
 //   header:  'R' 'J' 'N' 'L' | u16 version (LE) | u16 reserved
 //   record:  u8 type | u32 payload_len (LE) | u32 crc32(payload) (LE) | payload
@@ -36,15 +37,16 @@
 #include <string_view>
 #include <vector>
 
+#include "src/common/framing.h"
 #include "src/net/transport.h"
 
 namespace rose {
 
-inline constexpr char kJournalMagic[4] = {'R', 'J', 'N', 'L'};
 inline constexpr uint16_t kJournalFormatVersion = 1;
-// A dispatch record embeds a whole submit payload; anything beyond this is
-// a corrupt length field, not a plausible record.
-inline constexpr uint32_t kMaxJournalRecordPayload = 256u * 1024u * 1024u;
+// A dispatch record embeds a whole submit payload; a length beyond 256 MiB
+// is a corrupt length field, not a plausible record.
+inline constexpr FrameFormat kJournalFormat = {{'R', 'J', 'N', 'L'}, kJournalFormatVersion,
+                                               256u * 1024u * 1024u};
 
 enum class JournalRecordType : uint8_t {
   kRingEpoch = 1,

@@ -1,43 +1,8 @@
 #include "src/serve/protocol.h"
 
-#include <cstring>
-
 #include "src/common/strings.h"
-#include "src/trace/trace_io.h"
 
 namespace rose {
-
-namespace {
-
-void PutLengthPrefixed(std::string* out, std::string_view bytes) {
-  PutVarint(out, bytes.size());
-  out->append(bytes.data(), bytes.size());
-}
-
-bool GetLengthPrefixed(std::string_view* data, std::string_view* out) {
-  uint64_t len = 0;
-  if (!GetVarint(data, &len) || len > data->size()) {
-    return false;
-  }
-  *out = data->substr(0, static_cast<size_t>(len));
-  data->remove_prefix(static_cast<size_t>(len));
-  return true;
-}
-
-void PutU32LE(std::string* out, uint32_t v) {
-  char bytes[4] = {static_cast<char>(v & 0xff), static_cast<char>((v >> 8) & 0xff),
-                   static_cast<char>((v >> 16) & 0xff), static_cast<char>((v >> 24) & 0xff)};
-  out->append(bytes, 4);
-}
-
-uint32_t ReadU32LE(const char* p) {
-  return static_cast<uint32_t>(static_cast<uint8_t>(p[0])) |
-         static_cast<uint32_t>(static_cast<uint8_t>(p[1])) << 8 |
-         static_cast<uint32_t>(static_cast<uint8_t>(p[2])) << 16 |
-         static_cast<uint32_t>(static_cast<uint8_t>(p[3])) << 24;
-}
-
-}  // namespace
 
 std::string_view ServeErrorName(ServeError error) {
   switch (error) {
@@ -73,80 +38,28 @@ std::string ProgressMsg::ToString() const {
 // --- Framing -----------------------------------------------------------------
 
 void AppendServeHeader(std::string* out) {
-  out->append(kServeMagic, sizeof(kServeMagic));
-  out->push_back(static_cast<char>(kServeProtocolVersion & 0xff));
-  out->push_back(static_cast<char>(kServeProtocolVersion >> 8));
-  out->push_back(0);
-  out->push_back(0);
+  AppendHeader(out, kServeFormat, kServeProtocolVersion);
 }
 
 void AppendServeFrame(std::string* out, ServeFrame kind, std::string_view payload) {
-  out->push_back(static_cast<char>(kind));
-  PutU32LE(out, static_cast<uint32_t>(payload.size()));
-  PutU32LE(out, Crc32(payload));
-  out->append(payload.data(), payload.size());
+  AppendFrame(out, static_cast<uint8_t>(kind), payload);
 }
 
 FrameDecoder::Status FrameDecoder::Next(DecodedFrame* out) {
-  if (dead_) {
-    return Status::kBadStream;
-  }
-  std::string_view rest = std::string_view(buffer_).substr(consumed_);
-  if (!header_done_) {
-    if (rest.size() < 8) {
+  Frame frame;
+  switch (reader_.Next(&frame)) {
+    case FrameReader::Status::kNeedMore:
       return Status::kNeedMore;
-    }
-    if (std::memcmp(rest.data(), kServeMagic, sizeof(kServeMagic)) != 0) {
-      dead_ = true;
+    case FrameReader::Status::kBadCrc:
+      return Status::kCorruptFrame;
+    case FrameReader::Status::kBadStream:
       return Status::kBadStream;
-    }
-    const uint16_t version = static_cast<uint16_t>(static_cast<uint8_t>(rest[4])) |
-                             static_cast<uint16_t>(static_cast<uint8_t>(rest[5])) << 8;
-    if (version > kServeProtocolVersion) {
-      dead_ = true;
-      return Status::kBadStream;
-    }
-    consumed_ += 8;
-    header_done_ = true;
-    rest.remove_prefix(8);
+    case FrameReader::Status::kFrame:
+      break;
   }
-  if (rest.size() < 9) {
-    Compact();
-    return Status::kNeedMore;
-  }
-  const uint8_t kind = static_cast<uint8_t>(rest[0]);
-  const uint32_t len = ReadU32LE(rest.data() + 1);
-  const uint32_t crc = ReadU32LE(rest.data() + 5);
-  if (len > kMaxServeFramePayload) {
-    // A length this large cannot be a real frame; resynchronization is
-    // impossible without trusting it, so the stream is dead.
-    dead_ = true;
-    return Status::kBadStream;
-  }
-  if (rest.size() - 9 < len) {
-    Compact();
-    return Status::kNeedMore;
-  }
-  const std::string_view payload = rest.substr(9, len);
-  consumed_ += 9 + len;  // Consume the frame either way: length is trusted,
-                         // payload integrity is not.
-  if (Crc32(payload) != crc) {
-    Compact();
-    return Status::kCorruptFrame;
-  }
-  out->kind = static_cast<ServeFrame>(kind);
-  out->payload.assign(payload.data(), payload.size());
-  Compact();
+  out->kind = static_cast<ServeFrame>(frame.kind);
+  out->payload.assign(frame.payload.data(), frame.payload.size());
   return Status::kFrame;
-}
-
-void FrameDecoder::Compact() {
-  // Reclaim consumed prefix once it dominates the buffer, amortizing the
-  // memmove across many small frames.
-  if (consumed_ > 4096 && consumed_ * 2 >= buffer_.size()) {
-    buffer_.erase(0, consumed_);
-    consumed_ = 0;
-  }
 }
 
 // --- Message codecs ----------------------------------------------------------
@@ -162,11 +75,11 @@ std::string EncodeSubmitBlob(std::string_view bug_id, uint64_t seed, std::string
                              uint64_t token) {
   std::string payload;
   payload.reserve(bug_id.size() + tag.size() + profile_text.size() + trace_blob.size() + 32);
-  PutLengthPrefixed(&payload, bug_id);
+  PutBytes(&payload, bug_id);
   PutVarint(&payload, seed);
-  PutLengthPrefixed(&payload, tag);
-  PutLengthPrefixed(&payload, profile_text);
-  PutLengthPrefixed(&payload, trace_blob);
+  PutBytes(&payload, tag);
+  PutBytes(&payload, profile_text);
+  PutBytes(&payload, trace_blob);
   if (token != 0) {
     // Optional trailing idempotency token. Pre-token decoders stop after
     // the blob and ignore trailing bytes, so this is additive within v1 —
@@ -174,26 +87,6 @@ std::string EncodeSubmitBlob(std::string_view bug_id, uint64_t seed, std::string
     PutVarint(&payload, token);
   }
   return payload;
-}
-
-bool DecodeSubmit(std::string_view payload, SubmitRequest* out,
-                  std::vector<Diagnostic>* trace_diags) {
-  std::string_view bug_id;
-  std::string_view tag;
-  std::string_view profile_text;
-  std::string_view trace_blob;
-  if (!GetLengthPrefixed(&payload, &bug_id) || !GetVarint(&payload, &out->seed) ||
-      !GetLengthPrefixed(&payload, &tag) || !GetLengthPrefixed(&payload, &profile_text) ||
-      !GetLengthPrefixed(&payload, &trace_blob)) {
-    return false;
-  }
-  out->bug_id = std::string(bug_id);
-  out->tag = std::string(tag);
-  if (!ParseProfile(profile_text, &out->profile)) {
-    return false;
-  }
-  out->trace = Trace::ParseBinary(trace_blob, trace_diags);
-  return true;
 }
 
 bool DecodeSubmitEnvelope(std::string payload, SubmitEnvelope* out) {
@@ -204,9 +97,9 @@ bool DecodeSubmitEnvelope(std::string payload, SubmitEnvelope* out) {
   std::string_view profile_text;
   std::string_view trace_blob;
   uint64_t seed = 0;
-  if (!GetLengthPrefixed(&rest, &bug_id) || !GetVarint(&rest, &seed) ||
-      !GetLengthPrefixed(&rest, &tag) || !GetLengthPrefixed(&rest, &profile_text) ||
-      !GetLengthPrefixed(&rest, &trace_blob)) {
+  if (!GetBytes(&rest, &bug_id) || !GetVarint(&rest, &seed) ||
+      !GetBytes(&rest, &tag) || !GetBytes(&rest, &profile_text) ||
+      !GetBytes(&rest, &trace_blob)) {
     return false;
   }
   if (!ParseProfile(profile_text, &out->profile_)) {
@@ -262,10 +155,10 @@ bool DecodeAccepted(std::string_view payload, AcceptedMsg* out) {
 
 std::string EncodeStreamOpen(const StreamOpenMsg& msg) {
   std::string payload;
-  PutLengthPrefixed(&payload, msg.bug_id);
+  PutBytes(&payload, msg.bug_id);
   PutVarint(&payload, msg.seed);
-  PutLengthPrefixed(&payload, msg.tag);
-  PutLengthPrefixed(&payload, msg.profile_text);
+  PutBytes(&payload, msg.tag);
+  PutBytes(&payload, msg.profile_text);
   PutVarint(&payload, msg.token);
   return payload;
 }
@@ -274,8 +167,8 @@ bool DecodeStreamOpen(std::string_view payload, StreamOpenMsg* out) {
   std::string_view bug_id;
   std::string_view tag;
   std::string_view profile_text;
-  if (!GetLengthPrefixed(&payload, &bug_id) || !GetVarint(&payload, &out->seed) ||
-      !GetLengthPrefixed(&payload, &tag) || !GetLengthPrefixed(&payload, &profile_text) ||
+  if (!GetBytes(&payload, &bug_id) || !GetVarint(&payload, &out->seed) ||
+      !GetBytes(&payload, &tag) || !GetBytes(&payload, &profile_text) ||
       !GetVarint(&payload, &out->token)) {
     return false;
   }
@@ -336,7 +229,7 @@ std::string EncodeProgress(const ProgressMsg& msg) {
   PutVarint(&payload, msg.schedules);
   PutVarint(&payload, msg.runs);
   PutVarint(&payload, msg.rate_permille);
-  PutLengthPrefixed(&payload, msg.detail);
+  PutBytes(&payload, msg.detail);
   return payload;
 }
 
@@ -354,7 +247,7 @@ bool DecodeProgress(std::string_view payload, ProgressMsg* out) {
   std::string_view detail;
   if (!GetVarint(&payload, &level) || !GetVarint(&payload, &schedules) ||
       !GetVarint(&payload, &runs) || !GetVarint(&payload, &rate) ||
-      !GetLengthPrefixed(&payload, &detail)) {
+      !GetBytes(&payload, &detail)) {
     return false;
   }
   out->level = static_cast<uint32_t>(level);
@@ -375,8 +268,8 @@ std::string EncodeResult(const ResultMsg& msg) {
   PutVarint(&payload, msg.level);
   PutVarint(&payload, msg.schedules);
   PutVarint(&payload, msg.runs);
-  PutLengthPrefixed(&payload, msg.schedule_yaml);
-  PutLengthPrefixed(&payload, msg.fault_summary);
+  PutBytes(&payload, msg.schedule_yaml);
+  PutBytes(&payload, msg.fault_summary);
   return payload;
 }
 
@@ -394,7 +287,7 @@ bool DecodeResult(std::string_view payload, ResultMsg* out) {
   std::string_view summary;
   if (!GetVarint(&payload, &rate) || !GetVarint(&payload, &level) ||
       !GetVarint(&payload, &schedules) || !GetVarint(&payload, &runs) ||
-      !GetLengthPrefixed(&payload, &yaml) || !GetLengthPrefixed(&payload, &summary)) {
+      !GetBytes(&payload, &yaml) || !GetBytes(&payload, &summary)) {
     return false;
   }
   out->rate_permille = static_cast<uint32_t>(rate);
@@ -410,7 +303,7 @@ std::string EncodeError(const ErrorMsg& msg) {
   std::string payload;
   PutVarint(&payload, msg.job_id);
   payload.push_back(static_cast<char>(msg.code));
-  PutLengthPrefixed(&payload, msg.message);
+  PutBytes(&payload, msg.message);
   return payload;
 }
 
@@ -426,7 +319,7 @@ std::string EncodeStats(const StatsMsg& msg) {
   PutVarint(&payload, msg.engine_runs);
   PutVarint(&payload, msg.queued_jobs);
   PutVarint(&payload, msg.running_jobs);
-  PutLengthPrefixed(&payload, msg.metrics_yaml);
+  PutBytes(&payload, msg.metrics_yaml);
   return payload;
 }
 
@@ -444,7 +337,7 @@ bool DecodeStats(std::string_view payload, StatsMsg* out) {
     return false;
   }
   std::string_view yaml;
-  if (!GetLengthPrefixed(&payload, &yaml)) {
+  if (!GetBytes(&payload, &yaml)) {
     return false;
   }
   out->metrics_yaml = std::string(yaml);
@@ -479,7 +372,7 @@ bool DecodeError(std::string_view payload, ErrorMsg* out) {
   }
   out->code = static_cast<ServeError>(code);
   std::string_view message;
-  if (!GetLengthPrefixed(&payload, &message)) {
+  if (!GetBytes(&payload, &message)) {
     return false;
   }
   out->message = std::string(message);

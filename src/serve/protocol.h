@@ -1,8 +1,8 @@
 // rose::serve wire protocol (DESIGN.md §10).
 //
-// Both directions of a serve connection carry the same byte grammar,
-// deliberately reusing the binary trace container's primitives (trace_io.h:
-// LEB128 varints, zigzag, CRC32, length-prefixed frames):
+// Both directions of a serve connection carry the same byte grammar, the
+// shared framing of src/common/framing.h (LEB128 varints, CRC32,
+// length-prefixed frames) that RTRC and RJNL use too:
 //
 //   stream:  'R' 'S' 'R' 'V' | u16 version (LE) | u16 reserved | frame*
 //   frame:   u8 kind | u32 payload_len (LE) | u32 crc32(payload) (LE) | payload
@@ -24,8 +24,8 @@
 //   kError     — submission rejected (typed code) or connection-level fault.
 //
 // Versioning rules: the u16 stream version is bumped on any incompatible
-// change; a receiver rejects newer versions (kVersionMismatch) and never
-// guesses. Unknown *frame kinds* within a known version are skipped (their
+// change; a receiver rejects version 0 and newer versions (kVersionMismatch)
+// and never guesses. Unknown *frame kinds* within a known version are skipped (their
 // length is self-describing), so compatible extensions stay possible.
 // Corrupt frames (CRC mismatch) are skipped the same way — framing makes
 // resynchronization exact, which is what lets a server drop one bad
@@ -38,17 +38,17 @@
 #include <string_view>
 #include <vector>
 
-#include "src/analyze/diagnostic.h"
+#include "src/common/framing.h"
 #include "src/profile/profiler.h"
 #include "src/trace/event.h"
 
 namespace rose {
 
-inline constexpr char kServeMagic[4] = {'R', 'S', 'R', 'V'};
 inline constexpr uint16_t kServeProtocolVersion = 1;
-// A submit frame embeds a whole trace dump; anything beyond this is a
+// A submit frame embeds a whole trace dump; a length beyond 256 MiB is a
 // malformed length field, not a plausible payload.
-inline constexpr uint32_t kMaxServeFramePayload = 256u * 1024u * 1024u;
+inline constexpr FrameFormat kServeFormat = {{'R', 'S', 'R', 'V'}, kServeProtocolVersion,
+                                             256u * 1024u * 1024u};
 
 enum class ServeFrame : uint8_t {
   kSubmit = 1,
@@ -275,16 +275,10 @@ std::string EncodeError(const ErrorMsg& msg);
 std::string EncodeStats(const StatsMsg& msg);
 
 // Payload decoders; false on malformed input (missing fields / overrun).
-// DecodeSubmit parses the embedded RTRC blob; container damage (truncation,
-// CRC) lands in `trace_diags` — the frame still decodes, the *service*
-// decides whether a damaged dump is admissible.
-bool DecodeSubmit(std::string_view payload, SubmitRequest* out,
-                  std::vector<Diagnostic>* trace_diags = nullptr);
-// Zero-copy decode: adopts `payload` (move the DecodedFrame's payload in)
-// and records field offsets without parsing the trace blob at all. Same
-// false-on-malformed semantics as DecodeSubmit, including the ParseProfile
-// check; trace-container damage surfaces later, from whoever consumes
-// trace_blob().
+// The kSubmit decoder is zero-copy: it adopts `payload` (move the
+// DecodedFrame's payload in) and records field offsets without parsing the
+// trace blob at all — only the profile is parsed (ParseProfile) and checked.
+// Trace-container damage surfaces later, from whoever consumes trace_blob().
 bool DecodeSubmitEnvelope(std::string payload, SubmitEnvelope* out);
 bool DecodeAccepted(std::string_view payload, AcceptedMsg* out);
 bool DecodeStreamOpen(std::string_view payload, StreamOpenMsg* out);
@@ -307,34 +301,30 @@ struct DecodedFrame {
 
 // Reassembles frames from an arbitrarily-chunked byte stream (transports
 // deliver short reads; a submit frame can arrive over hundreds of Feed()
-// calls). The decoder validates the stream header first, then yields one
-// frame at a time; corrupt frames are skipped with exact resynchronization.
+// calls) with the shared FrameReader bound to kServeFormat. The header is
+// validated first, then frames come out one at a time; corrupt frames are
+// skipped with exact resynchronization.
 class FrameDecoder {
  public:
   enum class Status : uint8_t {
     kNeedMore = 0,   // No complete frame buffered yet.
     kFrame,          // `out` holds the next frame.
     kCorruptFrame,   // A frame failed its CRC and was skipped; stream continues.
-    kBadStream,      // Header magic/version invalid; the connection is dead.
+    kBadStream,      // Bad header or length; the connection is dead.
   };
 
-  void Feed(std::string_view bytes) { buffer_.append(bytes.data(), bytes.size()); }
+  void Feed(std::string_view bytes) { reader_.Feed(bytes); }
 
-  // Pulls the next event out of the buffer. Call until kNeedMore.
+  // Pulls the next frame out of the buffer (copying its payload into `out`).
+  // Call until kNeedMore.
   Status Next(DecodedFrame* out);
 
-  bool header_ok() const { return header_done_ && !dead_; }
-  bool dead() const { return dead_; }
+  bool dead() const { return reader_.dead(); }
   // Bytes buffered but not yet consumed (reassembly backlog).
-  size_t buffered() const { return buffer_.size() - consumed_; }
+  size_t buffered() const { return reader_.buffered(); }
 
  private:
-  void Compact();
-
-  std::string buffer_;
-  size_t consumed_ = 0;
-  bool header_done_ = false;
-  bool dead_ = false;
+  FrameReader reader_{kServeFormat};
 };
 
 // --- Profile baseline serialization ------------------------------------------

@@ -4,7 +4,6 @@
 #include <cstdarg>
 #include <cstdio>
 
-#include "src/common/strings.h"
 
 namespace rose {
 
@@ -101,149 +100,6 @@ void TraceEvent::AppendLine(std::string* out, const StringPool& pool) const {
       return;
     }
   }
-}
-
-namespace {
-
-// Extracts the value of "key=" from a token like "key=value".
-bool TokenValue(const std::string& token, std::string_view key, std::string* out) {
-  if (!StartsWith(token, key) || token.size() <= key.size() || token[key.size()] != '=') {
-    return false;
-  }
-  *out = token.substr(key.size() + 1);
-  return true;
-}
-
-bool TokenInt(const std::string& token, std::string_view key, int64_t* out) {
-  std::string value;
-  return TokenValue(token, key, &value) && ParseInt64(value, out);
-}
-
-// Hex variant for the context digest (emitted as %llx).
-bool TokenHex(const std::string& token, std::string_view key, uint64_t* out) {
-  std::string value;
-  if (!TokenValue(token, key, &value) || value.empty()) {
-    return false;
-  }
-  uint64_t parsed = 0;
-  for (char c : value) {
-    int digit;
-    if (c >= '0' && c <= '9') {
-      digit = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
-    } else if (c >= 'A' && c <= 'F') {
-      digit = c - 'A' + 10;
-    } else {
-      return false;
-    }
-    parsed = (parsed << 4) | static_cast<uint64_t>(digit);
-  }
-  *out = parsed;
-  return true;
-}
-
-}  // namespace
-
-bool TraceEvent::FromLine(const std::string& line, StringPool* pool, TraceEvent* out) {
-  const std::vector<std::string> tokens = Split(line, ' ');
-  if (tokens.size() < 3) {
-    return false;
-  }
-  int64_t ts = 0;
-  if (!ParseInt64(tokens[0], &ts)) {
-    return false;
-  }
-  out->ts = ts;
-  int64_t node = kNoNode;
-  TokenInt(tokens[2], "node", &node);
-  out->node = static_cast<NodeId>(node);
-  const std::string& type = tokens[1];
-  if (type == "SCF") {
-    ScfInfo info;
-    int64_t value = 0;
-    uint64_t hex = 0;
-    for (const auto& token : tokens) {
-      std::string text;
-      if (TokenInt(token, "pid", &value)) {
-        info.pid = static_cast<Pid>(value);
-      } else if (TokenInt(token, "fd", &value)) {
-        info.fd = static_cast<int32_t>(value);
-      } else if (TokenValue(token, "sys", &text)) {
-        SysFromName(text, &info.sys);
-      } else if (TokenValue(token, "file", &text)) {
-        info.filename = pool->Intern(text == "-" ? "" : text);
-      } else if (TokenValue(token, "errno", &text)) {
-        info.err = ErrFromName(text);
-      } else if (TokenHex(token, "ctx", &hex)) {
-        info.ctx_digest = hex;
-      } else if (TokenInt(token, "cseq", &value)) {
-        info.ctx_seq = static_cast<uint32_t>(value);
-      }
-    }
-    out->type = EventType::kSCF;
-    out->info = info;
-    return true;
-  }
-  if (type == "AF") {
-    AfInfo info;
-    int64_t value = 0;
-    for (const auto& token : tokens) {
-      if (TokenInt(token, "pid", &value)) {
-        info.pid = static_cast<Pid>(value);
-      } else if (TokenInt(token, "fid", &value)) {
-        info.function_id = static_cast<int32_t>(value);
-      }
-    }
-    out->type = EventType::kAF;
-    out->info = info;
-    return true;
-  }
-  if (type == "ND") {
-    NdInfo info;
-    int64_t value = 0;
-    for (const auto& token : tokens) {
-      std::string text;
-      if (TokenValue(token, "src", &text)) {
-        info.src_ip = pool->Intern(text);
-      } else if (TokenValue(token, "dst", &text)) {
-        info.dst_ip = pool->Intern(text);
-      } else if (TokenInt(token, "dur", &value)) {
-        info.duration = value;
-      } else if (TokenInt(token, "pkts", &value)) {
-        info.packet_count = static_cast<uint64_t>(value);
-      }
-    }
-    out->type = EventType::kND;
-    out->info = info;
-    return true;
-  }
-  if (type == "PS") {
-    PsInfo info;
-    int64_t value = 0;
-    for (const auto& token : tokens) {
-      std::string text;
-      if (TokenInt(token, "pid", &value)) {
-        info.pid = static_cast<Pid>(value);
-      } else if (TokenInt(token, "dur", &value)) {
-        info.duration = value;
-      } else if (TokenValue(token, "state", &text)) {
-        if (text == "paused") {
-          info.state = ProcState::kPaused;
-        } else if (text == "crashed") {
-          info.state = ProcState::kCrashed;
-        } else if (text == "exited") {
-          info.state = ProcState::kExited;
-        } else {
-          info.state = ProcState::kRunning;
-        }
-      }
-    }
-    out->type = EventType::kPS;
-    out->info = info;
-    return true;
-  }
-  return false;
 }
 
 namespace {
@@ -382,20 +238,6 @@ std::string Trace::Serialize() const {
     out += '\n';
   }
   return out;
-}
-
-Trace Trace::Parse(const std::string& text) {
-  Trace trace;
-  for (const auto& line : Split(text, '\n')) {
-    if (StripWhitespace(line).empty()) {
-      continue;
-    }
-    TraceEvent event;
-    if (TraceEvent::FromLine(line, &trace.pool(), &event)) {
-      trace.Append(std::move(event));
-    }
-  }
-  return trace;
 }
 
 Trace Trace::Merge(const std::vector<Trace>& traces) {

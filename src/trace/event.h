@@ -84,16 +84,14 @@ struct TraceEvent {
   const NdInfo& nd() const { return std::get<NdInfo>(info); }
   const PsInfo& ps() const { return std::get<PsInfo>(info); }
 
-  // One-line textual form (the human-readable dump format); `pool` resolves
-  // the event's interned strings.
+  // One-line textual form: what the CLIs print and what the canonical trace
+  // hashes are defined over. Display-only — nothing parses it back.
+  // `pool` resolves the event's interned strings.
   std::string ToLine(const StringPool& pool) const;
   // Appends exactly ToLine's bytes to `*out` without allocating a fresh
   // string — the streaming canonical hash formats a million events through
   // one reused buffer.
   void AppendLine(std::string* out, const StringPool& pool) const;
-  // Parses a line produced by ToLine(), interning strings into `pool`;
-  // returns false on malformed input.
-  static bool FromLine(const std::string& line, StringPool* pool, TraceEvent* out);
 };
 
 // A dumped trace window, ordered by timestamp. Owns the string pool its
@@ -135,18 +133,16 @@ class Trace {
   // "functions which precede F" input to Algorithm 1.
   std::vector<AfInfo> FunctionsBefore(NodeId node, SimTime before) const;
 
-  // Text serialization (one event per line).
+  // The display listing: ToLine per event, one per line.
   std::string Serialize() const;
-  static Trace Parse(const std::string& text);
 
   // Binary serialization (magic + framed chunks; see src/trace/trace_io.h
-  // and DESIGN.md §9). ParseBinary never throws: corrupt or truncated input
-  // yields the events of every intact frame plus Diagnostics (appended to
-  // `diags` when non-null) describing what was dropped.
+  // and DESIGN.md §9) — the one durable trace format. ParseBinary never
+  // throws: corrupt or truncated input yields the events of every intact
+  // frame plus Diagnostics (appended to `diags` when non-null) describing
+  // what was dropped.
   std::string SerializeBinary() const;
   static Trace ParseBinary(std::string_view data, std::vector<Diagnostic>* diags = nullptr);
-  // Auto-detects binary (magic header) vs text and parses accordingly.
-  static Trace Load(std::string_view data, std::vector<Diagnostic>* diags = nullptr);
 
   // Merges per-node traces into one timestamp-ordered trace (stable for
   // ties), re-interning every input's strings into the merged trace's pool.

@@ -38,33 +38,24 @@ struct MappedTrace::Impl {
   bool file_backed = false;
 
   std::vector<TraceEvent> events;
-  StringPool pool;  // External-arena over `bytes` when `zero_copy`.
-  Trace owned;      // Text fallback: a normal owning parse.
-  bool zero_copy = false;
+  StringPool pool;  // External arena over `bytes`.
   std::vector<Diagnostic> diags;
 
   std::string_view bytes() const { return file_backed ? file.bytes() : buffer; }
 };
 
 MappedTrace MappedTrace::Decode(std::shared_ptr<Impl> impl) {
+  // Zero-copy walk: same frames, CRCs, and failure diagnostics as
+  // Trace::ParseBinary, but pool strings stay in the backing bytes.
   const std::string_view bytes = impl->bytes();
-  if (LooksLikeBinaryTrace(bytes)) {
-    // Zero-copy walk: same frames, CRCs, and failure diagnostics as
-    // Trace::ParseBinary, but pool strings stay in the backing bytes.
-    TraceReader reader(bytes, bytes.data());
-    TraceEvent event;
-    while (reader.Next(&event)) {
-      impl->events.push_back(event);
-    }
-    impl->diags = reader.diagnostics();
-    impl->pool = reader.ReleasePool();
-    impl->zero_copy = true;
-    Metrics().zero_copy_decodes->Inc();
-  } else {
-    // Text dumps have no frame structure to alias; parse them the owning
-    // way. Matches LoadTraceFile's auto-detection.
-    impl->owned = Trace::Parse(std::string(bytes));
+  TraceReader reader(bytes, bytes.data());
+  TraceEvent event;
+  while (reader.Next(&event)) {
+    impl->events.push_back(event);
   }
+  impl->diags = reader.diagnostics();
+  impl->pool = reader.ReleasePool();
+  Metrics().zero_copy_decodes->Inc();
   MappedTrace out;
   out.impl_ = std::move(impl);
   return out;
@@ -101,9 +92,6 @@ TraceView MappedTrace::view() const {
   if (impl_ == nullptr) {
     return TraceView();
   }
-  if (!impl_->zero_copy) {
-    return TraceView(impl_->owned);
-  }
   return TraceView(impl_->events.data(), impl_->events.size(), &impl_->pool);
 }
 
@@ -112,10 +100,7 @@ std::string_view MappedTrace::bytes() const {
 }
 
 size_t MappedTrace::event_count() const {
-  if (impl_ == nullptr) {
-    return 0;
-  }
-  return impl_->zero_copy ? impl_->events.size() : impl_->owned.size();
+  return impl_ != nullptr ? impl_->events.size() : 0;
 }
 
 const std::vector<Diagnostic>& MappedTrace::diagnostics() const {
@@ -130,18 +115,11 @@ bool MappedTrace::mapped() const { return impl_ != nullptr && impl_->file.mapped
 
 size_t MappedTrace::mapped_bytes() const { return mapped() ? impl_->file.size() : 0; }
 
-const char* MappedTrace::load_mode() const { return mapped() ? "mmap" : "heap"; }
-
-bool MappedTrace::zero_copy() const { return impl_ != nullptr && impl_->zero_copy; }
-
 Trace MappedTrace::Promote() const {
   if (impl_ == nullptr) {
     return Trace();
   }
   Metrics().promotions->Inc();
-  if (!impl_->zero_copy) {
-    return impl_->owned;  // Already owning; copy out.
-  }
   // Re-intern in id order so the promoted pool assigns identical ids and the
   // copied events need no remapping.
   StringPool pool;

@@ -16,9 +16,9 @@
 // TraceViews taken from it are valid only while some copy is alive — the
 // guard() handle makes that testable (tests/trace_io_test.cc).
 //
-// Text dumps (and anything without the RTRC magic) fall back to an owning
-// Trace inside the same handle, so callers see one type either way;
-// load_mode() reports which path served the bytes.
+// Every valid handle is a zero-copy decode: bytes without the RTRC magic
+// (a text listing, say) decode to no events plus a TB201 diagnostic, exactly
+// as Trace::ParseBinary reports them.
 #ifndef SRC_TRACE_MAPPED_TRACE_H_
 #define SRC_TRACE_MAPPED_TRACE_H_
 
@@ -60,15 +60,10 @@ class MappedTrace {
   size_t event_count() const;
   const std::vector<Diagnostic>& diagnostics() const;
 
-  // True when the backing bytes live in an mmap region.
+  // True when the backing bytes live in an mmap region (false for adopted
+  // buffers and MmapTraceFile's read() fallback).
   bool mapped() const;
   size_t mapped_bytes() const;
-  // "mmap" or "heap" — what actually backs the bytes (heap covers the
-  // read-fallback, adopted buffers, and text dumps).
-  const char* load_mode() const;
-  // True when the decode was zero-copy (binary container, external-arena
-  // pool). False for text dumps, which parse into an owning Trace.
-  bool zero_copy() const;
 
   // Copy-on-write promotion: materializes an owning Trace (private pool,
   // same ids — strings re-interned in id order) for call sites that must

@@ -1,6 +1,5 @@
 #include "src/trace/trace_io.h"
 
-#include <array>
 #include <cstring>
 #include <fstream>
 
@@ -44,211 +43,91 @@ IoMetrics& Metrics() {
   return *m;
 }
 
-void PutU16LE(std::string* out, uint16_t value) {
-  out->push_back(static_cast<char>(value & 0xff));
-  out->push_back(static_cast<char>((value >> 8) & 0xff));
-}
-
-void PutU32LE(std::string* out, uint32_t value) {
-  for (int i = 0; i < 4; i++) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xff));
+// Walks one pool-frame payload: dense ids continuing at pool->size(), a
+// count no larger than the bytes left, then one length-prefixed string per
+// entry. The copying and zero-copy decoders differ only in `insert`, which
+// adds one string and returns false when it is empty or a duplicate.
+template <typename Insert>
+bool WalkPoolFrame(std::string_view payload, StringPool* pool, Insert insert) {
+  uint64_t first_id = 0;
+  uint64_t count = 0;
+  if (!GetVarint(&payload, &first_id) || !GetVarint(&payload, &count)) {
+    return false;
   }
-}
-
-uint16_t GetU16LE(std::string_view data) {
-  return static_cast<uint16_t>(static_cast<uint8_t>(data[0]) |
-                               (static_cast<uint8_t>(data[1]) << 8));
-}
-
-uint32_t GetU32LE(std::string_view data) {
-  uint32_t value = 0;
-  for (int i = 0; i < 4; i++) {
-    value |= static_cast<uint32_t>(static_cast<uint8_t>(data[i])) << (8 * i);
+  if (first_id != pool->size() || count > payload.size()) {
+    // Ids must be dense and in stream order, or event ids resolve wrongly;
+    // every string takes at least one byte, so a larger count is hostile.
+    return false;
   }
-  return value;
-}
-
-// Slice-by-8 tables: table[0] is the classic byte-at-a-time table; table[k]
-// advances a byte through k further zero bytes, letting the hot loop fold
-// eight input bytes per iteration with eight independent lookups. The
-// resulting CRC is bit-identical to the byte-at-a-time form.
-const std::array<std::array<uint32_t, 256>, 8>& Crc32Tables() {
-  static const std::array<std::array<uint32_t, 256>, 8> tables = [] {
-    std::array<std::array<uint32_t, 256>, 8> t{};
-    for (uint32_t i = 0; i < 256; i++) {
-      uint32_t crc = i;
-      for (int bit = 0; bit < 8; bit++) {
-        crc = (crc & 1) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
-      }
-      t[0][i] = crc;
+  pool->ReserveEntries(pool->size() + count);
+  for (uint64_t i = 0; i < count; i++) {
+    std::string_view s;
+    if (!GetBytes(&payload, &s) || !insert(s)) {
+      return false;
     }
-    for (int k = 1; k < 8; k++) {
-      for (uint32_t i = 0; i < 256; i++) {
-        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
-      }
-    }
-    return t;
-  }();
-  return tables;
-}
-
-// Endian-neutral little-endian 32-bit load (the compilers of interest fold
-// this to one mov on little-endian hosts).
-inline uint32_t LoadLE32(const char* p) {
-  return static_cast<uint32_t>(static_cast<uint8_t>(p[0])) |
-         static_cast<uint32_t>(static_cast<uint8_t>(p[1])) << 8 |
-         static_cast<uint32_t>(static_cast<uint8_t>(p[2])) << 16 |
-         static_cast<uint32_t>(static_cast<uint8_t>(p[3])) << 24;
+  }
+  return payload.empty();
 }
 
 }  // namespace
 
-void PutVarint(std::string* out, uint64_t value) {
-  while (value >= 0x80) {
-    out->push_back(static_cast<char>((value & 0x7f) | 0x80));
-    value >>= 7;
-  }
-  out->push_back(static_cast<char>(value));
-}
-
-bool GetVarint(std::string_view* data, uint64_t* value) {
-  // One-byte fast path: the dominant case in event frames (deltas, small
-  // ids, fds) — skips the shift/accumulate loop entirely.
-  if (!data->empty()) {
-    const auto byte0 = static_cast<uint8_t>((*data)[0]);
-    if ((byte0 & 0x80) == 0) {
-      data->remove_prefix(1);
-      *value = byte0;
-      return true;
-    }
-  }
-  uint64_t result = 0;
-  int shift = 0;
-  size_t i = 0;
-  while (i < data->size() && shift < 64) {
-    const auto byte = static_cast<uint8_t>((*data)[i++]);
-    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      data->remove_prefix(i);
-      *value = result;
-      return true;
-    }
-    shift += 7;
-  }
-  return false;  // Ran off the end, or more than 10 continuation bytes.
-}
-
-uint32_t Crc32(std::string_view data) {
-  const auto& t = Crc32Tables();
-  uint32_t crc = 0xFFFFFFFFu;
-  const char* p = data.data();
-  size_t n = data.size();
-  while (n >= 8) {
-    const uint32_t one = crc ^ LoadLE32(p);
-    const uint32_t two = LoadLE32(p + 4);
-    crc = t[7][one & 0xff] ^ t[6][(one >> 8) & 0xff] ^ t[5][(one >> 16) & 0xff] ^
-          t[4][one >> 24] ^ t[3][two & 0xff] ^ t[2][(two >> 8) & 0xff] ^
-          t[1][(two >> 16) & 0xff] ^ t[0][two >> 24];
-    p += 8;
-    n -= 8;
-  }
-  while (n-- > 0) {
-    crc = (crc >> 8) ^ t[0][(crc ^ static_cast<uint8_t>(*p++)) & 0xff];
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
-bool LooksLikeBinaryTrace(std::string_view data) {
-  return data.size() >= 4 && data[0] == kTraceMagic[0] && data[1] == kTraceMagic[1] &&
-         data[2] == kTraceMagic[2] && data[3] == kTraceMagic[3];
-}
-
 // --- Streaming frame protocol -----------------------------------------------
-
-void AppendRtrcHeader(std::string* out, uint16_t format_version) {
-  out->append(kTraceMagic, sizeof(kTraceMagic));
-  PutU16LE(out, format_version);
-  PutU16LE(out, 0);  // Reserved.
-}
-
-void AppendRtrcFrame(std::string* out, uint8_t kind, std::string_view payload) {
-  out->push_back(static_cast<char>(kind));
-  PutU32LE(out, static_cast<uint32_t>(payload.size()));
-  PutU32LE(out, Crc32(payload));
-  out->append(payload);
-}
 
 std::string EncodeStreamEpoch(const StreamEpoch& epoch) {
   std::string payload;
   PutVarint(&payload, epoch.epoch);
   PutVarint(&payload, ZigZagEncode(epoch.start_ts));
-  PutVarint(&payload, epoch.source.size());
-  payload.append(epoch.source);
+  PutBytes(&payload, epoch.source);
   return payload;
 }
 
 bool DecodeStreamEpoch(std::string_view payload, StreamEpoch* out) {
   uint64_t epoch = 0;
   uint64_t ts = 0;
-  uint64_t len = 0;
+  std::string_view source;
   if (!GetVarint(&payload, &epoch) || !GetVarint(&payload, &ts) ||
-      !GetVarint(&payload, &len) || len != payload.size()) {
+      !GetBytes(&payload, &source) || !payload.empty()) {
     return false;
   }
   out->epoch = epoch;
   out->start_ts = ZigZagDecode(ts);
-  out->source.assign(payload);
+  out->source.assign(source);
   return true;
 }
 
 std::string EncodeOracleMark(const OracleMark& mark) {
   std::string payload;
   PutVarint(&payload, ZigZagEncode(mark.ts));
-  PutVarint(&payload, mark.detail.size());
-  payload.append(mark.detail);
+  PutBytes(&payload, mark.detail);
   return payload;
 }
 
 bool DecodeOracleMark(std::string_view payload, OracleMark* out) {
   uint64_t ts = 0;
-  uint64_t len = 0;
-  if (!GetVarint(&payload, &ts) || !GetVarint(&payload, &len) || len != payload.size()) {
+  std::string_view detail;
+  if (!GetVarint(&payload, &ts) || !GetBytes(&payload, &detail) ||
+      !payload.empty()) {
     return false;
   }
   out->ts = ZigZagDecode(ts);
-  out->detail.assign(payload);
+  out->detail.assign(detail);
   return true;
 }
 
 bool DecodeRtrcPoolFrame(std::string_view payload, StringPool* pool) {
-  uint64_t first_id = 0;
-  uint64_t count = 0;
-  if (!GetVarint(&payload, &first_id) || !GetVarint(&payload, &count)) {
-    return false;
-  }
-  if (first_id != pool->size()) {
-    // Ids must be dense and in stream order, or event ids resolve wrongly.
-    return false;
-  }
-  pool->ReserveEntries(pool->size() + count);
-  for (uint64_t i = 0; i < count; i++) {
-    uint64_t length = 0;
-    if (!GetVarint(&payload, &length) || length > payload.size()) {
-      return false;
-    }
-    if (pool->Intern(payload.substr(0, length)) != first_id + i) {
-      return false;  // Duplicate or empty string would desynchronize ids.
-    }
-    payload.remove_prefix(length);
-  }
-  return payload.empty();
+  return WalkPoolFrame(payload, pool, [pool](std::string_view s) {
+    // Intern hands back an existing id for an empty or duplicate string,
+    // which would desynchronize ids.
+    const size_t id = pool->size();
+    return pool->Intern(s) == id;
+  });
 }
 
 bool DecodeRtrcEventFrame(std::string_view payload, uint16_t format_version,
                           size_t pool_size, SimTime* prev_ts, std::vector<TraceEvent>* out) {
   uint64_t count = 0;
-  if (!GetVarint(&payload, &count)) {
-    return false;
+  if (!GetVarint(&payload, &count) || count > payload.size()) {
+    return false;  // Every record takes at least one byte.
   }
   out->reserve(out->size() + count);
   for (uint64_t i = 0; i < count; i++) {
@@ -257,7 +136,10 @@ bool DecodeRtrcEventFrame(std::string_view payload, uint16_t format_version,
       return false;
     }
     TraceEvent event;
-    event.ts = *prev_ts + ZigZagDecode(raw);
+    // Deltas wrap modulo 2^64 on both sides, so any int64 sequence
+    // round-trips and hostile deltas cannot overflow.
+    event.ts = static_cast<SimTime>(static_cast<uint64_t>(*prev_ts) +
+                                    static_cast<uint64_t>(ZigZagDecode(raw)));
     *prev_ts = event.ts;
     if (payload.empty()) {
       return false;
@@ -365,10 +247,6 @@ TraceWriter::TraceWriter(std::string* out, const StringPool* pool, size_t events
   AppendRtrcHeader(out_, format_version_);
 }
 
-void TraceWriter::EmitFrame(uint8_t kind, std::string_view payload) {
-  AppendRtrcFrame(out_, kind, payload);
-}
-
 void TraceWriter::FlushPool() {
   if (pool_flushed_ >= pool_->size()) {
     return;
@@ -377,12 +255,10 @@ void TraceWriter::FlushPool() {
   PutVarint(&payload, pool_flushed_);
   PutVarint(&payload, pool_->size() - pool_flushed_);
   for (size_t id = pool_flushed_; id < pool_->size(); id++) {
-    const std::string_view s = pool_->View(static_cast<StrId>(id));
-    PutVarint(&payload, s.size());
-    payload.append(s);
+    PutBytes(&payload, pool_->View(static_cast<StrId>(id)));
   }
   pool_flushed_ = pool_->size();
-  EmitFrame(kFramePool, payload);
+  AppendRtrcFrame(out_, kFramePool, payload);
 }
 
 void TraceWriter::FlushEvents() {
@@ -394,7 +270,7 @@ void TraceWriter::FlushEvents() {
   std::string payload;
   PutVarint(&payload, buffered_);
   payload.append(events_payload_);
-  EmitFrame(kFrameEvents, payload);
+  AppendRtrcFrame(out_, kFrameEvents, payload);
   events_payload_.clear();
   buffered_ = 0;
 }
@@ -408,7 +284,8 @@ void TraceWriter::Flush() {
 
 void TraceWriter::Add(const TraceEvent& event) {
   std::string* p = &events_payload_;
-  PutVarint(p, ZigZagEncode(event.ts - prev_ts_));
+  PutVarint(p, ZigZagEncode(static_cast<int64_t>(static_cast<uint64_t>(event.ts) -
+                                                 static_cast<uint64_t>(prev_ts_))));
   prev_ts_ = event.ts;
   p->push_back(static_cast<char>(event.type));
   PutVarint(p, ZigZagEncode(event.node));
@@ -462,35 +339,36 @@ void TraceWriter::Finish() {
   // The full pool is part of the artifact even when no event references the
   // tail (e.g. an empty trace still round-trips its pool).
   FlushPool();
-  EmitFrame(kFrameEnd, {});
+  AppendRtrcFrame(out_, kFrameEnd, {});
 }
 
 // --- TraceReader ------------------------------------------------------------
 
 TraceReader::TraceReader(std::string_view data) : rest_(data) {
-  if (!LooksLikeBinaryTrace(data)) {
-    Fail(DiagCode::kBadTraceMagic, Severity::kError,
-         StrFormat("input does not start with the RTRC magic (%zu bytes)", data.size()),
-         "is this a text dump? Trace::Load auto-detects the format");
-    return;
-  }
-  if (data.size() < kRtrcStreamHeaderSize) {
-    Fail(DiagCode::kTruncatedTrace, Severity::kError,
-         "stream ends inside the container header",
-         "the dump was cut off while writing its first 8 bytes");
-    return;
-  }
-  const uint16_t version = GetU16LE(data.substr(4, 2));
-  if (version > kTraceFormatVersion) {
-    Fail(DiagCode::kBadTraceVersion, Severity::kError,
-         StrFormat("container version %u, this reader understands <= %u", version,
-                   kTraceFormatVersion),
-         "re-dump with this build, or upgrade the reader");
-    return;
+  uint16_t version = 0;
+  switch (ReadHeader(kRtrcFormat, data, &version)) {
+    case HeaderStatus::kOk:
+      break;
+    case HeaderStatus::kShort:
+      Fail(DiagCode::kTruncatedTrace, Severity::kError,
+           StrFormat("stream ends inside the container header (%zu bytes)", data.size()),
+           "the dump was cut off while writing its first 8 bytes");
+      return;
+    case HeaderStatus::kBadMagic:
+      Fail(DiagCode::kBadTraceMagic, Severity::kError,
+           StrFormat("input does not start with the RTRC magic (%zu bytes)", data.size()),
+           "text listings are display-only; load a binary dump");
+      return;
+    case HeaderStatus::kBadVersion:
+      Fail(DiagCode::kBadTraceVersion, Severity::kError,
+           StrFormat("container version %u, this reader understands 1..%u", version,
+                     kRtrcFormat.max_version),
+           "re-dump with this build, or upgrade the reader");
+      return;
   }
   format_version_ = version;
   MetricRegistry::Global().GetGauge("trace_io.rtrc_version")->Set(version);
-  rest_.remove_prefix(kRtrcStreamHeaderSize);
+  rest_.remove_prefix(kStreamHeaderSize);
 }
 
 TraceReader::TraceReader(std::string_view data, const char* external_arena_base)
@@ -527,22 +405,7 @@ bool TraceReader::DecodePoolFrame(std::string_view payload) {
   if (external_base_ == nullptr) {
     return DecodeRtrcPoolFrame(payload, &pool_);
   }
-  uint64_t first_id = 0;
-  uint64_t count = 0;
-  if (!GetVarint(&payload, &first_id) || !GetVarint(&payload, &count)) {
-    return false;
-  }
-  if (first_id != pool_.size()) {
-    // Ids must be dense and in stream order, or event ids resolve wrongly.
-    return false;
-  }
-  pool_.ReserveEntries(pool_.size() + count);
-  for (uint64_t i = 0; i < count; i++) {
-    uint64_t length = 0;
-    if (!GetVarint(&payload, &length) || length > payload.size()) {
-      return false;
-    }
-    const std::string_view s = payload.substr(0, length);
+  return WalkPoolFrame(payload, &pool_, [this](std::string_view s) {
     // Zero-copy mode: record the string as an offset into the caller's
     // stable buffer. Empty and duplicate strings must fail exactly as
     // copying mode's Intern check does, or the two paths diverge.
@@ -550,13 +413,12 @@ bool TraceReader::DecodePoolFrame(std::string_view payload) {
       return false;
     }
     const size_t offset = static_cast<size_t>(s.data() - external_base_);
-    if (offset > UINT32_MAX || length > UINT32_MAX) {
+    if (offset > UINT32_MAX || s.size() > UINT32_MAX) {
       return false;
     }
-    pool_.AppendExternal(offset, length);
-    payload.remove_prefix(length);
-  }
-  return payload.empty();
+    pool_.AppendExternal(offset, s.size());
+    return true;
+  });
 }
 
 bool TraceReader::DecodeEventFrame(std::string_view payload) {
@@ -584,34 +446,36 @@ bool TraceReader::LoadFrame() {
       done_ = true;
       return false;
     }
-    if (rest_.size() < kRtrcFrameHeaderSize) {
-      Fail(DiagCode::kTruncatedTrace, Severity::kError,
-           StrFormat("stream ends inside a frame header (%zu bytes left)", rest_.size()),
-           "the dump was cut off mid-frame; events up to here are intact");
-      return false;
+    // A dump is in hand as a whole, so no length cap applies: an announced
+    // length past the end is truncation.
+    Frame frame;
+    switch (SplitFrame(&rest_, UINT32_MAX, &frame)) {
+      case SplitResult::kFrame:
+        break;
+      case SplitResult::kShort:
+      case SplitResult::kTooLong:
+        if (rest_.size() < kFrameHeaderSize) {
+          Fail(DiagCode::kTruncatedTrace, Severity::kError,
+               StrFormat("stream ends inside a frame header (%zu bytes left)", rest_.size()),
+               "the dump was cut off mid-frame; events up to here are intact");
+        } else {
+          Fail(DiagCode::kTruncatedTrace, Severity::kError,
+               StrFormat("frame announces %u payload bytes but only %zu remain", frame.length,
+                         rest_.size() - kFrameHeaderSize),
+               "the dump was cut off mid-frame; events up to here are intact");
+        }
+        return false;
+      case SplitResult::kBadCrc:
+        Metrics().crc_failures->Inc();
+        Fail(DiagCode::kCorruptTraceFrame, Severity::kError,
+             StrFormat("frame payload (%u bytes, kind %u) fails its CRC32", frame.length,
+                       frame.kind),
+             "the dump was corrupted at rest; events before this frame are intact");
+        return false;
     }
-    const auto kind = static_cast<uint8_t>(rest_[0]);
-    const uint32_t payload_len = GetU32LE(rest_.substr(1, 4));
-    const uint32_t crc = GetU32LE(rest_.substr(5, 4));
-    if (rest_.size() - kRtrcFrameHeaderSize < payload_len) {
-      Fail(DiagCode::kTruncatedTrace, Severity::kError,
-           StrFormat("frame announces %u payload bytes but only %zu remain", payload_len,
-                     rest_.size() - kRtrcFrameHeaderSize),
-           "the dump was cut off mid-frame; events up to here are intact");
-      return false;
-    }
-    const std::string_view payload = rest_.substr(kRtrcFrameHeaderSize, payload_len);
-    rest_.remove_prefix(kRtrcFrameHeaderSize + payload_len);
-    if (Crc32(payload) != crc) {
-      Metrics().crc_failures->Inc();
-      Fail(DiagCode::kCorruptTraceFrame, Severity::kError,
-           StrFormat("frame payload (%u bytes, kind %u) fails its CRC32", payload_len, kind),
-           "the dump was corrupted at rest; events before this frame are intact");
-      return false;
-    }
-    switch (kind) {
+    switch (frame.kind) {
       case kFramePool:
-        if (!DecodePoolFrame(payload)) {
+        if (!DecodePoolFrame(frame.payload)) {
           Fail(DiagCode::kMalformedTraceFrame, Severity::kError,
                "string-pool frame does not decode",
                "the dump was written by a broken or incompatible writer");
@@ -619,7 +483,7 @@ bool TraceReader::LoadFrame() {
         }
         break;
       case kFrameEvents:
-        if (!DecodeEventFrame(payload)) {
+        if (!DecodeEventFrame(frame.payload)) {
           frame_events_.clear();
           frame_pos_ = 0;
           Fail(DiagCode::kMalformedTraceFrame, Severity::kError,
@@ -655,67 +519,31 @@ bool TraceReader::Next(TraceEvent* out) {
 
 // --- StreamDecoder ----------------------------------------------------------
 
-void StreamDecoder::Feed(std::string_view bytes) {
-  buffer_.append(bytes.data(), bytes.size());
-}
-
 StreamDecoder::Item StreamDecoder::Next() {
-  if (dead_) {
-    return Item::kBadStream;
-  }
   for (;;) {
-    std::string_view rest(buffer_);
-    rest.remove_prefix(consumed_);
-    if (!header_done_) {
-      if (rest.size() < kRtrcStreamHeaderSize) {
+    Frame frame;
+    switch (reader_.Next(&frame)) {
+      case FrameReader::Status::kNeedMore:
         return Item::kNeedMore;
-      }
-      if (!LooksLikeBinaryTrace(rest)) {
-        dead_ = true;
+      case FrameReader::Status::kBadStream:
         return Item::kBadStream;
-      }
-      const uint16_t version = GetU16LE(rest.substr(4, 2));
-      if (version == 0 || version > kTraceFormatVersion) {
-        dead_ = true;
-        return Item::kBadStream;
-      }
-      format_version_ = version;
-      header_done_ = true;
-      consumed_ += kRtrcStreamHeaderSize;
-      continue;
+      case FrameReader::Status::kBadCrc:
+        Metrics().crc_failures->Inc();
+        corrupt_frames_++;
+        return Item::kCorrupt;
+      case FrameReader::Status::kFrame:
+        break;
     }
-    if (rest.size() < kRtrcFrameHeaderSize) {
-      break;
-    }
-    const auto kind = static_cast<uint8_t>(rest[0]);
-    const uint32_t payload_len = GetU32LE(rest.substr(1, 4));
-    const uint32_t crc = GetU32LE(rest.substr(5, 4));
-    if (payload_len > kMaxRtrcStreamFramePayload) {
-      // A length this absurd means the stream itself is desynchronized —
-      // frame-boundary resync is impossible, so the decoder dies.
-      dead_ = true;
-      return Item::kBadStream;
-    }
-    if (rest.size() - kRtrcFrameHeaderSize < payload_len) {
-      break;
-    }
-    const std::string_view payload = rest.substr(kRtrcFrameHeaderSize, payload_len);
-    consumed_ += kRtrcFrameHeaderSize + payload_len;
-    if (Crc32(payload) != crc) {
-      Metrics().crc_failures->Inc();
-      corrupt_frames_++;
-      return Item::kCorrupt;
-    }
-    switch (kind) {
+    switch (frame.kind) {
       case kFramePool:
-        if (!DecodeRtrcPoolFrame(payload, &pool_)) {
+        if (!DecodeRtrcPoolFrame(frame.payload, &pool_)) {
           corrupt_frames_++;
           return Item::kCorrupt;
         }
         break;  // Absorbed silently; keep scanning.
       case kFrameEvents:
         events_.clear();
-        if (!DecodeRtrcEventFrame(payload, format_version_, pool_.size(), &prev_ts_,
+        if (!DecodeRtrcEventFrame(frame.payload, reader_.version(), pool_.size(), &prev_ts_,
                                   &events_)) {
           events_.clear();
           corrupt_frames_++;
@@ -728,13 +556,13 @@ StreamDecoder::Item StreamDecoder::Next() {
       case kFrameEnd:
         return Item::kEnd;
       case kFrameStreamEpoch:
-        if (!DecodeStreamEpoch(payload, &epoch_)) {
+        if (!DecodeStreamEpoch(frame.payload, &epoch_)) {
           corrupt_frames_++;
           return Item::kCorrupt;
         }
         return Item::kEpoch;
       case kFrameOracleMark:
-        if (!DecodeOracleMark(payload, &oracle_)) {
+        if (!DecodeOracleMark(frame.payload, &oracle_)) {
           corrupt_frames_++;
           return Item::kCorrupt;
         }
@@ -744,13 +572,6 @@ StreamDecoder::Item StreamDecoder::Next() {
         break;
     }
   }
-  // Partial frame tail: compact the consumed prefix away once it dominates
-  // the buffer (same policy as the serve-protocol FrameDecoder).
-  if (consumed_ > 4096 && consumed_ * 2 >= buffer_.size()) {
-    buffer_.erase(0, consumed_);
-    consumed_ = 0;
-  }
-  return Item::kNeedMore;
 }
 
 // --- Trace binary entry points ---------------------------------------------
@@ -790,13 +611,6 @@ Trace Trace::ParseBinary(std::string_view data, std::vector<Diagnostic>* diags) 
   return Trace(std::move(events), reader.ReleasePool());
 }
 
-Trace Trace::Load(std::string_view data, std::vector<Diagnostic>* diags) {
-  if (LooksLikeBinaryTrace(data)) {
-    return ParseBinary(data, diags);
-  }
-  return Parse(std::string(data));
-}
-
 Trace LoadTraceFile(const std::string& path, std::vector<Diagnostic>* diags) {
   std::string bytes;
   int read_errno = 0;
@@ -812,7 +626,7 @@ Trace LoadTraceFile(const std::string& path, std::vector<Diagnostic>* diags) {
     }
     return Trace();
   }
-  return Trace::Load(bytes, diags);
+  return Trace::ParseBinary(bytes, diags);
 }
 
 bool SaveTraceFile(const std::string& path, const Trace& trace, bool text) {

@@ -1,10 +1,9 @@
 // Binary trace container (DESIGN.md §9).
 //
 // The paper's `dump` primitive turns the in-kernel window into a durable
-// artifact the diagnosis phase re-reads thousands of times; text lines make
-// that artifact ~10x larger and ~10x slower to parse than necessary. The
-// binary container stores the interned string table and varint-delta
-// encoded events in CRC-checked frames:
+// artifact the diagnosis phase re-reads thousands of times. The RTRC
+// container stores the interned string table and varint-delta encoded
+// events in the shared CRC-checked frames of src/common/framing.h:
 //
 //   header:  'R' 'T' 'R' 'C' | u16 version (LE) | u16 reserved
 //   frame:   u8 kind | u32 payload_len (LE) | u32 crc32(payload) (LE) | payload
@@ -14,17 +13,23 @@
 // frame (varint first_id, varint count, then varint len + raw bytes each),
 // so a writer can interleave pool and event frames while streaming. Event
 // frames carry varint count followed by per-event records: zigzag-varint
-// delta timestamp (previous event's ts persists across frames), u8 type,
-// zigzag-varint node, then the type-specific fields. The end frame (empty
-// payload) distinguishes a complete stream from one truncated at a frame
-// boundary. Version 2 appends two varints to every SCF record — the
-// execution-index context digest and sequence number (ScfInfo); writers
-// emit 0/0, readers still decode older nonzero stamps, and version 1
-// streams decode as before with those fields zero.
+// delta timestamp (previous event's ts persists across frames; the delta
+// wraps modulo 2^64), u8 type, zigzag-varint node, then the type-specific
+// fields. The end frame (empty payload) distinguishes a complete stream
+// from one truncated at a frame boundary. Version 2 appends two varints to
+// every SCF record — the execution-index context digest and sequence number
+// (ScfInfo); writers emit 0/0, readers still decode older nonzero stamps,
+// and version 1 streams decode as before with those fields zero.
+//
+// This is the only trace decoder: the one-event-per-line text form
+// (Trace::Serialize) is a display listing, and loading one reports TB201.
 //
 // Failure semantics: the reader never throws and never loses intact data —
 // a bad magic, version, CRC, or truncation stops decoding at the last good
 // frame and reports a Diagnostic (TB2xx codes, src/analyze/diagnostic.h).
+// A count field larger than its frame's remaining bytes is malformed (every
+// event record and pool string takes at least one byte), so hostile counts
+// never size an allocation.
 #ifndef SRC_TRACE_TRACE_IO_H_
 #define SRC_TRACE_TRACE_IO_H_
 
@@ -35,12 +40,11 @@
 #include <vector>
 
 #include "src/analyze/diagnostic.h"
+#include "src/common/framing.h"
 #include "src/trace/event.h"
 #include "src/trace/string_pool.h"
 
 namespace rose {
-
-inline constexpr char kTraceMagic[4] = {'R', 'T', 'R', 'C'};
 
 // Frame kinds. 1..3 are the original dump-file grammar; 4..5 extend the
 // container to an append-only *streaming* mode (DESIGN.md §16): a stream
@@ -54,14 +58,6 @@ inline constexpr uint8_t kFrameEvents = 2;
 inline constexpr uint8_t kFrameEnd = 3;
 inline constexpr uint8_t kFrameStreamEpoch = 4;
 inline constexpr uint8_t kFrameOracleMark = 5;
-// u8 kind + u32 payload_len + u32 crc32.
-inline constexpr size_t kRtrcFrameHeaderSize = 1 + 4 + 4;
-// 'RTRC' + u16 version + u16 reserved.
-inline constexpr size_t kRtrcStreamHeaderSize = 4 + 2 + 2;
-// Streaming decoders bound the announced payload length (a dump reader has
-// the whole artifact in hand and needs no cap; a stream decoder must not
-// buffer unboundedly on a corrupted length field).
-inline constexpr size_t kMaxRtrcStreamFramePayload = 64u << 20;
 // Wire version 2 adds the execution index to SCF records: two varints
 // (context digest, in-context sequence number) appended after errno. The
 // reader auto-detects version 1 streams and decodes them exactly as before
@@ -70,29 +66,11 @@ inline constexpr uint16_t kTraceFormatVersion = 2;
 // The pre-execution-index wire format; TraceWriter can still emit it (compat
 // tests and downgrade paths).
 inline constexpr uint16_t kTraceLegacyFormatVersion = 1;
-
-// --- Encoding primitives (exposed for tests and benchmarks) ----------------
-
-// LEB128 unsigned varint.
-void PutVarint(std::string* out, uint64_t value);
-// Consumes a varint from the front of `*data`; false on overrun/overflow.
-bool GetVarint(std::string_view* data, uint64_t* value);
-
-// Zigzag maps small-magnitude signed values (timestamp deltas, fds, pids)
-// onto small unsigned varints.
-inline uint64_t ZigZagEncode(int64_t v) {
-  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
-}
-inline int64_t ZigZagDecode(uint64_t v) {
-  return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
-}
-
-// CRC-32 (IEEE 802.3 reflected polynomial 0xEDB88320).
-uint32_t Crc32(std::string_view data);
-
-// True when `data` begins with the binary-trace magic (how Trace::Load picks
-// a parser).
-bool LooksLikeBinaryTrace(std::string_view data);
+// The stream decoder bounds the announced payload length at 64 MiB (a dump
+// reader has the whole artifact in hand and needs no cap; a stream decoder
+// must not buffer unboundedly on a corrupted length field).
+inline constexpr FrameFormat kRtrcFormat = {{'R', 'T', 'R', 'C'}, kTraceFormatVersion,
+                                            64u << 20};
 
 // --- Streaming frame protocol (docs/wire_protocol.md) -----------------------
 
@@ -117,33 +95,41 @@ std::string EncodeOracleMark(const OracleMark& mark);
 bool DecodeOracleMark(std::string_view payload, OracleMark* out);
 
 // Appends the 8-byte container header ('RTRC' + version + reserved).
-void AppendRtrcHeader(std::string* out, uint16_t format_version = kTraceFormatVersion);
+inline void AppendRtrcHeader(std::string* out,
+                             uint16_t format_version = kTraceFormatVersion) {
+  AppendHeader(out, kRtrcFormat, format_version);
+}
 // Appends one CRC-framed container frame (the exact grammar TraceWriter
 // emits; exposed so streaming senders can interleave epoch/oracle frames
 // with writer-produced pool/event frames).
-void AppendRtrcFrame(std::string* out, uint8_t kind, std::string_view payload);
+inline void AppendRtrcFrame(std::string* out, uint8_t kind, std::string_view payload) {
+  AppendFrame(out, kind, payload);
+}
 
 // Decodes one string-pool delta frame payload into `*pool` (copying mode).
-// False on malformed payloads or ids out of stream order.
+// False on malformed payloads, counts past the payload, or ids out of stream
+// order.
 bool DecodeRtrcPoolFrame(std::string_view payload, StringPool* pool);
 // Decodes one event frame payload, appending to `*out`. `*prev_ts` carries
 // the timestamp-delta base across frames (the writer's does too); events
-// referencing pool ids >= `pool_size` fail.
+// referencing pool ids >= `pool_size`, and counts past the payload, fail.
 bool DecodeRtrcEventFrame(std::string_view payload, uint16_t format_version,
                           size_t pool_size, SimTime* prev_ts, std::vector<TraceEvent>* out);
 
 // --- File helpers -----------------------------------------------------------
 
-// Reads `path` and parses it with Trace::Load (binary vs text auto-detected).
-// Never throws: an unreadable file yields an empty trace plus a TB206
-// diagnostic; container damage (TB201..TB205) is appended the same way. The
+// Reads `path` and parses it with Trace::ParseBinary into an owning Trace
+// (MappedTrace::OpenFile is the zero-copy load). Never throws: an unreadable
+// file yields an empty trace plus a TB206 diagnostic; container damage
+// (TB201..TB205) is appended the same way. The
 // caller decides whether a damaged-but-partially-decoded trace is usable —
 // CLIs should treat HasErrors(diags) as a nonzero exit even when events
 // survived.
 Trace LoadTraceFile(const std::string& path, std::vector<Diagnostic>* diags = nullptr);
 
-// Writes `trace` to `path` (binary container, or one-event-per-line text
-// when `text` is set). False when the file cannot be written.
+// Writes `trace` to `path` (binary container, or the display-only
+// one-event-per-line listing when `text` is set). False when the file cannot
+// be written.
 bool SaveTraceFile(const std::string& path, const Trace& trace, bool text = false);
 
 // --- Streaming writer -------------------------------------------------------
@@ -173,7 +159,6 @@ class TraceWriter {
  private:
   void FlushEvents();
   void FlushPool();
-  void EmitFrame(uint8_t kind, std::string_view payload);
 
   std::string* out_;
   const StringPool* pool_;
@@ -189,9 +174,11 @@ class TraceWriter {
 
 // --- Streaming reader -------------------------------------------------------
 
-// Decodes a binary trace stream frame by frame. Events stream out through
+// Decodes a whole binary trace (a dump in memory or mapped) frame by frame,
+// splitting frames in place with SplitFrame. Events stream out through
 // Next(); their StrIds resolve against pool(), which grows as pool frames
 // are consumed (ids match the writer's because both sides intern in order).
+// Decoding stops at the first damaged frame.
 class TraceReader {
  public:
   explicit TraceReader(std::string_view data);
@@ -207,8 +194,8 @@ class TraceReader {
   bool Next(TraceEvent* out);
 
   const StringPool& pool() const { return pool_; }
-  // The container version announced by the stream header (0 before a valid
-  // header was seen). Version 1 streams carry no execution-index fields.
+  // The container version announced by the stream header (0 when the header
+  // was refused). Version 1 streams carry no execution-index fields.
   uint16_t format_version() const { return format_version_; }
   // Transfers the decoded pool out of the reader (after the stream drains;
   // the reader must not decode further frames afterwards).
@@ -244,15 +231,15 @@ class TraceReader {
 // --- Incremental stream decoder ---------------------------------------------
 
 // Decodes an RTRC byte stream fed incrementally (a transport delivers bytes
-// in arbitrary chunks; frames reassemble here). Unlike TraceReader — which
-// wants the whole artifact up front and stops at the first error — the
-// stream decoder is built for an always-on data plane: a frame whose CRC or
-// body fails to decode is consumed by its announced length and surfaced as
-// kCorrupt, then decoding resynchronizes at the next frame boundary. Only a
-// bad magic/version or an absurd length field (> kMaxRtrcStreamFramePayload)
-// kills the stream. End-of-stream frames are reported but do not stop the
-// decoder: a live stream may append an oracle mark after a dump replay's
-// end frame.
+// in arbitrary chunks; the shared FrameReader reassembles frames). Unlike
+// TraceReader — which wants the whole artifact up front and stops at the
+// first error — the stream decoder is built for an always-on data plane: a
+// frame whose CRC or body fails to decode is consumed by its announced
+// length and surfaced as kCorrupt, then decoding resynchronizes at the next
+// frame boundary. Only a bad magic/version or an absurd length field
+// (> kRtrcFormat.max_payload) kills the stream. End-of-stream frames are
+// reported but do not stop the decoder: a live stream may append an oracle
+// mark after a dump replay's end frame.
 class StreamDecoder {
  public:
   enum class Item : uint8_t {
@@ -265,7 +252,7 @@ class StreamDecoder {
     kBadStream,   // Unusable stream (magic/version/length); decoder is dead.
   };
 
-  void Feed(std::string_view bytes);
+  void Feed(std::string_view bytes) { reader_.Feed(bytes); }
   // Consumes buffered frames until something reportable happens. Pool-delta
   // and unknown-kind frames are absorbed silently.
   Item Next();
@@ -274,17 +261,13 @@ class StreamDecoder {
   const StreamEpoch& epoch() const { return epoch_; }
   const OracleMark& oracle() const { return oracle_; }
   const StringPool& pool() const { return pool_; }
-  uint16_t format_version() const { return format_version_; }
+  uint16_t format_version() const { return reader_.version(); }
   // Bytes fed but not yet consumed (partial frame tail).
-  size_t buffered() const { return buffer_.size() - consumed_; }
+  size_t buffered() const { return reader_.buffered(); }
   uint64_t corrupt_frames() const { return corrupt_frames_; }
 
  private:
-  std::string buffer_;
-  size_t consumed_ = 0;
-  bool header_done_ = false;
-  bool dead_ = false;
-  uint16_t format_version_ = 0;
+  FrameReader reader_{kRtrcFormat};
   StringPool pool_;
   SimTime prev_ts_ = 0;
   std::vector<TraceEvent> events_;

@@ -171,16 +171,20 @@ TEST(ServeProtocolTest, SubmitRoundTripPreservesTraceAndProfile) {
   ASSERT_TRUE(production.has_value());
   request.trace = std::move(*production);
 
-  SubmitRequest decoded;
+  SubmitEnvelope decoded;
+  ASSERT_TRUE(DecodeSubmitEnvelope(EncodeSubmit(request), &decoded));
+  EXPECT_EQ(decoded.bug_id(), "RedisRaft-42");
+  EXPECT_EQ(decoded.seed(), 99u);
+  EXPECT_EQ(decoded.tag(), "unit");
+  EXPECT_EQ(decoded.token(), 0u);
+  uint64_t blob_hash = 0;
+  size_t events = 0;
   std::vector<Diagnostic> diags;
-  ASSERT_TRUE(DecodeSubmit(EncodeSubmit(request), &decoded, &diags));
+  ASSERT_TRUE(CanonicalBlobHash(decoded.trace_blob(), &blob_hash, &diags, &events));
   EXPECT_TRUE(diags.empty());
-  EXPECT_EQ(decoded.bug_id, "RedisRaft-42");
-  EXPECT_EQ(decoded.seed, 99u);
-  EXPECT_EQ(decoded.tag, "unit");
-  EXPECT_EQ(decoded.trace.size(), request.trace.size());
-  EXPECT_EQ(CanonicalTraceHash(decoded.trace), CanonicalTraceHash(request.trace));
-  EXPECT_EQ(SerializeProfile(decoded.profile), SerializeProfile(request.profile));
+  EXPECT_EQ(events, request.trace.size());
+  EXPECT_EQ(blob_hash, CanonicalTraceHash(request.trace));
+  EXPECT_EQ(SerializeProfile(decoded.profile()), SerializeProfile(request.profile));
 }
 
 TEST(ServeProtocolTest, ProfileSerializationRoundTrips) {
@@ -210,9 +214,14 @@ TEST(CanonicalTraceHashTest, StableAcrossSerializationAndPoolLayout) {
   // Binary round trip re-interns the pool in stream order.
   Trace reparsed = Trace::ParseBinary(trace->SerializeBinary());
   EXPECT_EQ(CanonicalTraceHash(reparsed), direct);
-  // Text round trip builds a different pool layout entirely.
-  Trace from_text = Trace::Parse(trace->Serialize());
-  EXPECT_EQ(CanonicalTraceHash(from_text), direct);
+  // Merging into an empty trace builds a different pool layout entirely.
+  Trace reinterned;
+  reinterned.Intern("/unrelated/path");
+  std::vector<StrId> remap;
+  for (const TraceEvent& event : trace->events()) {
+    reinterned.AppendRemapped(event, trace->pool(), &remap);
+  }
+  EXPECT_EQ(CanonicalTraceHash(reinterned), direct);
 
   std::optional<Trace> other = runner.ObtainProductionTrace(profile, 31 + 17);
   ASSERT_TRUE(other.has_value());
@@ -715,6 +724,60 @@ TEST(DiagnosisServiceTest, RejectsUnknownBugAndEmptyTrace) {
   EXPECT_TRUE(client.failed(h2));
   EXPECT_EQ(client.error_code(h2), ServeError::kInvalidTrace);
   EXPECT_EQ(service.stats().rejected_invalid, 2u);
+}
+
+// An RTRC blob whose one `kind` frame (pool or events) announces 2^62
+// entries with a valid CRC, then an end frame.
+std::string HostileCountBlob(uint8_t kind) {
+  std::string payload;
+  if (kind == kFramePool) {
+    PutVarint(&payload, 1);  // first_id: continues the implicit empty string.
+  }
+  PutVarint(&payload, uint64_t{1} << 62);
+  std::string blob;
+  AppendRtrcHeader(&blob);
+  AppendRtrcFrame(&blob, kind, payload);
+  AppendRtrcFrame(&blob, kFrameEnd, {});
+  return blob;
+}
+
+// Hostile blobs are typed rejections, whether they arrive in one kSubmit or
+// through a stream session, and the connection keeps serving afterwards.
+TEST(DiagnosisServiceTest, HostileBlobsAreInvalidTracesAndTheConnectionSurvives) {
+  const Dump dump = MakeDump("RedisRaft-42", 42);
+  const std::string profile_text = SerializeProfile(dump.profile);
+  DiagnosisService service(ServeConfig{});
+  auto [client_end, server_end] = MakePipePair();
+  service.Attach(server_end);
+  ServeClient client(client_end);
+
+  std::string version_zero = dump.trace.SerializeBinary();
+  version_zero[4] = 0;  // u16 LE version 0.
+  version_zero[5] = 0;
+  for (const std::string& blob :
+       {HostileCountBlob(kFrameEvents), HostileCountBlob(kFramePool), version_zero}) {
+    const uint64_t handle = client.SubmitBlob("RedisRaft-42", 42, "hostile", profile_text, blob);
+    PumpUntilDone(client, service, handle);
+    EXPECT_TRUE(client.failed(handle));
+    EXPECT_EQ(client.error_code(handle), ServeError::kInvalidTrace);
+  }
+
+  // The same bytes streamed: the hostile frame is skipped as corrupt, so the
+  // oracle materializes an empty window.
+  std::string oracle;
+  AppendRtrcFrame(&oracle, kFrameOracleMark, EncodeOracleMark(OracleMark{}));
+  const uint64_t stream = client.OpenStream("RedisRaft-42", 42, "hostile", profile_text);
+  client.StreamData(stream, HostileCountBlob(kFrameEvents));
+  client.StreamData(stream, oracle);
+  PumpUntilDone(client, service, stream);
+  EXPECT_TRUE(client.failed(stream));
+  EXPECT_EQ(client.error_code(stream), ServeError::kInvalidTrace);
+  EXPECT_EQ(service.stats().rejected_invalid, 4u);
+
+  const uint64_t good = client.Submit(MakeSubmit("RedisRaft-42", 42, dump));
+  PumpUntilDone(client, service, good);
+  ASSERT_FALSE(client.failed(good));
+  EXPECT_EQ(client.result(good).schedule_yaml, OfflineYaml("RedisRaft-42", 42, dump));
 }
 
 TEST(DiagnosisServiceTest, ScheduleStoreSurvivesRestart) {

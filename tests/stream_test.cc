@@ -243,7 +243,7 @@ TEST_F(StreamTracerTest, CorruptFrameResyncsAndTheOracleStillArrives) {
   // its CRC, downstream event frames reference unknown pool ids — every one
   // is consumed by its announced length and skipped, and the decoder stays
   // alive to deliver the oracle mark.
-  stream[writer_begin + kRtrcFrameHeaderSize] ^= 0x5a;
+  stream[writer_begin + kFrameHeaderSize] ^= 0x5a;
   StreamDecoder decoder;
   decoder.Feed(stream);
   bool saw_oracle = false;

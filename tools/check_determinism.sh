@@ -17,14 +17,11 @@
 #   tools/check_determinism.sh serve [build_dir]
 #       end-to-end serve determinism: dump one production window, submit it
 #       through rose_served twice (fresh daemon each time, so nothing is
-#       cached), and require byte-identical confirmed-schedule YAML — plus a
-#       third run through the offline reproduce_bug pipeline, which must
-#       produce the same bytes again. Registered as `serve_determinism`.
-#   tools/check_determinism.sh mmap [build_dir]
-#       zero-copy load determinism: diagnose one saved dump twice through
-#       rose_serve_cli, once per --load-mode (mmap / heap), and require
-#       byte-identical confirmed-schedule YAML. Registered as
-#       `mmap_determinism`.
+#       cached) — once as simulated, once mapped back from the saved dump
+#       (the zero-copy load path) — and require byte-identical
+#       confirmed-schedule YAML, plus a third run through the offline
+#       reproduce_bug pipeline, which must produce the same bytes again.
+#       Registered as `serve_determinism`.
 #   tools/check_determinism.sh --cluster [build_dir]
 #       clustered serve determinism (DESIGN.md section 15): route the same
 #       submissions through a 2-shard rose_routerd twice — the second run
@@ -78,35 +75,6 @@ if [ "${1:-lint}" = "serve" ]; then
   fi
 
   echo "serve determinism OK: served twice + offline -> byte-identical schedule YAML."
-  exit 0
-fi
-
-if [ "${1:-lint}" = "mmap" ]; then
-  build_dir="${2:-build}"
-  cli="${build_dir}/examples/rose_serve_cli"
-  if [ ! -x "$cli" ]; then
-    echo "mmap determinism: build rose_serve_cli first ($build_dir)" >&2
-    exit 1
-  fi
-  work="$(mktemp -d)"
-  trap 'rm -rf "$work"' EXIT
-  bug="${SERVE_DETERMINISM_BUG:-RedisRaft-42}"
-  seed="${SERVE_DETERMINISM_SEED:-42}"
-
-  # Capture one dump pair, then diagnose it through each load path.
-  "$cli" "$bug" "$seed" --save-dump "$work/dump" --quiet > /dev/null \
-    || { echo "mmap determinism: dump capture failed" >&2; exit 1; }
-  for mode in mmap heap; do
-    "$cli" "$bug" "$seed" --dump "$work/dump.trc" --profile "$work/dump.profile" \
-      --load-mode "$mode" --yaml-out "$work/$mode.yaml" --quiet > /dev/null \
-      || { echo "mmap determinism: --load-mode $mode run failed" >&2; exit 1; }
-  done
-  if ! cmp -s "$work/mmap.yaml" "$work/heap.yaml"; then
-    echo "mmap determinism FAILED: mmap and heap load modes disagree:" >&2
-    diff "$work/mmap.yaml" "$work/heap.yaml" >&2 || true
-    exit 1
-  fi
-  echo "mmap determinism OK: --load-mode mmap and heap -> byte-identical schedule YAML."
   exit 0
 fi
 

@@ -2,7 +2,7 @@
 # Runs the machine-readable benchmarks and emits JSON next to the chosen
 # output directory:
 #   BENCH_diagnosis.json — parallel-diagnosis engine (bench_diagnosis_parallel)
-#   BENCH_trace_io.json  — trace text/binary serialization (bench_trace_io)
+#   BENCH_trace_io.json  — trace encoding, decoding and loading (bench_trace_io)
 #   BENCH_serve.json     — diagnosis service throughput/latency (bench_serve)
 #   BENCH_serve_cluster.json — sharded serve cluster: jobs/sec vs shard count
 #                          and tail latency under a skewed tenant mix
@@ -41,9 +41,9 @@
 #    for the same bug — that is the engine's determinism guarantee; a
 #    difference is a bug, not noise. Wall-clock speedup scales with real
 #    cores (a 1-core host shows flat times).
-#  - BENCH_trace_io: BM_ParseBinary must be >= 2x faster than BM_ParseText
-#    and the binary encoded_bytes counter <= 50% of the text one on the
-#    1M-event window (the binary container's acceptance bar). The load-path
+#  - BENCH_trace_io: the binary encoded_bytes counter must be <= 50% of the
+#    text listing's (BM_SerializeText) on the 1M-event window (the binary
+#    container's acceptance bar). The load-path
 #    pairs compare the owning loader against the zero-copy mapped one on the
 #    same on-disk dump: BM_LoadFileMmap vs BM_LoadFileHeap is the full-decode
 #    comparison (mmap wins by skipping the read() copy and the pool-string
