@@ -23,6 +23,7 @@
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "src/cluster/router.h"
@@ -71,14 +72,25 @@ const Dump& TheDump() {
   return *dump;
 }
 
-SubmitRequest RequestFor(int client_index) {
+// One kSubmit's worth of ServeClient::SubmitBlob arguments.
+struct Submission {
+  uint64_t seed = 0;
+  std::string profile_text;
+  std::string blob;
+};
+
+Submission SubmissionOf(const Dump& dump, uint64_t seed) {
+  return {seed, SerializeProfile(dump.profile), dump.trace.SerializeBinary()};
+}
+
+uint64_t Submit(ServeClient& client, const Submission& submission) {
+  return client.SubmitBlob("RedisRaft-42", submission.seed, "", submission.profile_text,
+                           submission.blob);
+}
+
+Submission RequestFor(int client_index) {
   const Dump& dump = TheDump();
-  SubmitRequest request;
-  request.bug_id = "RedisRaft-42";
-  request.seed = dump.seed + static_cast<uint64_t>(client_index);
-  request.profile = dump.profile;
-  request.trace = dump.trace;
-  return request;
+  return SubmissionOf(dump, dump.seed + static_cast<uint64_t>(client_index));
 }
 
 ServeConfig BenchServeConfig() {
@@ -101,7 +113,7 @@ void ServeRound(DiagnosisService& service, std::vector<std::unique_ptr<ServeClie
   std::vector<bool> recorded(static_cast<size_t>(num_clients), false);
   for (int i = 0; i < num_clients; i++) {
     submitted[static_cast<size_t>(i)] = Clock::now();
-    handles[static_cast<size_t>(i)] = clients[static_cast<size_t>(i)]->Submit(RequestFor(i));
+    handles[static_cast<size_t>(i)] = Submit(*clients[static_cast<size_t>(i)], RequestFor(i));
   }
   int done = 0;
   while (done < num_clients) {
@@ -278,7 +290,7 @@ std::unique_ptr<BenchCluster> MakeBenchCluster(int num_shards, int num_clients) 
   return cluster;
 }
 
-void ClusterRound(BenchCluster& cluster, const std::vector<SubmitRequest>& requests,
+void ClusterRound(BenchCluster& cluster, const std::vector<Submission>& requests,
                   std::vector<double>* latencies_ms) {
   using Clock = std::chrono::steady_clock;
   const size_t n = requests.size();
@@ -287,7 +299,7 @@ void ClusterRound(BenchCluster& cluster, const std::vector<SubmitRequest>& reque
   std::vector<bool> recorded(n, false);
   for (size_t i = 0; i < n; i++) {
     submitted[i] = Clock::now();
-    handles[i] = cluster.clients[i]->Submit(requests[i]);
+    handles[i] = Submit(*cluster.clients[i], requests[i]);
   }
   size_t done = 0;
   while (done < n) {
@@ -311,15 +323,10 @@ void ClusterRound(BenchCluster& cluster, const std::vector<SubmitRequest>& reque
 void BM_ClusterCold(benchmark::State& state) {
   const int num_shards = static_cast<int>(state.range(0));
   const std::vector<Dump>& dumps = ClusterDumps();  // Materialize untimed.
-  std::vector<SubmitRequest> requests;
+  std::vector<Submission> requests;
   for (int i = 0; i < kClusterClients; i++) {
     const Dump& dump = dumps[static_cast<size_t>(i)];
-    SubmitRequest request;
-    request.bug_id = "RedisRaft-42";
-    request.seed = dump.seed;
-    request.profile = dump.profile;
-    request.trace = dump.trace;
-    requests.push_back(std::move(request));
+    requests.push_back(SubmissionOf(dump, dump.seed));
   }
   std::vector<double> latencies_ms;
   int64_t jobs = 0;
@@ -347,16 +354,11 @@ void BM_ClusterSkewed(benchmark::State& state) {
   const std::vector<Dump>& dumps = ClusterDumps();
   // Skewed tenant mix: six submissions of one dump (same trace hash -> one
   // hot shard) under distinct seeds, two of other dumps for background load.
-  std::vector<SubmitRequest> requests;
+  std::vector<Submission> requests;
   for (int i = 0; i < kClusterClients; i++) {
     const bool hot = i < 6;
     const Dump& dump = dumps[hot ? 0 : static_cast<size_t>(i)];
-    SubmitRequest request;
-    request.bug_id = "RedisRaft-42";
-    request.seed = dump.seed + (hot ? 1000 + static_cast<uint64_t>(i) : 0);
-    request.profile = dump.profile;
-    request.trace = dump.trace;
-    requests.push_back(std::move(request));
+    requests.push_back(SubmissionOf(dump, dump.seed + (hot ? 1000 + static_cast<uint64_t>(i) : 0)));
   }
   std::vector<double> latencies_ms;
   int64_t jobs = 0;

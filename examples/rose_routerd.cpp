@@ -23,16 +23,13 @@
 #include <string>
 #include <vector>
 
+#include "examples/obtain_dump.h"
 #include "src/cluster/journal.h"
 #include "src/cluster/router.h"
-#include "src/harness/bug_registry.h"
-#include "src/harness/runner.h"
 #include "src/net/transport.h"
 #include "src/obs/metrics.h"
 #include "src/serve/client.h"
 #include "src/serve/service.h"
-#include "src/trace/mapped_trace.h"
-#include "src/trace/trace_io.h"
 
 namespace {
 
@@ -86,49 +83,6 @@ struct ShardProc {
   std::shared_ptr<rose::Transport> service_end;
   bool alive = true;
 };
-
-// One obtained dump + baseline, ready to submit (same shape as rose_served).
-struct DumpPayload {
-  rose::Profile profile;
-  std::string profile_text;
-  rose::MappedTrace mapped;
-  rose::Trace trace;
-  size_t events = 0;
-};
-
-bool ObtainDump(const Submission& sub, uint64_t seed, DumpPayload* out) {
-  if (!sub.dump_base.empty()) {
-    out->mapped = rose::MappedTrace::OpenFile(sub.dump_base + ".trc");
-    if (rose::HasErrors(out->mapped.diagnostics())) {
-      for (const rose::Diagnostic& diag : out->mapped.diagnostics()) {
-        std::fprintf(stderr, "  %s\n", diag.ToString().c_str());
-      }
-      return false;
-    }
-    out->events = out->mapped.event_count();
-    if (!rose::ReadFileBytes(sub.dump_base + ".profile", &out->profile_text)) {
-      std::fprintf(stderr, "rose_routerd: cannot open %s.profile\n", sub.dump_base.c_str());
-      return false;
-    }
-    return rose::ParseProfile(out->profile_text, &out->profile);
-  }
-  const rose::BugSpec* spec = rose::FindBug(sub.bug_id);
-  if (spec == nullptr) {
-    std::fprintf(stderr, "rose_routerd: unknown bug id %s\n", sub.bug_id.c_str());
-    return false;
-  }
-  rose::BugRunner runner(spec);
-  out->profile = runner.RunProfiling(seed);
-  std::optional<rose::Trace> production =
-      runner.ObtainProductionTrace(out->profile, seed + 17);
-  if (!production.has_value()) {
-    std::fprintf(stderr, "rose_routerd: %s never surfaced\n", sub.bug_id.c_str());
-    return false;
-  }
-  out->trace = std::move(*production);
-  out->events = out->trace.size();
-  return true;
-}
 
 }  // namespace
 
@@ -221,27 +175,17 @@ int main(int argc, char** argv) {
   size_t client_index = 0;
   for (Submission& sub : submissions) {
     client_index++;
-    DumpPayload payload;
-    if (!ObtainDump(sub, seed, &payload)) {
+    rose_examples::DumpPayload payload;
+    if (!rose_examples::ObtainDump("rose_routerd", sub.bug_id, sub.dump_base, seed, &payload)) {
       return 1;
     }
     auto [client_end, router_end] = rose::MakePipePair();
     router.AttachClient(router_end);
     sub.client = std::make_unique<rose::ServeClient>(client_end);
-    if (payload.mapped.valid()) {
-      sub.handle = sub.client->SubmitBlob(sub.bug_id, seed, sub.bug_id,
-                                          payload.profile_text, payload.mapped.bytes());
-    } else {
-      rose::SubmitRequest request;
-      request.bug_id = sub.bug_id;
-      request.seed = seed;
-      request.tag = sub.bug_id;
-      request.profile = std::move(payload.profile);
-      request.trace = std::move(payload.trace);
-      sub.handle = sub.client->Submit(request);
-    }
+    sub.handle = sub.client->SubmitBlob(sub.bug_id, seed, sub.bug_id, payload.profile_text,
+                                        payload.mapped.bytes());
     std::printf("client %zu: submitted %s (%zu events)\n", client_index,
-                sub.bug_id.c_str(), payload.events);
+                sub.bug_id.c_str(), payload.mapped.event_count());
   }
 
   int failures = 0;

@@ -100,11 +100,6 @@ void PumpUntilDone(rose::ServeClient& client, rose::DiagnosisService& service,
   }
 }
 
-bool ReadWholeFile(const std::string& path, std::string* out) {
-  // One fstat-sized read, no stream-buffer double copy.
-  return rose::ReadFileBytes(path, out);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -170,11 +165,9 @@ int main(int argc, char** argv) {
   }
 
   // --- Obtain the dump + baseline: load a saved pair or simulate phases 1-2.
-  rose::Profile profile;
-  rose::Trace trace;
-  // --dump: the dump stays a mapped, zero-copy handle; its raw container
-  // bytes are shipped to the server as-is (SubmitBlob), so no owning Trace
-  // exists anywhere on the submission path.
+  // Either way the dump is one mapped handle whose raw container bytes are
+  // shipped to the server as-is (SubmitBlob), so no owning Trace exists
+  // anywhere on the submission path.
   rose::MappedTrace mapped;
   std::string profile_text;
   if (!dump_path.empty()) {
@@ -190,7 +183,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "rose_serve_cli: dump %s is damaged\n", dump_path.c_str());
       return 1;
     }
-    if (!ReadWholeFile(profile_path, &profile_text) ||
+    rose::Profile profile;
+    if (!rose::ReadFileBytes(profile_path, &profile_text) ||
         !rose::ParseProfile(profile_text, &profile)) {
       std::fprintf(stderr, "rose_serve_cli: cannot read profile %s\n", profile_path.c_str());
       return 2;
@@ -201,7 +195,7 @@ int main(int argc, char** argv) {
     rose::BugRunner runner(spec);
     std::printf("--- phases 1-2: profiling + production tracing (%s, seed %llu) ---\n",
                 bug_id.c_str(), static_cast<unsigned long long>(seed));
-    profile = runner.RunProfiling(seed);
+    const rose::Profile profile = runner.RunProfiling(seed);
     int attempts = 0;
     std::optional<rose::Trace> production =
         runner.ObtainProductionTrace(profile, seed + 17, &attempts);
@@ -210,9 +204,10 @@ int main(int argc, char** argv) {
                    attempts);
       return 1;
     }
-    trace = std::move(*production);
-    std::printf("dump window holds %zu events (%d production attempt(s))\n", trace.size(),
-                attempts);
+    mapped = rose::MappedTrace::FromBuffer(production->SerializeBinary());
+    profile_text = rose::SerializeProfile(profile);
+    std::printf("dump window holds %zu events (%d production attempt(s))\n",
+                mapped.event_count(), attempts);
   }
 
   if (!save_dump.empty()) {
@@ -220,13 +215,11 @@ int main(int argc, char** argv) {
     const std::string prof = save_dump + ".profile";
     std::ofstream prof_out(prof, std::ios::binary);
     // Copy-on-write: saving re-encodes, the one step needing an owning Trace.
-    const bool saved = mapped.valid() ? rose::SaveTraceFile(trc, mapped.Promote())
-                                      : rose::SaveTraceFile(trc, trace);
-    if (!saved || !prof_out) {
+    if (!rose::SaveTraceFile(trc, mapped.Promote()) || !prof_out) {
       std::fprintf(stderr, "rose_serve_cli: cannot write %s\n", save_dump.c_str());
       return 2;
     }
-    prof_out << rose::SerializeProfile(profile);
+    prof_out << profile_text;
     std::printf("saved %s + %s\n", trc.c_str(), prof.c_str());
   }
 
@@ -238,33 +231,18 @@ int main(int argc, char** argv) {
   service.Attach(server_end);
   rose::ServeClient client(client_end);
 
-  // Loaded dumps ship their raw container bytes (SubmitBlob); simulated ones
-  // encode the owning Trace the classic way. Both forms hash to the same
-  // cache key on the server.
   auto submit_job = [&]() {
-    if (mapped.valid()) {
-      return client.SubmitBlob(bug_id, seed, "cli", profile_text, mapped.bytes());
-    }
-    rose::SubmitRequest request;
-    request.bug_id = bug_id;
-    request.seed = seed;
-    request.tag = "cli";
-    request.profile = profile;
-    request.trace = trace;
-    return client.Submit(request);
+    return client.SubmitBlob(bug_id, seed, "cli", profile_text, mapped.bytes());
   };
 
   // --stream: replay the same container bytes through a stream session. The
   // daemon's window re-canonicalizes to the identical blob a kSubmit would
   // have carried, so the result (and the cache key) must match byte for byte.
   auto stream_job = [&]() {
-    const std::string blob =
-        mapped.valid() ? std::string(mapped.bytes()) : trace.SerializeBinary();
-    const std::string prof_text =
-        profile_text.empty() ? rose::SerializeProfile(profile) : profile_text;
-    const uint64_t handle = client.OpenStream(bug_id, seed, "cli", prof_text);
+    const std::string_view blob = mapped.bytes();
+    const uint64_t handle = client.OpenStream(bug_id, seed, "cli", profile_text);
     for (size_t off = 0; off < blob.size(); off += chunk) {
-      client.StreamData(handle, std::string_view(blob).substr(off, chunk));
+      client.StreamData(handle, blob.substr(off, chunk));
       client.Poll();
       service.Poll();
     }

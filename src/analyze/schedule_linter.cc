@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/common/hash.h"
 #include "src/common/strings.h"
 
 namespace rose {
@@ -309,13 +310,7 @@ std::string CanonicalForm(const FaultSchedule& schedule) {
 }
 
 uint64_t CanonicalHash(const FaultSchedule& schedule) {
-  const std::string canon = CanonicalForm(schedule);
-  uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a 64-bit offset basis.
-  for (const char ch : canon) {
-    hash ^= static_cast<uint8_t>(ch);
-    hash *= 0x100000001b3ULL;  // FNV prime.
-  }
-  return hash;
+  return Fnv1a(kFnvOffsetBasis, CanonicalForm(schedule));
 }
 
 }  // namespace rose

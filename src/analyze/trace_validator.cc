@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "src/common/hash.h"
 #include "src/common/strings.h"
 #include "src/trace/trace_io.h"
 
@@ -93,25 +94,14 @@ std::vector<Diagnostic> TraceValidator::Validate(TraceView trace) const {
   return diags;
 }
 
-namespace {
-
-inline void FnvMixBytes(uint64_t* hash, std::string_view bytes) {
-  for (char ch : bytes) {
-    *hash ^= static_cast<uint8_t>(ch);
-    *hash *= 0x100000001b3ULL;  // FNV prime.
-  }
-}
-
-}  // namespace
-
 uint64_t CanonicalTraceHash(TraceView trace) {
-  uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a 64-bit offset basis.
+  uint64_t hash = kFnvOffsetBasis;
   std::string line;
   for (const TraceEvent& event : trace) {
     line.clear();
     event.AppendLine(&line, trace.pool());
     line.push_back('\n');
-    FnvMixBytes(&hash, line);
+    hash = Fnv1a(hash, line);
   }
   return hash;
 }
@@ -119,7 +109,7 @@ uint64_t CanonicalTraceHash(TraceView trace) {
 bool CanonicalBlobHash(std::string_view blob, uint64_t* hash_out,
                        std::vector<Diagnostic>* diags, size_t* event_count) {
   TraceReader reader(blob);
-  uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a 64-bit offset basis.
+  uint64_t hash = kFnvOffsetBasis;
   size_t count = 0;
   std::string line;
   TraceEvent event;
@@ -127,7 +117,7 @@ bool CanonicalBlobHash(std::string_view blob, uint64_t* hash_out,
     line.clear();
     event.AppendLine(&line, reader.pool());
     line.push_back('\n');
-    FnvMixBytes(&hash, line);
+    hash = Fnv1a(hash, line);
     count++;
   }
   if (diags != nullptr) {

@@ -2,45 +2,15 @@
 
 #include <algorithm>
 
+#include "src/common/hash.h"
+
 namespace rose {
 
-namespace {
-
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
-
-uint64_t FnvMix(uint64_t hash, std::string_view bytes) {
-  for (char ch : bytes) {
-    hash ^= static_cast<uint8_t>(ch);
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-uint64_t FnvMix(uint64_t hash, uint64_t value) {
-  for (int i = 0; i < 8; i++) {
-    hash ^= (value >> (i * 8)) & 0xff;
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-// Finalizer spreading FNV's low-entropy high bits across the whole word
-// (splitmix64's mixing rounds); ring positions must be uniform for vnode
-// ownership to split evenly.
-uint64_t Spread(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
-
-}  // namespace
-
+// SplitMix64's finalizer spreads FNV's low-entropy high bits across the
+// whole word; ring positions must be uniform for vnode ownership to split
+// evenly.
 uint64_t HashRing::HashKey(uint64_t key) {
-  return Spread(FnvMix(kFnvOffset, key));
+  return SplitMix64Finalize(Fnv1a(kFnvOffsetBasis, key));
 }
 
 bool HashRing::AddShard(const std::string& name) {
@@ -70,11 +40,11 @@ bool HashRing::HasShard(const std::string& name) const {
 
 void HashRing::Rebuild() {
   points_.clear();
-  points_.reserve(shards_.size() * static_cast<size_t>(vnodes_));
+  points_.reserve(shards_.size() * kVnodes);
   for (size_t s = 0; s < shards_.size(); s++) {
-    const uint64_t base = FnvMix(kFnvOffset, shards_[s]);
-    for (int v = 0; v < vnodes_; v++) {
-      points_.push_back(Point{Spread(FnvMix(base, static_cast<uint64_t>(v))), s});
+    const uint64_t base = Fnv1a(kFnvOffsetBasis, shards_[s]);
+    for (int v = 0; v < kVnodes; v++) {
+      points_.push_back(Point{SplitMix64Finalize(Fnv1a(base, static_cast<uint64_t>(v))), s});
     }
   }
   std::sort(points_.begin(), points_.end(), [](const Point& a, const Point& b) {

@@ -13,7 +13,7 @@
 //     key identically — which is what makes clustered output reproducible
 //     and lets a restarted router agree with its own journal.
 //
-// Each shard contributes `vnodes` points (FNV-mixed from name + index) so
+// Each shard contributes kVnodes points (FNV-mixed from name + index) so
 // ownership splits evenly even with two or three shards. Membership changes
 // bump `epoch()`; the router journals each epoch with its member list.
 #ifndef SRC_CLUSTER_HASH_RING_H_
@@ -28,9 +28,8 @@ namespace rose {
 
 class HashRing {
  public:
-  static constexpr int kDefaultVnodes = 64;
-
-  explicit HashRing(int vnodes = kDefaultVnodes) : vnodes_(vnodes) {}
+  // Ring points per shard.
+  static constexpr int kVnodes = 64;
 
   // False when `name` is already a member (no change, no epoch bump).
   bool AddShard(const std::string& name);
@@ -68,7 +67,6 @@ class HashRing {
 
   void Rebuild();
 
-  int vnodes_;
   uint64_t epoch_ = 0;
   std::vector<std::string> shards_;
   std::vector<Point> points_;  // Sorted by position.

@@ -3,6 +3,8 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
+
 #include "src/trace/mmap_file.h"
 
 namespace rose {
@@ -194,7 +196,7 @@ void ClusterJournal::Append(JournalRecordType type, std::string_view payload) {
     fsyncs_++;
   }
   for (Follower& follower : followers_) {
-    follower.outbox.append(frame);
+    follower.outbox.Append(frame);
   }
 }
 
@@ -219,28 +221,24 @@ void ClusterJournal::AppendComplete(const CompleteRecord& record) {
 void ClusterJournal::AttachFollower(std::shared_ptr<Transport> transport) {
   Follower follower;
   follower.transport = std::move(transport);
-  follower.outbox = history_;  // Full history first, then tail.
+  follower.outbox.Append(history_);  // Full history first, then tail.
   followers_.push_back(std::move(follower));
 }
 
 void ClusterJournal::PumpReplication() {
+  // A follower that hung up will never drain its backlog: drop it rather
+  // than queue every later record for it.
+  followers_.erase(std::remove_if(followers_.begin(), followers_.end(),
+                                  [](const Follower& f) { return f.transport->AtEof(); }),
+                   followers_.end());
   for (Follower& follower : followers_) {
-    if (follower.sent >= follower.outbox.size()) {
-      continue;
-    }
-    const std::string_view rest =
-        std::string_view(follower.outbox).substr(follower.sent);
-    follower.sent += follower.transport->Write(rest);
-    if (follower.sent >= follower.outbox.size()) {
-      follower.outbox.clear();
-      follower.sent = 0;
-    }
+    follower.outbox.Flush(*follower.transport);
   }
 }
 
 bool ClusterJournal::replication_idle() const {
   for (const Follower& follower : followers_) {
-    if (follower.sent < follower.outbox.size()) {
+    if (!follower.outbox.empty()) {
       return false;
     }
   }
@@ -264,7 +262,7 @@ JournalFollower::~JournalFollower() {
 
 void JournalFollower::Poll() {
   for (;;) {
-    const std::string chunk = transport_->Read(16 * 1024);
+    const std::string chunk = transport_->Read(kTransportReadSize);
     if (chunk.empty()) {
       return;
     }

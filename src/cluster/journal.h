@@ -120,8 +120,8 @@ class ClusterJournal {
 
   // --- Follower replication -------------------------------------------------
   // Queues the full journal history for `transport`, then tails every new
-  // append. PumpReplication() moves queued bytes out (short writes respected);
-  // call it from the router's Poll().
+  // append. PumpReplication() moves queued bytes out (short writes respected)
+  // and drops a follower once it hung up; call it from the router's Poll().
   void AttachFollower(std::shared_ptr<Transport> transport);
   void PumpReplication();
   bool replication_idle() const;
@@ -134,8 +134,7 @@ class ClusterJournal {
 
   struct Follower {
     std::shared_ptr<Transport> transport;
-    std::string outbox;
-    size_t sent = 0;
+    Outbox outbox;
   };
 
   std::string path_;

@@ -3,41 +3,25 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/analyze/trace_validator.h"
+#include "src/common/hash.h"
 #include "src/serve/service.h"
 
 namespace rose {
 
 namespace {
-constexpr size_t kReadChunk = 16 * 1024;
 
 // Ring key for a stream session: the trace hash a submit would shard by does
 // not exist at open time, so the session's identity (bug, seed, client
 // token) places it instead. All of one session's bytes land on one shard;
 // only cross-submission cache affinity is weaker than the submit path.
 uint64_t StreamShardKey(std::string_view bug_id, uint64_t seed, uint64_t token) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : bug_id) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 0x100000001b3ULL;
-  }
-  for (int i = 0; i < 8; i++) {
-    h ^= (seed >> (i * 8)) & 0xff;
-    h *= 0x100000001b3ULL;
-  }
-  for (int i = 0; i < 8; i++) {
-    h ^= (token >> (i * 8)) & 0xff;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return Fnv1a(Fnv1a(Fnv1a(kFnvOffsetBasis, bug_id), seed), token);
 }
 
 }  // namespace
 
 ClusterRouter::ClusterRouter(RouterConfig config)
-    : config_(std::move(config)),
-      journal_(config_.journal_path),
-      ring_(config_.ring_vnodes) {
+    : config_(std::move(config)), journal_(config_.journal_path) {
   MetricRegistry& reg = MetricRegistry::Global();
   metrics_.jobs_routed = reg.GetCounter("cluster.jobs_routed");
   metrics_.completions = reg.GetCounter("cluster.completions");
@@ -75,10 +59,8 @@ ClusterRouter::ClusterRouter(RouterConfig config)
 }
 
 void ClusterRouter::AttachClient(std::shared_ptr<Transport> transport) {
-  auto conn = std::make_unique<ClientConn>();
+  auto conn = std::make_unique<ClientConn>(std::move(transport));
   conn->id = next_client_id_++;
-  conn->transport = std::move(transport);
-  AppendServeHeader(&conn->outbox);
   clients_.emplace(conn->id, std::move(conn));
 }
 
@@ -90,10 +72,8 @@ void ClusterRouter::AttachShard(const std::string& name,
   if (ring_.AddShard(name)) {
     journal_.AppendRingEpoch(RingEpochRecord{ring_.epoch(), ring_.shards()});
   }
-  auto shard = std::make_unique<Shard>();
+  auto shard = std::make_unique<Shard>(std::move(transport));  // We are its client.
   shard->name = name;
-  shard->transport = std::move(transport);
-  AppendServeHeader(&shard->outbox);  // The router is the shard's client.
   shards_.emplace(name, std::move(shard));
   DispatchStranded();
 }
@@ -106,18 +86,18 @@ void ClusterRouter::DetachShard(const std::string& name) {
 
 void ClusterRouter::Poll() {
   for (auto& [id, conn] : clients_) {
-    if (!conn->dead) {
+    if (!conn->link.closed()) {
       ReadClient(*conn);
     }
   }
 
   // Drain every shard before declaring any of them dead: a shard that
   // finished a job and exited cleanly has its result sitting in the
-  // transport, and AtEof() only turns true once those bytes are read.
+  // transport, and hung_up() only turns true once those bytes are read.
   std::vector<std::string> dead_shards;
   for (auto& [name, shard] : shards_) {
     ReadShard(*shard);
-    if (shard->transport->AtEof()) {
+    if (shard->link.hung_up()) {
       dead_shards.push_back(name);
     }
   }
@@ -125,16 +105,17 @@ void ClusterRouter::Poll() {
     OnShardDead(name);
   }
 
-  // Clients that hung up: their in-flight jobs keep running (the journal
-  // already owns them), responses degrade to no-ops, and the connection is
-  // reaped once its admission FIFO drains.
+  // Clients that hung up: their submitted jobs keep running (the journal
+  // already owns them) and responses degrade to no-ops, their stream
+  // sessions end at the shards, and the connection is reaped once its
+  // admission FIFO drains.
   std::vector<uint64_t> gone;
   for (auto& [id, conn] : clients_) {
-    if (!conn->dead && conn->transport->AtEof()) {
-      conn->dead = true;
+    if (!conn->link.closed() && conn->link.hung_up()) {
+      OnClientHungUp(*conn);
     }
     FlushClientFifo(*conn);
-    if (conn->dead && conn->accept_fifo.empty()) {
+    if (conn->link.closed() && conn->accept_fifo.empty()) {
       gone.push_back(id);
     }
   }
@@ -160,12 +141,12 @@ bool ClusterRouter::idle() const {
     return false;
   }
   for (const auto& [id, conn] : clients_) {
-    if (!conn->dead && conn->outbox_sent < conn->outbox.size()) {
+    if (!conn->link.flushed()) {
       return false;
     }
   }
   for (const auto& [name, shard] : shards_) {
-    if (shard->outbox_sent < shard->outbox.size()) {
+    if (!shard->link.flushed()) {
       return false;
     }
   }
@@ -173,16 +154,9 @@ bool ClusterRouter::idle() const {
 }
 
 void ClusterRouter::ReadClient(ClientConn& conn) {
-  for (;;) {
-    const std::string chunk = conn.transport->Read(kReadChunk);
-    if (chunk.empty()) {
-      break;
-    }
-    conn.decoder.Feed(chunk);
-  }
   DecodedFrame frame;
   for (;;) {
-    switch (conn.decoder.Next(&frame)) {
+    switch (conn.link.Next(&frame)) {
       case FrameDecoder::Status::kNeedMore:
         return;
       case FrameDecoder::Status::kFrame:
@@ -207,50 +181,31 @@ void ClusterRouter::ReadClient(ClientConn& conn) {
         RejectSubmit(conn, ServeError::kBadFrame,
                      "frame failed its CRC32 and was skipped; resend the submission");
         break;
-      case FrameDecoder::Status::kBadStream: {
-        AppendServeFrame(&conn.outbox, ServeFrame::kError,
-                         EncodeError(ErrorMsg{0, ServeError::kVersionMismatch,
-                                              "bad stream header or unsupported "
-                                              "protocol version"}));
-        conn.dead = true;
-        const std::string_view rest =
-            std::string_view(conn.outbox).substr(conn.outbox_sent);
-        conn.outbox_sent += conn.transport->Write(rest);
-        conn.transport->Close();
+      case FrameDecoder::Status::kBadStream:
+        conn.link.Send(ServeFrame::kError,
+                       EncodeError(ErrorMsg{0, ServeError::kVersionMismatch,
+                                            "bad stream header or unsupported "
+                                            "protocol version"}));
+        conn.link.Close();
         return;
-      }
     }
   }
 }
 
 void ClusterRouter::HandleSubmit(ClientConn& conn, std::string payload) {
+  // The router's share of admission: the container-level pass yields both
+  // the ring key and the verdict. Everything needing a bug registry or a
+  // materialized trace (unknown bug, validation, causal consistency) is the
+  // owner shard's job — the router stays a thin data plane that never
+  // decodes the blob into events.
   SubmitEnvelope env;
-  if (!DecodeSubmitEnvelope(std::move(payload), &env)) {
-    stats_.rejected_invalid++;
-    metrics_.rejects_invalid->Inc();
-    RejectSubmit(conn, ServeError::kMalformedRequest, "submit payload does not decode");
-    return;
-  }
-  // The router's share of admission: one streaming pass over the RTRC blob
-  // yields both the ring key and the container verdict. Everything needing a
-  // bug registry or a materialized trace (unknown bug, validation, causal
-  // consistency) is the owner shard's job — the router stays a thin data
-  // plane that never decodes the blob.
   uint64_t trace_hash = 0;
-  size_t event_count = 0;
-  std::vector<Diagnostic> container_diags;
-  CanonicalBlobHash(env.trace_blob(), &trace_hash, &container_diags, &event_count);
-  if (HasErrors(container_diags)) {
+  std::string why;
+  if (const ServeError error = AdmitSubmit(std::move(payload), &env, &trace_hash, &why);
+      error != ServeError::kNone) {
     stats_.rejected_invalid++;
     metrics_.rejects_invalid->Inc();
-    RejectSubmit(conn, ServeError::kInvalidTrace,
-                 "trace container damaged: " + container_diags.front().ToString());
-    return;
-  }
-  if (event_count == 0) {
-    stats_.rejected_invalid++;
-    metrics_.rejects_invalid->Inc();
-    RejectSubmit(conn, ServeError::kInvalidTrace, "trace decoded to zero events");
+    RejectSubmit(conn, error, why);
     return;
   }
 
@@ -307,7 +262,7 @@ void ClusterRouter::HandleStreamOpen(ClientConn& conn, std::string_view payload)
   stats_.jobs_routed++;
   metrics_.jobs_routed->Inc();
   Shard& shard = *shards_.at(owner);
-  AppendServeFrame(&shard.outbox, ServeFrame::kStreamOpen, std::string(payload));
+  shard.link.Send(ServeFrame::kStreamOpen, payload);
   shard.accept_fifo.push_back(job->id);
   job->shard = owner;
   jobs_.emplace(job->id, std::move(job));
@@ -330,8 +285,8 @@ void ClusterRouter::HandleStreamData(ClientConn& conn, std::string_view payload)
   }
   // Rewrite the varint job-id prefix into the backend's namespace; the chunk
   // bytes are forwarded untouched.
-  AppendServeFrame(&sit->second->outbox, ServeFrame::kStreamData,
-                   EncodeStreamData(it->second->backend_job_id, chunk));
+  sit->second->link.Send(ServeFrame::kStreamData,
+                         EncodeStreamData(it->second->backend_job_id, chunk));
 }
 
 void ClusterRouter::HandleStreamClose(ClientConn& conn, std::string_view payload) {
@@ -343,15 +298,31 @@ void ClusterRouter::HandleStreamClose(ClientConn& conn, std::string_view payload
   if (it == jobs_.end() || !it->second->is_stream || it->second->client != conn.id) {
     return;
   }
-  RouterJob& job = *it->second;
-  if (auto sit = shards_.find(job.shard); sit != shards_.end()) {
-    if (job.backend_job_id != 0) {
-      AppendServeFrame(&sit->second->outbox, ServeFrame::kStreamClose,
-                       EncodeStreamClose(StreamCloseMsg{job.backend_job_id}));
-      sit->second->by_backend_id.erase(job.backend_job_id);
+  EndStream(*it->second);
+}
+
+void ClusterRouter::EndStream(RouterJob& job) {
+  if (auto sit = shards_.find(job.shard); sit != shards_.end() && job.backend_job_id != 0) {
+    sit->second->link.Send(ServeFrame::kStreamClose,
+                           EncodeStreamClose(StreamCloseMsg{job.backend_job_id}));
+    sit->second->by_backend_id.erase(job.backend_job_id);
+  }
+  FinishJob(job.id);
+}
+
+void ClusterRouter::OnClientHungUp(ClientConn& conn) {
+  conn.link.Close();
+  std::vector<RouterJob*> sessions;
+  for (auto& [rid, job] : jobs_) {
+    // A session whose shard has not accepted yet ends when the accept
+    // arrives (HandleShardFrame).
+    if (job->client == conn.id && job->is_stream && job->backend_job_id != 0) {
+      sessions.push_back(job.get());
     }
   }
-  FinishJob(msg.job_id);
+  for (RouterJob* job : sessions) {
+    EndStream(*job);
+  }
 }
 
 void ClusterRouter::RejectSubmit(ClientConn& conn, ServeError code,
@@ -371,7 +342,7 @@ void ClusterRouter::RejectSubmit(ClientConn& conn, ServeError code,
 }
 
 void ClusterRouter::DispatchTo(RouterJob& job, Shard& shard) {
-  AppendServeFrame(&shard.outbox, ServeFrame::kSubmit, job.payload);
+  shard.link.Send(ServeFrame::kSubmit, job.payload);
   shard.accept_fifo.push_back(job.id);
   shard.inflight++;
   job.shard = shard.name;
@@ -379,16 +350,9 @@ void ClusterRouter::DispatchTo(RouterJob& job, Shard& shard) {
 }
 
 void ClusterRouter::ReadShard(Shard& shard) {
-  for (;;) {
-    const std::string chunk = shard.transport->Read(kReadChunk);
-    if (chunk.empty()) {
-      break;
-    }
-    shard.decoder.Feed(chunk);
-  }
   DecodedFrame frame;
   for (;;) {
-    switch (shard.decoder.Next(&frame)) {
+    switch (shard.link.Next(&frame)) {
       case FrameDecoder::Status::kNeedMore:
         return;
       case FrameDecoder::Status::kFrame:
@@ -400,7 +364,7 @@ void ClusterRouter::ReadShard(Shard& shard) {
         break;
       case FrameDecoder::Status::kBadStream:
         // A shard speaking a different protocol is as dead as a crashed one.
-        shard.transport->Close();
+        shard.link.Close();
         return;
     }
   }
@@ -422,6 +386,10 @@ void ClusterRouter::HandleShardFrame(Shard& shard, DecodedFrame frame) {
       RouterJob& job = *it->second;
       job.backend_job_id = msg.job_id;
       shard.by_backend_id[msg.job_id] = rid;
+      if (job.is_stream && !ClientConnected(job.client)) {
+        EndStream(job);  // Its client hung up while the open was in flight.
+        return;
+      }
       if (job.accept_ready || job.accept_sent) {
         // Failover duplicate: the client already has (or will get) the first
         // shard's accept; only the id mapping moves to the successor.
@@ -710,36 +678,10 @@ void ClusterRouter::FinishJob(uint64_t job_id) {
 
 void ClusterRouter::FlushOutboxes() {
   for (auto& [id, conn] : clients_) {
-    if (conn->dead || conn->outbox_sent >= conn->outbox.size()) {
-      continue;
-    }
-    const std::string_view rest =
-        std::string_view(conn->outbox).substr(conn->outbox_sent);
-    conn->outbox_sent += conn->transport->Write(rest);
-    if (conn->outbox_sent >= conn->outbox.size()) {
-      conn->outbox.clear();
-      conn->outbox_sent = 0;
-    } else if (conn->outbox_sent > 64 * 1024 &&
-               conn->outbox_sent * 2 >= conn->outbox.size()) {
-      conn->outbox.erase(0, conn->outbox_sent);
-      conn->outbox_sent = 0;
-    }
+    conn->link.Flush();
   }
   for (auto& [name, shard] : shards_) {
-    if (shard->outbox_sent >= shard->outbox.size()) {
-      continue;
-    }
-    const std::string_view rest =
-        std::string_view(shard->outbox).substr(shard->outbox_sent);
-    shard->outbox_sent += shard->transport->Write(rest);
-    if (shard->outbox_sent >= shard->outbox.size()) {
-      shard->outbox.clear();
-      shard->outbox_sent = 0;
-    } else if (shard->outbox_sent > 64 * 1024 &&
-               shard->outbox_sent * 2 >= shard->outbox.size()) {
-      shard->outbox.erase(0, shard->outbox_sent);
-      shard->outbox_sent = 0;
-    }
+    shard->link.Flush();
   }
 }
 
@@ -764,13 +706,18 @@ void ClusterRouter::UpdateDepthGauges() {
   metrics_.ring_imbalance->Set(static_cast<int64_t>(max_depth - min_depth));
 }
 
+bool ClusterRouter::ClientConnected(uint64_t client_id) const {
+  auto it = clients_.find(client_id);
+  return it != clients_.end() && !it->second->link.closed();
+}
+
 void ClusterRouter::SendToClient(uint64_t client_id, ServeFrame kind,
                                  const std::string& payload) {
-  auto it = clients_.find(client_id);
-  if (it == clients_.end() || it->second->dead) {
-    return;  // Subscriber gone; the journal still completed the job.
+  // A closed link drops the frame: the subscriber is gone, and the journal
+  // still completes the job.
+  if (auto it = clients_.find(client_id); it != clients_.end()) {
+    it->second->link.Send(kind, payload);
   }
-  AppendServeFrame(&it->second->outbox, kind, payload);
 }
 
 StatsMsg ClusterRouter::BuildStats() const {

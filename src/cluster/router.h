@@ -57,7 +57,6 @@ struct RouterConfig {
   // Coordinator journal file; empty = in-memory only (no durability, but
   // failover re-dispatch still works from the mirrored in-process state).
   std::string journal_path;
-  int ring_vnodes = HashRing::kDefaultVnodes;
 };
 
 struct ClusterStats {
@@ -92,7 +91,8 @@ class ClusterRouter {
   void DetachShard(const std::string& name);
 
   // One pump cycle: read clients, admit + dispatch, read shards, harvest
-  // and forward responses, detect dead shards, flush every outbox, pump
+  // and forward responses, detect dead shards and hung-up clients (whose
+  // stream sessions are closed at their shards), flush every outbox, pump
   // journal replication.
   void Poll();
 
@@ -116,23 +116,18 @@ class ClusterRouter {
 
  private:
   struct ClientConn {
+    explicit ClientConn(std::shared_ptr<Transport> transport) : link(std::move(transport)) {}
     uint64_t id = 0;
-    std::shared_ptr<Transport> transport;
-    FrameDecoder decoder;
-    std::string outbox;
-    size_t outbox_sent = 0;
-    bool dead = false;
+    ServeConnection link;  // Closed once the client hung up (or was refused).
     // Router job ids in submission order — the FIFO the admission responses
     // must be flushed in.
     std::deque<uint64_t> accept_fifo;
   };
 
   struct Shard {
+    explicit Shard(std::shared_ptr<Transport> transport) : link(std::move(transport)) {}
     std::string name;
-    std::shared_ptr<Transport> transport;
-    FrameDecoder decoder;
-    std::string outbox;
-    size_t outbox_sent = 0;
+    ServeConnection link;
     // Router job ids in dispatch order — correlates the backend's FIFO
     // admission responses.
     std::deque<uint64_t> accept_fifo;
@@ -178,6 +173,11 @@ class ClusterRouter {
   void HandleStreamOpen(ClientConn& conn, std::string_view payload);
   void HandleStreamData(ClientConn& conn, std::string_view payload);
   void HandleStreamClose(ClientConn& conn, std::string_view payload);
+  // Sends kStreamClose to the session's shard (once it accepted) and
+  // finishes the job.
+  void EndStream(RouterJob& job);
+  // Closes the link and ends the client's accepted stream sessions.
+  void OnClientHungUp(ClientConn& conn);
   // Queues a router-local rejection in the client's FIFO turn.
   void RejectSubmit(ClientConn& conn, ServeError code, const std::string& message);
   void ReadShard(Shard& shard);
@@ -194,6 +194,7 @@ class ClusterRouter {
   void FinishJob(uint64_t job_id);
   void FlushOutboxes();
   void UpdateDepthGauges();
+  bool ClientConnected(uint64_t client_id) const;
   void SendToClient(uint64_t client_id, ServeFrame kind, const std::string& payload);
 
   RouterConfig config_;

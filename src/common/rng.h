@@ -9,15 +9,14 @@
 
 #include <cstdint>
 
+#include "src/common/hash.h"
+
 namespace rose {
 
 // SplitMix64: used to expand a user seed into xoshiro state.
 // Reference: Sebastiano Vigna, public domain.
 inline uint64_t SplitMix64(uint64_t& state) {
-  uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  return SplitMix64Finalize(state += 0x9e3779b97f4a7c15ULL);
 }
 
 // xoshiro256** 1.0 — fast, high-quality, 2^256-1 period.

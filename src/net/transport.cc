@@ -82,6 +82,20 @@ std::pair<std::shared_ptr<Transport>, std::shared_ptr<Transport>> MakePipePair(
   return {std::move(a), std::move(b)};
 }
 
+void Outbox::Flush(Transport& transport) {
+  if (empty()) {
+    return;
+  }
+  sent_ += transport.Write(std::string_view(bytes_).substr(sent_));
+  if (sent_ >= bytes_.size()) {
+    bytes_.clear();
+    sent_ = 0;
+  } else if (sent_ > 64 * 1024 && sent_ * 2 >= bytes_.size()) {
+    bytes_.erase(0, sent_);
+    sent_ = 0;
+  }
+}
+
 bool SimSocketSpace::Listen(const std::string& path) {
   std::lock_guard<std::mutex> lock(mutex_);
   return listeners_.emplace(path, std::deque<std::shared_ptr<Transport>>{}).second;

@@ -63,6 +63,30 @@ class Transport {
 };
 
 inline constexpr size_t kDefaultTransportCapacity = 64 * 1024;
+// How much one Read() asks for when an endpoint drains its transport.
+inline constexpr size_t kTransportReadSize = 16 * 1024;
+
+// Bytes waiting for a transport that accepts only what fits. Every endpoint
+// of the serve plane writes through one (DESIGN.md §10), so this is the one
+// place bytes leave a daemon, router, client or journal leader.
+class Outbox {
+ public:
+  void Append(std::string_view bytes) { bytes_.append(bytes.data(), bytes.size()); }
+  // The queue's backing string, for encoders that append in place. Only
+  // append to it.
+  std::string* tail() { return &bytes_; }
+
+  // Writes as much of the queue as `transport` accepts. Sent bytes are
+  // dropped once the queue empties, or once they pass 64 KiB and half the
+  // buffer, so the sent prefix never outgrows both 64 KiB and the unsent rest.
+  void Flush(Transport& transport);
+
+  bool empty() const { return sent_ >= bytes_.size(); }
+
+ private:
+  std::string bytes_;
+  size_t sent_ = 0;
+};
 
 // A connected endpoint pair sharing two bounded buffers (a.Write -> b.Read
 // and vice versa). `capacity` bounds each direction independently.

@@ -96,6 +96,19 @@ class Histogram {
 #endif
   }
 
+  // Records the wall nanoseconds elapsed since `start`, for a span that
+  // outlives one scope (ScopedTimer covers the ones that do not). With
+  // ROSE_OBS=OFF the clock is not even read.
+  void RecordSince(std::chrono::steady_clock::time_point start) {
+#if ROSE_OBS_ENABLED
+    Record(static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                     std::chrono::steady_clock::now() - start)
+                                     .count()));
+#else
+    (void)start;
+#endif
+  }
+
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
 
@@ -129,10 +142,9 @@ class ScopedTimer {
   }
   ~ScopedTimer() {
 #if ROSE_OBS_ENABLED
-    if (hist_ == nullptr) return;
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-        std::chrono::steady_clock::now() - start_);
-    hist_->Record(static_cast<uint64_t>(ns.count()));
+    if (hist_ != nullptr) {
+      hist_->RecordSince(start_);
+    }
 #endif
   }
   ScopedTimer(const ScopedTimer&) = delete;

@@ -183,6 +183,14 @@ struct Line {
 };
 
 bool ParseLine(const std::string& raw, Line* out) {
+  // ToYaml prints values through %s, which a NUL would cut short: a line
+  // with a control byte (other than tab or CR) cannot round-trip.
+  for (const char ch : raw) {
+    const auto byte = static_cast<unsigned char>(ch);
+    if ((byte < 0x20 || byte == 0x7f) && ch != '\t' && ch != '\r') {
+      return false;
+    }
+  }
   size_t i = 0;
   while (i < raw.size() && raw[i] == ' ') {
     i++;

@@ -1,78 +1,43 @@
 #include "src/serve/client.h"
 
 #include "src/analyze/trace_validator.h"
+#include "src/common/hash.h"
+#include "src/common/rng.h"
 
 namespace rose {
 namespace {
 
-// Chunk size for transport reads; small enough to exercise reassembly.
-constexpr size_t kReadChunk = 16 * 1024;
-
-// splitmix64 finalizer: full-avalanche mixing for the deterministic retry
-// jitter (no global RNG, no wall clock — replays byte-identically).
-uint64_t MixJitter(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
-
-// FNV-1a over a short string (bug ids, tags) for token derivation.
-uint64_t FnvMix(uint64_t seed, std::string_view s) {
-  uint64_t h = seed ^ 0xcbf29ce484222325ULL;
-  for (char c : s) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
+// One SplitMix64 step from `x`: full-avalanche mixing for tokens and the
+// deterministic retry jitter (no global RNG, no wall clock — replays
+// byte-identically).
+uint64_t Mix(uint64_t x) { return SplitMix64(x); }
 
 // Idempotency token for a submission: the blob's canonical hash (encoding-
 // independent — a resend of the same window matches even if re-encoded)
 // mixed with bug id and seed so two jobs over one dump stay distinct.
 // Always nonzero: 0 means "no token" on the wire.
 uint64_t SubmitToken(uint64_t trace_hash, std::string_view bug_id, uint64_t seed) {
-  const uint64_t token = MixJitter(FnvMix(trace_hash, bug_id) ^ seed);
+  const uint64_t token = Mix(Fnv1a(trace_hash ^ kFnvOffsetBasis, bug_id) ^ seed);
   return token == 0 ? 1 : token;
 }
 
 }  // namespace
 
 ServeClient::ServeClient(std::shared_ptr<Transport> transport, ServeClientConfig config)
-    : transport_(std::move(transport)), config_(config) {
-  AppendServeHeader(&outbox_);
-}
-
-uint64_t ServeClient::Submit(const SubmitRequest& request) {
-  const uint64_t token =
-      SubmitToken(CanonicalTraceHash(request.trace), request.bug_id, request.seed);
-  return SubmitEncoded(EncodeSubmitBlob(request.bug_id, request.seed, request.tag,
-                                        SerializeProfile(request.profile),
-                                        request.trace.SerializeBinary(), token),
-                       token);
-}
+    : link_(std::move(transport)), config_(config) {}
 
 uint64_t ServeClient::SubmitBlob(std::string_view bug_id, uint64_t seed, std::string_view tag,
                                  std::string_view profile_text, std::string_view trace_blob) {
   uint64_t trace_hash = 0;
   CanonicalBlobHash(trace_blob, &trace_hash);  // Best-effort: damaged blobs
                                                // still get a stable token.
-  const uint64_t token = SubmitToken(trace_hash, bug_id, seed);
-  return SubmitEncoded(EncodeSubmitBlob(bug_id, seed, tag, profile_text, trace_blob, token),
-                       token);
-}
-
-uint64_t ServeClient::SubmitEncoded(std::string encoded, uint64_t token) {
   const uint64_t handle = next_handle_++;
   PendingJob& job = jobs_[handle];
   job.handle = handle;
-  job.encoded = std::move(encoded);
-  job.token = token;
+  job.token = SubmitToken(trace_hash, bug_id, seed);
+  job.encoded = EncodeSubmitBlob(bug_id, seed, tag, profile_text, trace_blob, job.token);
   job.state = JobState::kAwaitingAccept;
-  AppendServeFrame(&outbox_, ServeFrame::kSubmit, job.encoded);
+  link_.Send(ServeFrame::kSubmit, job.encoded);
   accept_fifo_.push_back(handle);
   return handle;
 }
@@ -84,7 +49,7 @@ uint64_t ServeClient::OpenStream(std::string_view bug_id, uint64_t seed, std::st
   job.handle = handle;
   job.is_stream = true;
   // Session nonce, not a content hash: the content does not exist yet.
-  job.token = SubmitToken(MixJitter(config_.backoff_jitter_seed ^ handle), bug_id, seed);
+  job.token = SubmitToken(Mix(config_.backoff_jitter_seed ^ handle), bug_id, seed);
   StreamOpenMsg msg;
   msg.bug_id = std::string(bug_id);
   msg.seed = seed;
@@ -93,7 +58,7 @@ uint64_t ServeClient::OpenStream(std::string_view bug_id, uint64_t seed, std::st
   msg.token = job.token;
   job.encoded = EncodeStreamOpen(msg);
   job.state = JobState::kAwaitingAccept;
-  AppendServeFrame(&outbox_, ServeFrame::kStreamOpen, job.encoded);
+  link_.Send(ServeFrame::kStreamOpen, job.encoded);
   accept_fifo_.push_back(handle);
   return handle;
 }
@@ -114,8 +79,7 @@ void ServeClient::StreamData(uint64_t handle, std::string_view bytes) {
   if (job.state != JobState::kAccepted && job.state != JobState::kDone) {
     return;
   }
-  AppendServeFrame(&outbox_, ServeFrame::kStreamData,
-                   EncodeStreamData(job.server_job_id, bytes));
+  link_.Send(ServeFrame::kStreamData, EncodeStreamData(job.server_job_id, bytes));
 }
 
 void ServeClient::CloseStream(uint64_t handle) {
@@ -131,8 +95,7 @@ void ServeClient::CloseStream(uint64_t handle) {
   if (job.state != JobState::kAccepted && job.state != JobState::kDone) {
     return;  // Never accepted, or already failed.
   }
-  AppendServeFrame(&outbox_, ServeFrame::kStreamClose,
-                   EncodeStreamClose(StreamCloseMsg{job.server_job_id}));
+  link_.Send(ServeFrame::kStreamClose, EncodeStreamClose(StreamCloseMsg{job.server_job_id}));
 }
 
 bool ServeClient::stream_accepted(uint64_t handle) const {
@@ -155,19 +118,17 @@ int ServeClient::BackoffRounds(const PendingJob& job) const {
   // Up to +50% jitter so synchronized clients fan out instead of re-stampeding
   // the queue in lockstep; the mix is a pure function of (seed, handle,
   // attempt), so a rerun of the same submission order waits identically.
-  const uint64_t mix =
-      MixJitter(config_.backoff_jitter_seed ^ (job.handle * 0x9e3779b97f4a7c15ULL) ^
-                static_cast<uint64_t>(job.attempts));
+  const uint64_t mix = Mix(config_.backoff_jitter_seed ^ (job.handle * 0x9e3779b97f4a7c15ULL) ^
+                          static_cast<uint64_t>(job.attempts));
   rounds += static_cast<int>(mix % (static_cast<uint64_t>(rounds) / 2 + 1));
   return rounds < cap ? rounds : cap;
 }
 
-void ServeClient::RequestStats() {
-  AppendServeFrame(&outbox_, ServeFrame::kStatsRequest, "");
-}
+void ServeClient::RequestStats() { link_.Send(ServeFrame::kStatsRequest, ""); }
 
 void ServeClient::Poll() {
-  if (broken_) {
+  if (broken()) {
+    FailUnresolved();  // Submissions made after the break.
     return;
   }
 
@@ -181,59 +142,50 @@ void ServeClient::Poll() {
       continue;
     }
     job.state = JobState::kAwaitingAccept;
-    AppendServeFrame(&outbox_,
-                     job.is_stream ? ServeFrame::kStreamOpen : ServeFrame::kSubmit,
-                     job.encoded);
+    link_.Send(job.is_stream ? ServeFrame::kStreamOpen : ServeFrame::kSubmit, job.encoded);
     accept_fifo_.push_back(job.handle);
     retries_performed_++;
     it = backoff_.erase(it);
   }
 
-  // Flush as much of the outbox as the transport accepts (short writes mean
-  // the pipe is full; the remainder goes out on a later Poll()).
-  if (outbox_sent_ < outbox_.size() && transport_->writable()) {
-    std::string_view rest(outbox_.data() + outbox_sent_, outbox_.size() - outbox_sent_);
-    outbox_sent_ += transport_->Write(rest);
-    if (outbox_sent_ == outbox_.size()) {
-      outbox_.clear();
-      outbox_sent_ = 0;
-    } else if (outbox_sent_ > 64 * 1024 && outbox_sent_ >= outbox_.size() / 2) {
-      outbox_.erase(0, outbox_sent_);
-      outbox_sent_ = 0;
-    }
-  }
+  // Short writes mean the pipe is full; the rest goes out on a later Poll().
+  link_.Flush();
 
-  // Pull inbound bytes and process every complete frame.
-  while (transport_->readable()) {
-    std::string chunk = transport_->Read(kReadChunk);
-    if (chunk.empty()) {
-      break;
-    }
-    decoder_.Feed(chunk);
-  }
   DecodedFrame frame;
   for (;;) {
-    FrameDecoder::Status status = decoder_.Next(&frame);
+    const FrameDecoder::Status status = link_.Next(&frame);
     if (status == FrameDecoder::Status::kNeedMore) {
-      break;
+      if (link_.hung_up()) {
+        Break(ServeError::kConnectionLost, "server hung up");
+      }
+      return;
     }
     if (status == FrameDecoder::Status::kBadStream) {
-      broken_ = true;
-      backoff_.clear();
-      // Every in-flight job fails: the stream cannot carry answers anymore.
-      for (auto& [handle, job] : jobs_) {
-        if (job.state != JobState::kDone && job.state != JobState::kFailed) {
-          job.state = JobState::kFailed;
-          job.error = ServeError::kVersionMismatch;
-          job.error_message = "serve stream header rejected";
-        }
-      }
+      Break(ServeError::kVersionMismatch, "serve stream header rejected");
       return;
     }
     if (status == FrameDecoder::Status::kCorruptFrame) {
       continue;  // Server frames are regenerable; resynchronization handled it.
     }
     HandleFrame(frame);
+  }
+}
+
+void ServeClient::Break(ServeError code, std::string message) {
+  broken_ = code;
+  broken_message_ = std::move(message);
+  FailUnresolved();
+}
+
+void ServeClient::FailUnresolved() {
+  // The stream cannot carry answers anymore: nothing waits for a retry.
+  backoff_.clear();
+  for (auto& [handle, job] : jobs_) {
+    if (job.state != JobState::kDone && job.state != JobState::kFailed) {
+      job.state = JobState::kFailed;
+      job.error = broken_;
+      job.error_message = broken_message_;
+    }
   }
 }
 
@@ -391,14 +343,14 @@ void ServeClient::HandleAccepted(const AcceptedMsg& msg) {
   job->accept_kind = msg.kind;
   if (job->is_stream) {
     if (!job->stream_staged.empty()) {
-      AppendServeFrame(&outbox_, ServeFrame::kStreamData,
-                       EncodeStreamData(job->server_job_id, job->stream_staged));
+      link_.Send(ServeFrame::kStreamData,
+                 EncodeStreamData(job->server_job_id, job->stream_staged));
       job->stream_staged.clear();
       job->stream_staged.shrink_to_fit();
     }
     if (job->close_requested) {
-      AppendServeFrame(&outbox_, ServeFrame::kStreamClose,
-                       EncodeStreamClose(StreamCloseMsg{job->server_job_id}));
+      link_.Send(ServeFrame::kStreamClose,
+                 EncodeStreamClose(StreamCloseMsg{job->server_job_id}));
     }
   }
 }

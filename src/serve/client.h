@@ -1,10 +1,10 @@
 // Client half of the serve protocol (DESIGN.md §10).
 //
-// A ServeClient owns one connection to a DiagnosisService. Submit() encodes
-// a diagnosis job and queues its bytes; Poll() moves data both ways — it
-// drains the outbox into the transport (handling the short writes a bounded
-// wire produces), reassembles inbound frames, and advances each job's state
-// machine:
+// A ServeClient owns one connection to a DiagnosisService (or a router).
+// SubmitBlob() encodes a diagnosis job and queues its bytes; Poll() moves
+// data both ways — it drains the outbox into the transport (handling the
+// short writes a bounded wire produces), reassembles inbound frames, and
+// advances each job's state machine:
 //
 //     pending-send -> awaiting-accept -> accepted -> done | failed
 //                          ^                  (progress streams in between)
@@ -13,7 +13,8 @@
 //
 // The server answers submissions in FIFO order, so the client correlates
 // kAccepted/kError frames with the oldest in-flight submission; kProgress /
-// kResult frames carry the server-assigned job id.
+// kResult frames carry the server-assigned job id. A server that hangs up
+// fails every unresolved handle with kConnectionLost.
 #ifndef SRC_SERVE_CLIENT_H_
 #define SRC_SERVE_CLIENT_H_
 
@@ -66,14 +67,10 @@ class ServeClient {
   explicit ServeClient(std::shared_ptr<Transport> transport,
                        ServeClientConfig config = {});
 
-  // Queues one submission; returns a client-side handle. `request.trace` /
-  // `request.profile` are encoded immediately (no lifetime obligations).
-  uint64_t Submit(const SubmitRequest& request);
-
-  // Zero-copy submission: ships an already-serialized RTRC blob (e.g. a
-  // mapped dump file's bytes) without building or re-encoding a Trace. Same
-  // cache key as Submit of the equivalent trace — the canonical hash is
-  // encoding-independent. All views are copied into the frame immediately.
+  // Queues one submission of an already-serialized RTRC blob (a mapped dump
+  // file's bytes, or Trace::SerializeBinary()) and the profile's
+  // SerializeProfile() text; returns a client-side handle. All views are
+  // copied into the frame immediately (no lifetime obligations).
   // Every submission carries an idempotency token derived from the blob's
   // canonical hash: if a suspected-lost submit is resent and the original
   // actually registered, the duplicate kAccepted is recognized by token and
@@ -125,8 +122,9 @@ class ServeClient {
   bool all_done() const;
   // Queue-full retries performed so far (across all handles).
   int retries_performed() const { return retries_performed_; }
-  // True when the server stream turned out to be unusable (bad header).
-  bool broken() const { return broken_; }
+  // True once the server stream turned out to be unusable (bad header) or
+  // the server hung up.
+  bool broken() const { return broken_ != ServeError::kNone; }
 
  private:
   enum class JobState : uint8_t {
@@ -160,7 +158,10 @@ class ServeClient {
 
   void HandleFrame(const DecodedFrame& frame);
   void HandleAccepted(const AcceptedMsg& msg);
-  uint64_t SubmitEncoded(std::string encoded, uint64_t token);
+  // Marks the connection unusable and fails every unresolved handle with
+  // `code`.
+  void Break(ServeError code, std::string message);
+  void FailUnresolved();
   // Rounds to wait before retry `job.attempts`: exponential base, capped,
   // plus deterministic jitter mixed from (jitter seed, handle, attempt).
   int BackoffRounds(const PendingJob& job) const;
@@ -168,11 +169,8 @@ class ServeClient {
   PendingJob* ByServerJobId(uint64_t job_id);
   const PendingJob& Get(uint64_t handle) const;
 
-  std::shared_ptr<Transport> transport_;
+  ServeConnection link_;
   ServeClientConfig config_;
-  FrameDecoder decoder_;
-  std::string outbox_;
-  size_t outbox_sent_ = 0;
   std::map<uint64_t, PendingJob> jobs_;
   // Handles in JobState::kBackoff, in handle order (Poll walks only these).
   std::set<uint64_t> backoff_;
@@ -181,7 +179,9 @@ class ServeClient {
   uint64_t next_handle_ = 1;
   int retries_performed_ = 0;
   uint64_t throttle_events_ = 0;
-  bool broken_ = false;
+  // Why the connection is unusable (kNone while it works).
+  ServeError broken_ = ServeError::kNone;
+  std::string broken_message_;
   uint64_t stats_received_ = 0;
   StatsMsg latest_stats_;
 };

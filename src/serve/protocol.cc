@@ -1,5 +1,6 @@
 #include "src/serve/protocol.h"
 
+#include "src/analyze/trace_validator.h"
 #include "src/common/strings.h"
 
 namespace rose {
@@ -14,6 +15,7 @@ std::string_view ServeErrorName(ServeError error) {
     case ServeError::kVersionMismatch: return "version_mismatch";
     case ServeError::kMalformedRequest: return "malformed_request";
     case ServeError::kRetriesExhausted: return "retries_exhausted";
+    case ServeError::kConnectionLost: return "connection_lost";
   }
   return "?";
 }
@@ -62,13 +64,46 @@ FrameDecoder::Status FrameDecoder::Next(DecodedFrame* out) {
   return Status::kFrame;
 }
 
-// --- Message codecs ----------------------------------------------------------
+// --- Connections ---------------------------------------------------------------
 
-std::string EncodeSubmit(const SubmitRequest& request) {
-  return EncodeSubmitBlob(request.bug_id, request.seed, request.tag,
-                          SerializeProfile(request.profile),
-                          request.trace.SerializeBinary());
+ServeConnection::ServeConnection(std::shared_ptr<Transport> transport)
+    : transport_(std::move(transport)) {
+  AppendServeHeader(outbox_.tail());
 }
+
+void ServeConnection::Send(ServeFrame kind, std::string_view payload) {
+  if (!closed_) {
+    AppendServeFrame(outbox_.tail(), kind, payload);
+  }
+}
+
+FrameDecoder::Status ServeConnection::Next(DecodedFrame* out) {
+  const FrameDecoder::Status status = decoder_.Next(out);
+  if (status != FrameDecoder::Status::kNeedMore) {
+    return status;
+  }
+  bool fed = false;
+  for (std::string chunk = transport_->Read(kTransportReadSize); !chunk.empty();
+       chunk = transport_->Read(kTransportReadSize)) {
+    decoder_.Feed(chunk);
+    fed = true;
+  }
+  return fed ? decoder_.Next(out) : status;
+}
+
+void ServeConnection::Flush() {
+  if (!closed_) {
+    outbox_.Flush(*transport_);
+  }
+}
+
+void ServeConnection::Close() {
+  Flush();
+  closed_ = true;
+  transport_->Close();
+}
+
+// --- Message codecs ----------------------------------------------------------
 
 std::string EncodeSubmitBlob(std::string_view bug_id, uint64_t seed, std::string_view tag,
                              std::string_view profile_text, std::string_view trace_blob,
@@ -123,6 +158,28 @@ bool DecodeSubmitEnvelope(std::string payload, SubmitEnvelope* out) {
   // re-find in the new buffer).
   out->payload_ = std::move(payload);
   return true;
+}
+
+ServeError AdmitSubmit(std::string payload, SubmitEnvelope* env, uint64_t* trace_hash,
+                       std::string* why) {
+  if (!DecodeSubmitEnvelope(std::move(payload), env)) {
+    *why = "submit payload does not decode";
+    return ServeError::kMalformedRequest;
+  }
+  // One streaming pass over the RTRC blob yields the canonical hash and the
+  // container verdict (TB2xx: truncation, CRC) without building a Trace.
+  size_t event_count = 0;
+  std::vector<Diagnostic> container_diags;
+  CanonicalBlobHash(env->trace_blob(), trace_hash, &container_diags, &event_count);
+  if (HasErrors(container_diags)) {
+    *why = "trace container damaged: " + container_diags.front().ToString();
+    return ServeError::kInvalidTrace;
+  }
+  if (event_count == 0) {
+    *why = "trace decoded to zero events";
+    return ServeError::kInvalidTrace;
+  }
+  return ServeError::kNone;
 }
 
 std::string EncodeAccepted(const AcceptedMsg& msg) {

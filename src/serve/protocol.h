@@ -34,13 +34,14 @@
 #define SRC_SERVE_PROTOCOL_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/common/framing.h"
+#include "src/net/transport.h"
 #include "src/profile/profiler.h"
-#include "src/trace/event.h"
 
 namespace rose {
 
@@ -82,9 +83,11 @@ enum class ServeError : uint8_t {
   kBadFrame = 4,        // Frame skipped: CRC mismatch or undecodable payload.
   kVersionMismatch = 5, // Peer speaks a newer protocol version.
   kMalformedRequest = 6,// Frame decoded but fields are out of range.
-  // Client-side terminal state, never sent by a server: every queue-full
-  // retry was consumed (ServeClientConfig::max_retries) and the job gave up.
+  // Client-side terminal states, never sent by a server. Every queue-full
+  // retry was consumed (ServeClientConfig::max_retries) and the job gave up:
   kRetriesExhausted = 7,
+  // The server hung up before the job resolved:
+  kConnectionLost = 8,
 };
 
 std::string_view ServeErrorName(ServeError error);
@@ -99,21 +102,14 @@ enum class AcceptKind : uint8_t {
 
 // --- Message bodies ---------------------------------------------------------
 
-struct SubmitRequest {
-  std::string bug_id;
-  uint64_t seed = 42;
-  std::string tag;      // Client-chosen label, echoed in served progress.
-  Profile profile;      // Profiling baseline (benign-fault subtraction).
-  Trace trace;          // The production dump.
-};
-
-// Zero-copy view of a submit frame: owns the raw frame payload (moved in,
-// not copied) and exposes the fields as views into it. The admission path
-// uses this instead of SubmitRequest so the embedded RTRC blob is never
-// parsed into an owning Trace just to compute a cache key — the blob can be
-// hashed in place (CanonicalBlobHash) and, on a cache miss, handed to
-// MappedTrace::FromBuffer. Fields are stored as offsets, not string_views,
-// so moving the envelope (SSO buffers relocate) stays safe.
+// Zero-copy view of a kSubmit payload (bug id, seed, client tag, profile
+// text, RTRC trace blob, optional token): owns the raw frame payload (moved
+// in, not copied) and exposes the fields as views into it, so the embedded
+// RTRC blob is never parsed into an owning Trace just to compute a cache
+// key — the blob is hashed in place (CanonicalBlobHash) and, on a cache
+// miss, handed to MappedTrace::FromBuffer. Fields are stored as offsets,
+// not string_views, so moving the envelope (SSO buffers relocate) stays
+// safe.
 class SubmitEnvelope {
  public:
   std::string_view bug_id() const { return Field(bug_id_off_, bug_id_len_); }
@@ -254,11 +250,10 @@ void AppendServeHeader(std::string* out);
 // Appends one `kind` frame wrapping `payload` (length + CRC32 computed here).
 void AppendServeFrame(std::string* out, ServeFrame kind, std::string_view payload);
 
-std::string EncodeSubmit(const SubmitRequest& request);
-// Zero-copy encode: wraps an already-serialized RTRC blob (e.g. the bytes
-// of a mapped dump file) without re-encoding a Trace. EncodeSubmit is this
-// plus SerializeBinary; the canonical hash is encoding-independent, so a
-// raw-blob submission and a re-encoded one dedup to the same cache key.
+// The kSubmit payload. Wraps an already-serialized RTRC blob (the bytes of
+// a mapped dump file, or Trace::SerializeBinary()) without re-encoding it;
+// the canonical hash is encoding-independent, so two encodings of one
+// window dedup to the same cache key.
 std::string EncodeSubmitBlob(std::string_view bug_id, uint64_t seed, std::string_view tag,
                              std::string_view profile_text, std::string_view trace_blob,
                              uint64_t token = 0);
@@ -280,6 +275,14 @@ std::string EncodeStats(const StatsMsg& msg);
 // trace blob at all — only the profile is parsed (ParseProfile) and checked.
 // Trace-container damage surfaces later, from whoever consumes trace_blob().
 bool DecodeSubmitEnvelope(std::string payload, SubmitEnvelope* out);
+// Container-level admission of a kSubmit payload, shared by the daemon and
+// the router: decodes the envelope (adopting `payload`) and hashes its RTRC
+// blob in one streaming pass (CanonicalBlobHash, the cache and ring key).
+// Refuses a payload that does not decode (kMalformedRequest), a damaged
+// container or one with zero events (kInvalidTrace), with the kError
+// message in `*why`; kNone admits.
+ServeError AdmitSubmit(std::string payload, SubmitEnvelope* env, uint64_t* trace_hash,
+                       std::string* why);
 bool DecodeAccepted(std::string_view payload, AcceptedMsg* out);
 bool DecodeStreamOpen(std::string_view payload, StreamOpenMsg* out);
 // `*chunk` views into `payload`; the caller keeps the payload alive while
@@ -325,6 +328,44 @@ class FrameDecoder {
 
  private:
   FrameReader reader_{kServeFormat};
+};
+
+// --- Connections ---------------------------------------------------------------
+
+// One end of a serve connection (DESIGN.md §10): a transport, the decoder
+// for what arrives and the outbox for what leaves, greeted with the RSRV
+// header on construction. The daemon's connections, the router's client and
+// shard links and ServeClient each hold one; each keeps its own frame
+// dispatch, and this type owns only how bytes enter and leave an endpoint
+// and when its peer is gone. It is the one transport seam of the serve
+// plane.
+class ServeConnection {
+ public:
+  explicit ServeConnection(std::shared_ptr<Transport> transport);
+
+  // Queues one frame; dropped once the connection is closed.
+  void Send(ServeFrame kind, std::string_view payload);
+  // The next inbound frame. Everything the transport holds is read, in
+  // kTransportReadSize chunks, before kNeedMore is reported.
+  FrameDecoder::Status Next(DecodedFrame* out);
+  // Writes as much of the outbox as the transport accepts.
+  void Flush();
+  // Flushes what fits, then half-closes: nothing is sent afterwards.
+  void Close();
+
+  bool closed() const { return closed_; }
+  // The peer closed its side and its last byte was read (Next() returned
+  // kNeedMore since). A crash and a clean hang-up look the same.
+  bool hung_up() const { return transport_->AtEof(); }
+  // Nothing left to send: every queued byte was written, or the connection
+  // is closed.
+  bool flushed() const { return closed_ || outbox_.empty(); }
+
+ private:
+  std::shared_ptr<Transport> transport_;
+  FrameDecoder decoder_;
+  Outbox outbox_;
+  bool closed_ = false;
 };
 
 // --- Profile baseline serialization ------------------------------------------

@@ -5,6 +5,7 @@
 
 #include "src/analyze/trace_validator.h"
 #include "src/causal/causal_graph.h"
+#include "src/common/hash.h"
 #include "src/common/strings.h"
 #include "src/harness/bug_registry.h"
 #include "src/harness/rose.h"
@@ -13,23 +14,9 @@ namespace rose {
 
 namespace {
 
-constexpr size_t kReadChunk = 16 * 1024;
-
-uint64_t FnvMix(uint64_t hash, std::string_view bytes) {
-  for (char ch : bytes) {
-    hash ^= static_cast<uint8_t>(ch);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-uint64_t FnvMix(uint64_t hash, uint64_t value) {
-  for (int i = 0; i < 8; i++) {
-    hash ^= (value >> (i * 8)) & 0xff;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
+// Confirmed results held in memory (the disk copy, with a cache dir, keeps
+// every one).
+constexpr size_t kCacheEntries = 64;
 
 uint32_t RatePermille(double rate_percent) {
   return static_cast<uint32_t>(std::lround(rate_percent * 10.0));
@@ -39,14 +26,12 @@ uint32_t RatePermille(double rate_percent) {
 
 uint64_t DiagnosisService::JobKey(uint64_t trace_hash, std::string_view bug_id,
                                   uint64_t seed) {
-  uint64_t key = FnvMix(0xcbf29ce484222325ULL, trace_hash);
-  key = FnvMix(key, bug_id);
-  return FnvMix(key, seed);
+  return Fnv1a(Fnv1a(Fnv1a(kFnvOffsetBasis, trace_hash), bug_id), seed);
 }
 
 DiagnosisService::DiagnosisService(ServeConfig config)
     : config_(config),
-      cache_(config.cache_capacity, config.cache_dir),
+      cache_(kCacheEntries, config.cache_dir),
       queue_(config.queue_capacity),
       ingestor_(StreamIngestorConfig{config.stream_window_bytes, config.stream_spill_dir,
                                      config.stream_spill_bytes}),
@@ -79,18 +64,18 @@ DiagnosisService::~DiagnosisService() {
 }
 
 void DiagnosisService::Attach(std::shared_ptr<Transport> transport) {
-  auto conn = std::make_unique<Connection>();
-  conn->id = next_connection_id_++;
-  conn->transport = std::move(transport);
-  AppendServeHeader(&conn->outbox);
-  connections_.emplace(conn->id, std::move(conn));
+  connections_.emplace(next_connection_id_++, ServeConnection(std::move(transport)));
 }
 
 void DiagnosisService::Poll() {
+  std::vector<uint64_t> over;
   for (auto& [id, conn] : connections_) {
-    if (!conn->dead) {
-      ReadConnection(*conn);
+    if (!ReadConnection(id, conn)) {
+      over.push_back(id);
     }
+  }
+  for (uint64_t id : over) {
+    DropConnection(id);
   }
   PollStreamSessions();
   StartJobs();
@@ -103,38 +88,32 @@ bool DiagnosisService::idle() const {
     return false;
   }
   for (const auto& [id, conn] : connections_) {
-    if (!conn->dead && conn->outbox_sent < conn->outbox.size()) {
+    if (!conn.flushed()) {
       return false;
     }
   }
   return true;
 }
 
-void DiagnosisService::ReadConnection(Connection& conn) {
-  for (;;) {
-    const std::string chunk = conn.transport->Read(kReadChunk);
-    if (chunk.empty()) {
-      break;
-    }
-    conn.decoder.Feed(chunk);
-  }
+bool DiagnosisService::ReadConnection(uint64_t conn_id, ServeConnection& conn) {
   DecodedFrame frame;
   for (;;) {
-    switch (conn.decoder.Next(&frame)) {
+    switch (conn.Next(&frame)) {
       case FrameDecoder::Status::kNeedMore:
-        return;
+        return !conn.hung_up();
       case FrameDecoder::Status::kFrame:
         if (frame.kind == ServeFrame::kSubmit) {
-          HandleSubmit(conn, std::move(frame.payload));
+          AdmitSubmission(conn_id, std::move(frame.payload), /*reply_job_id=*/0,
+                          std::nullopt);
         } else if (frame.kind == ServeFrame::kStatsRequest) {
           metrics_.stats_requests->Inc();
-          SendFrame(conn.id, ServeFrame::kStatsReply, EncodeStats(BuildStats()));
+          SendFrame(conn_id, ServeFrame::kStatsReply, EncodeStats(BuildStats()));
         } else if (frame.kind == ServeFrame::kStreamOpen) {
-          HandleStreamOpen(conn, frame.payload);
+          HandleStreamOpen(conn_id, frame.payload);
         } else if (frame.kind == ServeFrame::kStreamData) {
-          HandleStreamData(conn, frame.payload);
+          HandleStreamData(conn_id, frame.payload);
         } else if (frame.kind == ServeFrame::kStreamClose) {
-          HandleStreamClose(conn, frame.payload);
+          HandleStreamClose(conn_id, frame.payload);
         }
         // Unknown / server-only kinds from a confused peer are skipped;
         // framing already advanced past them.
@@ -142,65 +121,41 @@ void DiagnosisService::ReadConnection(Connection& conn) {
       case FrameDecoder::Status::kCorruptFrame:
         stats_.corrupt_frames++;
         metrics_.corrupt_frames->Inc();
-        SendError(conn, ServeError::kBadFrame,
+        SendError(conn_id, ServeError::kBadFrame,
                   "frame failed its CRC32 and was skipped; resend the submission");
         break;
       case FrameDecoder::Status::kBadStream:
-        SendError(conn, ServeError::kVersionMismatch,
+        SendError(conn_id, ServeError::kVersionMismatch,
                   "bad stream header or unsupported protocol version");
-        conn.dead = true;
-        CloseStreamSessionsFor(conn.id);
-        FlushConnections();
-        conn.transport->Close();
-        return;
+        return false;
     }
   }
 }
 
-void DiagnosisService::HandleSubmit(Connection& conn, std::string payload) {
-  AdmitSubmission(conn, std::move(payload), /*reply_job_id=*/0, std::nullopt);
+void DiagnosisService::DropConnection(uint64_t conn_id) {
+  CloseStreamSessionsFor(conn_id);
+  auto it = connections_.find(conn_id);
+  it->second.Close();
+  connections_.erase(it);
 }
 
 void DiagnosisService::AdmitSubmission(
-    Connection& conn, std::string payload, uint64_t reply_job_id,
+    uint64_t conn_id, std::string payload, uint64_t reply_job_id,
     std::optional<std::chrono::steady_clock::time_point> oracle_at) {
+  // The cache/dedup key is known before any owning Trace exists: a repeat
+  // submission is answered below without materializing the trace at all.
   SubmitEnvelope env;
-  if (!DecodeSubmitEnvelope(std::move(payload), &env)) {
-    stats_.rejected_invalid++;
-    metrics_.rejects_invalid->Inc();
-    SendError(conn, ServeError::kMalformedRequest, "submit payload does not decode",
-              reply_job_id);
+  uint64_t trace_hash = 0;
+  std::string why;
+  if (const ServeError error = AdmitSubmit(std::move(payload), &env, &trace_hash, &why);
+      error != ServeError::kNone) {
+    RejectInvalid(conn_id, error, why, reply_job_id);
     return;
   }
   const std::string bug_id(env.bug_id());
   const BugSpec* spec = FindBug(bug_id);
   if (spec == nullptr) {
-    stats_.rejected_invalid++;
-    metrics_.rejects_invalid->Inc();
-    SendError(conn, ServeError::kUnknownBug, "unknown bug id: " + bug_id, reply_job_id);
-    return;
-  }
-  // Streaming canonical hash straight over the RTRC blob: the cache/dedup
-  // key is known before any owning Trace exists — a repeat submission is
-  // answered below without materializing the trace at all. Container damage
-  // (TB2xx: truncation, CRC) falls out of the same single pass.
-  uint64_t trace_hash = 0;
-  size_t event_count = 0;
-  std::vector<Diagnostic> container_diags;
-  CanonicalBlobHash(env.trace_blob(), &trace_hash, &container_diags, &event_count);
-  if (HasErrors(container_diags)) {
-    stats_.rejected_invalid++;
-    metrics_.rejects_invalid->Inc();
-    SendError(conn, ServeError::kInvalidTrace,
-              "trace container damaged: " + container_diags.front().ToString(),
-              reply_job_id);
-    return;
-  }
-  if (event_count == 0) {
-    stats_.rejected_invalid++;
-    metrics_.rejects_invalid->Inc();
-    SendError(conn, ServeError::kInvalidTrace, "trace decoded to zero events",
-              reply_job_id);
+    RejectInvalid(conn_id, ServeError::kUnknownBug, "unknown bug id: " + bug_id, reply_job_id);
     return;
   }
   const uint64_t key = JobKey(trace_hash, bug_id, env.seed());
@@ -221,16 +176,11 @@ void DiagnosisService::AdmitSubmission(
       accepted.job_id = job_id;
       accepted.kind = AcceptKind::kCacheHit;
       accepted.token = env.token();
-      SendFrame(conn.id, ServeFrame::kAccepted, EncodeAccepted(accepted));
+      SendFrame(conn_id, ServeFrame::kAccepted, EncodeAccepted(accepted));
     }
-#if ROSE_OBS_ENABLED
     if (oracle_at.has_value()) {
-      metrics_.stream_oracle_to_candidate_ns->Record(static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - *oracle_at)
-              .count()));
+      metrics_.stream_oracle_to_candidate_ns->RecordSince(*oracle_at);
     }
-#endif
     ResultMsg msg;
     msg.job_id = job_id;
     msg.reproduced = cached->reproduced;
@@ -241,7 +191,7 @@ void DiagnosisService::AdmitSubmission(
     msg.runs = cached->runs;
     msg.schedule_yaml = cached->schedule_yaml;
     msg.fault_summary = cached->fault_summary;
-    SendFrame(conn.id, ServeFrame::kResult, EncodeResult(msg));
+    SendFrame(conn_id, ServeFrame::kResult, EncodeResult(msg));
     return;
   }
   metrics_.cache_misses->Inc();
@@ -255,13 +205,13 @@ void DiagnosisService::AdmitSubmission(
     stats_.coalesced++;
     metrics_.coalesced->Inc();
     metrics_.admit_zero_copy->Inc();
-    job.subscribers.push_back({conn.id, /*coalesced=*/true, reply_job_id});
+    job.subscribers.push_back({conn_id, /*coalesced=*/true, reply_job_id});
     if (reply_job_id == 0) {
       AcceptedMsg accepted;
       accepted.job_id = job.id;
       accepted.kind = AcceptKind::kCoalesced;
       accepted.token = env.token();
-      SendFrame(conn.id, ServeFrame::kAccepted, EncodeAccepted(accepted));
+      SendFrame(conn_id, ServeFrame::kAccepted, EncodeAccepted(accepted));
     }
     if (oracle_at.has_value()) {
       stream_oracle_pending_.emplace(job.id, *oracle_at);
@@ -282,10 +232,8 @@ void DiagnosisService::AdmitSubmission(
   const std::vector<Diagnostic> validation =
       TraceValidator(validate_options).Validate(mapped.view());
   if (HasErrors(validation)) {
-    stats_.rejected_invalid++;
-    metrics_.rejects_invalid->Inc();
-    SendError(conn, ServeError::kInvalidTrace,
-              "trace failed validation: " + validation.front().ToString(), reply_job_id);
+    RejectInvalid(conn_id, ServeError::kInvalidTrace,
+                  "trace failed validation: " + validation.front().ToString(), reply_job_id);
     return;
   }
   // Causal consistency (TB303, DESIGN.md §12): a trace the happens-before
@@ -294,12 +242,10 @@ void DiagnosisService::AdmitSubmission(
   // meaningless. Vector clocks are skipped: admission only needs the prescan.
   const CausalGraph causal(mapped.view(), CausalOptions{/*vector_clocks=*/false});
   if (HasErrors(causal.diagnostics())) {
-    stats_.rejected_invalid++;
-    metrics_.rejects_invalid->Inc();
     metrics_.rejects_causal->Inc();
-    SendError(conn, ServeError::kInvalidTrace,
-              "trace causally inconsistent: " + causal.diagnostics().front().ToString(),
-              reply_job_id);
+    RejectInvalid(conn_id, ServeError::kInvalidTrace,
+                  "trace causally inconsistent: " + causal.diagnostics().front().ToString(),
+                  reply_job_id);
     return;
   }
 
@@ -316,12 +262,12 @@ void DiagnosisService::AdmitSubmission(
   job->spec = spec;
   job->profile = std::move(profile);
   job->trace = std::move(mapped);
-  job->subscribers.push_back({conn.id, /*coalesced=*/false, reply_job_id});
+  job->subscribers.push_back({conn_id, /*coalesced=*/false, reply_job_id});
 
-  if (queue_.Push(conn.id, job->id) == JobQueue::PushResult::kFull) {
+  if (queue_.Push(conn_id, job->id) == JobQueue::PushResult::kFull) {
     stats_.rejected_queue_full++;
     metrics_.rejects_queue_full->Inc();
-    SendError(conn, ServeError::kQueueFull,
+    SendError(conn_id, ServeError::kQueueFull,
               StrFormat("job queue at capacity (%zu); retry with backoff",
                         queue_.capacity()),
               reply_job_id);
@@ -330,8 +276,8 @@ void DiagnosisService::AdmitSubmission(
   job->admitted = std::chrono::steady_clock::now();
   metrics_.queue_depth->Set(static_cast<int64_t>(queue_.size()));
   MetricRegistry::Global()
-      .GetGauge("serve.queue_depth.client" + std::to_string(conn.id))
-      ->Set(static_cast<int64_t>(queue_.DepthOf(conn.id)));
+      .GetGauge("serve.queue_depth.client" + std::to_string(conn_id))
+      ->Set(static_cast<int64_t>(queue_.DepthOf(conn_id)));
 
   if (reply_job_id == 0) {
     AcceptedMsg accepted;
@@ -339,7 +285,7 @@ void DiagnosisService::AdmitSubmission(
     accepted.kind = AcceptKind::kQueued;
     accepted.queue_depth = queue_.size() - 1;
     accepted.token = env.token();
-    SendFrame(conn.id, ServeFrame::kAccepted, EncodeAccepted(accepted));
+    SendFrame(conn_id, ServeFrame::kAccepted, EncodeAccepted(accepted));
   }
   if (oracle_at.has_value()) {
     stream_oracle_pending_.emplace(job->id, *oracle_at);
@@ -348,25 +294,21 @@ void DiagnosisService::AdmitSubmission(
   jobs_.emplace(job->id, std::move(job));
 }
 
-void DiagnosisService::HandleStreamOpen(Connection& conn, std::string_view payload) {
+void DiagnosisService::HandleStreamOpen(uint64_t conn_id, std::string_view payload) {
   StreamOpenMsg msg;
   if (!DecodeStreamOpen(payload, &msg)) {
-    stats_.rejected_invalid++;
-    metrics_.rejects_invalid->Inc();
-    SendError(conn, ServeError::kMalformedRequest, "stream-open payload does not decode");
+    RejectInvalid(conn_id, ServeError::kMalformedRequest, "stream-open payload does not decode");
     return;
   }
   // Bug identity is checked at open so a misconfigured sender fails before
   // shipping a window; the trace itself is validated at oracle admission.
   if (FindBug(msg.bug_id) == nullptr) {
-    stats_.rejected_invalid++;
-    metrics_.rejects_invalid->Inc();
-    SendError(conn, ServeError::kUnknownBug, "unknown bug id: " + msg.bug_id);
+    RejectInvalid(conn_id, ServeError::kUnknownBug, "unknown bug id: " + msg.bug_id);
     return;
   }
   StreamSession session;
   session.id = next_job_id_++;
-  session.conn_id = conn.id;
+  session.conn_id = conn_id;
   session.bug_id = std::move(msg.bug_id);
   session.seed = msg.seed;
   session.tag = std::move(msg.tag);
@@ -378,52 +320,52 @@ void DiagnosisService::HandleStreamOpen(Connection& conn, std::string_view paylo
   accepted.job_id = session.id;
   accepted.kind = AcceptKind::kStream;
   accepted.token = msg.token;
-  SendFrame(conn.id, ServeFrame::kAccepted, EncodeAccepted(accepted));
+  SendFrame(conn_id, ServeFrame::kAccepted, EncodeAccepted(accepted));
   stream_sessions_.emplace(session.id, std::move(session));
 }
 
-void DiagnosisService::HandleStreamData(Connection& conn, std::string_view payload) {
+void DiagnosisService::HandleStreamData(uint64_t conn_id, std::string_view payload) {
   uint64_t session_id = 0;
   std::string_view chunk;
   if (!DecodeStreamData(payload, &session_id, &chunk)) {
-    SendError(conn, ServeError::kMalformedRequest, "stream-data payload does not decode");
+    SendError(conn_id, ServeError::kMalformedRequest, "stream-data payload does not decode");
     return;
   }
   auto it = stream_sessions_.find(session_id);
-  if (it == stream_sessions_.end() || it->second.conn_id != conn.id) {
-    SendError(conn, ServeError::kBadFrame, "stream data for unknown session",
+  if (it == stream_sessions_.end() || it->second.conn_id != conn_id) {
+    SendError(conn_id, ServeError::kBadFrame, "stream data for unknown session",
               session_id);
     return;
   }
   metrics_.stream_data_frames->Inc();
   metrics_.stream_bytes_ingested->Inc(chunk.size());
   if (!ingestor_.Feed(session_id, chunk)) {
-    SendError(conn, ServeError::kInvalidTrace,
+    SendError(conn_id, ServeError::kInvalidTrace,
               "stream bytes are not a usable RTRC container", session_id);
     ingestor_.Close(session_id);
     stream_sessions_.erase(it);
     return;
   }
   if (ingestor_.oracle_pending(session_id)) {
-    AdmitStreamOracle(conn, session_id);
+    AdmitStreamOracle(conn_id, session_id);
   }
 }
 
-void DiagnosisService::HandleStreamClose(Connection& conn, std::string_view payload) {
+void DiagnosisService::HandleStreamClose(uint64_t conn_id, std::string_view payload) {
   StreamCloseMsg msg;
   if (!DecodeStreamClose(payload, &msg)) {
-    SendError(conn, ServeError::kMalformedRequest, "stream-close payload does not decode");
+    SendError(conn_id, ServeError::kMalformedRequest, "stream-close payload does not decode");
     return;
   }
   auto it = stream_sessions_.find(msg.job_id);
-  if (it == stream_sessions_.end() || it->second.conn_id != conn.id) {
+  if (it == stream_sessions_.end() || it->second.conn_id != conn_id) {
     return;  // Already gone (errored out, or a confused peer); nothing to do.
   }
   ingestor_.Close(msg.job_id);
   stream_sessions_.erase(it);
 }
 
-void DiagnosisService::AdmitStreamOracle(Connection& conn, uint64_t session_id) {
+void DiagnosisService::AdmitStreamOracle(uint64_t conn_id, uint64_t session_id) {
   StreamSession& session = stream_sessions_.at(session_id);
   ingestor_.TakeOracle(session_id);  // Clears the latch; ts/detail are the
                                      // sender's annotation, not inputs here.
@@ -434,7 +376,7 @@ void DiagnosisService::AdmitStreamOracle(Connection& conn, uint64_t session_id) 
   // same cache entries — as a dump-file submission of this window. The blob
   // re-enters through the submit envelope: one encode buys the entire
   // existing admission chain (hash, cache, coalesce, validate, queue).
-  AdmitSubmission(conn,
+  AdmitSubmission(conn_id,
                   EncodeSubmitBlob(session.bug_id, session.seed, session.tag,
                                    session.profile_text,
                                    ingestor_.Materialize(session_id), /*token=*/0),
@@ -550,16 +492,7 @@ void DiagnosisService::HarvestJobs() {
       if (msg.kind == ProgressKind::kCandidate) {
         // First candidate for a stream-admitted job: the paper's
         // oracle-to-first-candidate latency ends here.
-        auto [begin, end] = stream_oracle_pending_.equal_range(job->id);
-#if ROSE_OBS_ENABLED
-        for (auto it = begin; it != end; ++it) {
-          metrics_.stream_oracle_to_candidate_ns->Record(static_cast<uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - it->second)
-                  .count()));
-        }
-#endif
-        stream_oracle_pending_.erase(begin, end);
+        EndOracleLatency(job->id);
       }
     }
     if (!finished) {
@@ -571,12 +504,7 @@ void DiagnosisService::HarvestJobs() {
     running_--;
     stats_.jobs_completed++;
     stats_.engine_runs += static_cast<uint64_t>(std::max(job->result.total_runs, 0));
-#if ROSE_OBS_ENABLED
-    metrics_.job_ns->Record(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - job->admitted)
-            .count()));
-#endif
+    metrics_.job_ns->RecordSince(job->admitted);
 
     CachedResult cached;
     cached.reproduced = job->result.reproduced;
@@ -591,18 +519,7 @@ void DiagnosisService::HarvestJobs() {
     BroadcastResult(*job, cached);
     // Fallback for stream admissions that never surfaced a candidate (e.g.
     // nothing to diagnose): the latency ends at the result instead.
-    {
-      auto [begin, end] = stream_oracle_pending_.equal_range(job->id);
-#if ROSE_OBS_ENABLED
-      for (auto it = begin; it != end; ++it) {
-        metrics_.stream_oracle_to_candidate_ns->Record(static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - it->second)
-                .count()));
-      }
-#endif
-      stream_oracle_pending_.erase(begin, end);
-    }
+    EndOracleLatency(job->id);
     inflight_by_key_.erase(job->key);
     done.push_back(id);
   }
@@ -627,41 +544,41 @@ StatsMsg DiagnosisService::BuildStats() const {
   return msg;
 }
 
+void DiagnosisService::EndOracleLatency(uint64_t job_id) {
+  auto [begin, end] = stream_oracle_pending_.equal_range(job_id);
+  for (auto it = begin; it != end; ++it) {
+    metrics_.stream_oracle_to_candidate_ns->RecordSince(it->second);
+  }
+  stream_oracle_pending_.erase(begin, end);
+}
+
 void DiagnosisService::FlushConnections() {
   for (auto& [id, conn] : connections_) {
-    if (conn->outbox_sent >= conn->outbox.size()) {
-      continue;
-    }
-    const std::string_view rest =
-        std::string_view(conn->outbox).substr(conn->outbox_sent);
-    conn->outbox_sent += conn->transport->Write(rest);
-    if (conn->outbox_sent >= conn->outbox.size()) {
-      conn->outbox.clear();
-      conn->outbox_sent = 0;
-    } else if (conn->outbox_sent > 64 * 1024 &&
-               conn->outbox_sent * 2 >= conn->outbox.size()) {
-      conn->outbox.erase(0, conn->outbox_sent);
-      conn->outbox_sent = 0;
-    }
+    conn.Flush();
   }
 }
 
 void DiagnosisService::SendFrame(uint64_t conn_id, ServeFrame kind,
                                  const std::string& payload) {
-  auto it = connections_.find(conn_id);
-  if (it == connections_.end() || it->second->dead) {
-    return;
+  if (auto it = connections_.find(conn_id); it != connections_.end()) {
+    it->second.Send(kind, payload);
   }
-  AppendServeFrame(&it->second->outbox, kind, payload);
 }
 
-void DiagnosisService::SendError(Connection& conn, ServeError code,
+void DiagnosisService::SendError(uint64_t conn_id, ServeError code,
                                  const std::string& message, uint64_t job_id) {
   ErrorMsg msg;
   msg.job_id = job_id;
   msg.code = code;
   msg.message = message;
-  SendFrame(conn.id, ServeFrame::kError, EncodeError(msg));
+  SendFrame(conn_id, ServeFrame::kError, EncodeError(msg));
+}
+
+void DiagnosisService::RejectInvalid(uint64_t conn_id, ServeError code,
+                                     const std::string& message, uint64_t job_id) {
+  stats_.rejected_invalid++;
+  metrics_.rejects_invalid->Inc();
+  SendError(conn_id, code, message, job_id);
 }
 
 void DiagnosisService::BroadcastProgress(const Job& job, const ProgressMsg& msg) {

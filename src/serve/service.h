@@ -56,7 +56,6 @@ struct ServeConfig {
   // Jobs waiting beyond the running ones; submissions past this bound are
   // rejected with kQueueFull (clients retry with backoff).
   size_t queue_capacity = 8;
-  size_t cache_capacity = 64;
   // Directory for persisted confirmed schedules; empty = memory-only cache.
   std::string cache_dir;
   // Per-job diagnosis template. seed/base_seed come from the submission;
@@ -98,9 +97,11 @@ class DiagnosisService {
   // protocol header on the next Poll().
   void Attach(std::shared_ptr<Transport> transport);
 
-  // One pump cycle: read + decode client bytes, admit submissions, start
-  // queued jobs while worker slots are free, harvest progress/results from
-  // running jobs, flush outgoing bytes. Call until idle() (or forever).
+  // One pump cycle: read + decode client bytes, admit submissions, drop
+  // connections whose client hung up (closing their stream sessions; their
+  // jobs run on and fill the cache), start queued jobs while worker slots
+  // are free, harvest progress/results from running jobs, flush outgoing
+  // bytes. Call until idle() (or forever).
   void Poll();
 
   // No queued or running work and every outgoing byte accepted by its
@@ -126,15 +127,6 @@ class DiagnosisService {
   static uint64_t JobKey(uint64_t trace_hash, std::string_view bug_id, uint64_t seed);
 
  private:
-  struct Connection {
-    uint64_t id = 0;
-    std::shared_ptr<Transport> transport;
-    FrameDecoder decoder;
-    std::string outbox;
-    size_t outbox_sent = 0;
-    bool dead = false;
-  };
-
   struct Job {
     uint64_t id = 0;
     uint64_t key = 0;
@@ -169,39 +161,49 @@ class DiagnosisService {
     DiagnosisResult result;
   };
 
-  void ReadConnection(Connection& conn);
-  // Takes the frame payload by value: the envelope adopts it, so the trace
-  // blob is never copied on its way to the hash or the job.
-  void HandleSubmit(Connection& conn, std::string payload);
+  // Dispatches every complete frame; false once the connection is over (the
+  // client hung up, or its stream header was refused).
+  bool ReadConnection(uint64_t conn_id, ServeConnection& conn);
+  // Closes the connection's stream sessions, then the connection itself.
+  void DropConnection(uint64_t conn_id);
   // The admission chain shared by kSubmit and stream-oracle admissions:
-  // decode → bug lookup → streaming canonical hash → cache / coalesce /
-  // validate / queue. `reply_job_id` != 0 means the caller already owns a
+  // AdmitSubmit (decode + streaming canonical hash) → bug lookup → cache /
+  // coalesce / validate / queue. Takes the frame payload by value: the
+  // envelope adopts it, so the trace blob is never copied on its way to the
+  // hash or the job. `reply_job_id` != 0 means the caller already owns a
   // client-visible id (a stream session): no kAccepted is sent, and every
   // reply — errors, cache-hit result, progress, final result — is stamped
   // with that id. `oracle_at` carries the oracle arrival time so the
   // stream.oracle_to_candidate_ns histogram can be recorded at the first
   // candidate (or immediately, on a cache hit).
-  void AdmitSubmission(Connection& conn, std::string payload, uint64_t reply_job_id,
+  void AdmitSubmission(uint64_t conn_id, std::string payload, uint64_t reply_job_id,
                        std::optional<std::chrono::steady_clock::time_point> oracle_at);
-  void HandleStreamOpen(Connection& conn, std::string_view payload);
-  void HandleStreamData(Connection& conn, std::string_view payload);
-  void HandleStreamClose(Connection& conn, std::string_view payload);
+  void HandleStreamOpen(uint64_t conn_id, std::string_view payload);
+  void HandleStreamData(uint64_t conn_id, std::string_view payload);
+  void HandleStreamClose(uint64_t conn_id, std::string_view payload);
   // Oracle mark latched on a session: materialize its window and admit the
   // blob as a diagnosis under the session's job id.
-  void AdmitStreamOracle(Connection& conn, uint64_t session_id);
+  void AdmitStreamOracle(uint64_t conn_id, uint64_t session_id);
   // Transition-edged kThrottle emission: on when a session dropped events
   // since the last poll, off when a poll passes clean. Called from Poll().
   void PollStreamSessions();
   void CloseStreamSessionsFor(uint64_t conn_id);
   void StartJobs();
   void HarvestJobs();
+  // Records (into stream.oracle_to_candidate_ns) and forgets every stream
+  // admission waiting on `job_id`'s first candidate.
+  void EndOracleLatency(uint64_t job_id);
   void FlushConnections();
 
+  // Dropped when `conn_id` is gone (its subscriber hung up).
   void SendFrame(uint64_t conn_id, ServeFrame kind, const std::string& payload);
   // `job_id` 0 = pre-admission rejection (FIFO-correlated at the client);
   // nonzero names the job/session the error belongs to.
-  void SendError(Connection& conn, ServeError code, const std::string& message,
+  void SendError(uint64_t conn_id, ServeError code, const std::string& message,
                  uint64_t job_id = 0);
+  // SendError, counted as a rejected_invalid submission.
+  void RejectInvalid(uint64_t conn_id, ServeError code, const std::string& message,
+                     uint64_t job_id = 0);
   // kProgress to every subscriber of `job`.
   void BroadcastProgress(const Job& job, const ProgressMsg& msg);
   void BroadcastResult(Job& job, const CachedResult& cached);
@@ -261,7 +263,7 @@ class DiagnosisService {
   // one job). Resolved — and recorded into stream.oracle_to_candidate_ns — at
   // the first kCandidate progress, or at completion as a fallback.
   std::multimap<uint64_t, std::chrono::steady_clock::time_point> stream_oracle_pending_;
-  std::map<uint64_t, std::unique_ptr<Connection>> connections_;
+  std::map<uint64_t, ServeConnection> connections_;
   std::map<uint64_t, std::unique_ptr<Job>> jobs_;
   // In-flight dedup: key -> job id for every job not yet completed.
   std::map<uint64_t, uint64_t> inflight_by_key_;

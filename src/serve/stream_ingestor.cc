@@ -1,7 +1,6 @@
 #include "src/serve/stream_ingestor.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <type_traits>
 #include <vector>
@@ -103,7 +102,7 @@ std::string StreamIngestor::Materialize(uint64_t id) {
     return {};
   }
   Session& session = *it->second;
-  const auto start = std::chrono::steady_clock::now();
+  ScopedTimer timer(m_materialize_ns_);
 
   // Window reassembly in arrival order: the spilled prefix, oldest live
   // record first, then the resident tail.
@@ -136,16 +135,7 @@ std::string StreamIngestor::Materialize(uint64_t id) {
   for (const TraceEvent& event : events) {
     trace.AppendRemapped(event, session.decoder.pool(), &remap);
   }
-  std::string blob = trace.SerializeBinary();
-#if ROSE_OBS_ENABLED
-  m_materialize_ns_->Record(static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count()));
-#else
-  (void)start;
-#endif
-  return blob;
+  return trace.SerializeBinary();
 }
 
 void StreamIngestor::Close(uint64_t id) {

@@ -256,6 +256,29 @@ TEST(ClusterJournalTest, FollowerReceivesByteIdenticalJournal) {
   std::filesystem::remove(follower_path);
 }
 
+// A follower that hangs up would never drain its backlog: once one record
+// outgrows the pipe, the leader must drop it rather than stay non-idle and
+// queue every later record for it.
+TEST(ClusterJournalTest, HungUpFollowerIsDropped) {
+  ClusterJournal leader("");
+  auto [leader_end, follower_end] = MakePipePair();
+  leader.AttachFollower(leader_end);
+  JournalFollower follower("", follower_end);
+  leader.AppendDispatch(SampleDispatch(1, "s0"));
+  leader.PumpReplication();
+  follower.Poll();
+  ASSERT_TRUE(leader.replication_idle());
+
+  follower_end->Close();  // The follower process dies.
+  DispatchRecord big = SampleDispatch(2, "s0");
+  big.payload.assign(200 * 1024, 'x');
+  leader.AppendDispatch(big);
+  for (int i = 0; i < 4; i++) {
+    leader.PumpReplication();
+  }
+  EXPECT_TRUE(leader.replication_idle());
+}
+
 // --- Router end to end -------------------------------------------------------
 
 struct Dump {
@@ -275,13 +298,11 @@ Dump MakeDump(const std::string& bug_id, uint64_t seed) {
   return dump;
 }
 
-SubmitRequest MakeSubmit(const std::string& bug_id, uint64_t seed, const Dump& dump) {
-  SubmitRequest request;
-  request.bug_id = bug_id;
-  request.seed = seed;
-  request.profile = dump.profile;
-  request.trace = dump.trace;
-  return request;
+// Submits `dump` as its RTRC blob under (bug_id, seed).
+uint64_t SubmitDump(ServeClient& client, const std::string& bug_id, uint64_t seed,
+                    const Dump& dump) {
+  return client.SubmitBlob(bug_id, seed, "", SerializeProfile(dump.profile),
+                           dump.trace.SerializeBinary());
 }
 
 std::string OfflineYaml(const std::string& bug_id, uint64_t seed, const Dump& dump) {
@@ -363,8 +384,8 @@ TEST(ClusterRouterTest, TwoShardResultsAreByteIdenticalToOffline) {
   ServeClient& a = cluster.AddClient();
   ServeClient& b = cluster.AddClient();
 
-  const uint64_t ha = a.Submit(MakeSubmit("RedisRaft-42", 42, dump_a));
-  const uint64_t hb = b.Submit(MakeSubmit("RedisRaft-42", 31, dump_b));
+  const uint64_t ha = SubmitDump(a, "RedisRaft-42", 42, dump_a);
+  const uint64_t hb = SubmitDump(b, "RedisRaft-42", 31, dump_b);
   cluster.PumpUntilAllDone();
 
   ASSERT_FALSE(a.failed(ha));
@@ -385,7 +406,7 @@ TEST(ClusterRouterTest, CacheHitsRouteToTheOwnerShardByteIdentically) {
   cluster.AddShard("shard0");
   cluster.AddShard("shard1");
   ServeClient& first = cluster.AddClient();
-  const uint64_t h1 = first.Submit(MakeSubmit("RedisRaft-42", 42, dump));
+  const uint64_t h1 = SubmitDump(first, "RedisRaft-42", 42, dump);
   cluster.PumpUntilAllDone();
   ASSERT_FALSE(first.failed(h1));
   EXPECT_FALSE(first.result(h1).cached);
@@ -397,7 +418,7 @@ TEST(ClusterRouterTest, CacheHitsRouteToTheOwnerShardByteIdentically) {
     runs += service->stats().engine_runs;
   }
   ServeClient& second = cluster.AddClient();
-  const uint64_t h2 = second.Submit(MakeSubmit("RedisRaft-42", 42, dump));
+  const uint64_t h2 = SubmitDump(second, "RedisRaft-42", 42, dump);
   cluster.PumpUntilAllDone();
   ASSERT_FALSE(second.failed(h2));
   EXPECT_TRUE(second.result(h2).cached);
@@ -418,8 +439,8 @@ TEST(ClusterRouterTest, MidJobShardKillRedispatchesAndStaysByteIdentical) {
   cluster.AddShard("shard1");
   ServeClient& a = cluster.AddClient();
   ServeClient& b = cluster.AddClient();
-  const uint64_t ha = a.Submit(MakeSubmit("RedisRaft-42", 42, dump_a));
-  const uint64_t hb = b.Submit(MakeSubmit("RedisRaft-42", 31, dump_b));
+  const uint64_t ha = SubmitDump(a, "RedisRaft-42", 42, dump_a);
+  const uint64_t hb = SubmitDump(b, "RedisRaft-42", 31, dump_b);
 
   // Pump until a shard owns at least one running job, then crash it cold.
   size_t victim = static_cast<size_t>(-1);
@@ -454,7 +475,7 @@ TEST(ClusterRouterTest, CorruptFrameIsSkippedAndTheConnectionKeepsServing) {
   cluster.AddShard("shard1");
   ServeClient& client = cluster.AddClient();
 
-  const uint64_t h1 = client.Submit(MakeSubmit("RedisRaft-42", 42, dump_a));
+  const uint64_t h1 = SubmitDump(client, "RedisRaft-42", 42, dump_a);
   cluster.PumpUntilAllDone();
   ASSERT_FALSE(client.failed(h1));
 
@@ -476,7 +497,7 @@ TEST(ClusterRouterTest, CorruptFrameIsSkippedAndTheConnectionKeepsServing) {
   // Exact resynchronization: the next real submission on the same connection
   // decodes and serves normally (cache hit for dump_a's twin would mask an
   // engine failure, so submit a different dump).
-  const uint64_t h2 = client.Submit(MakeSubmit("RedisRaft-42", 31, dump_b));
+  const uint64_t h2 = SubmitDump(client, "RedisRaft-42", 31, dump_b);
   cluster.PumpUntilAllDone();
   ASSERT_FALSE(client.failed(h2));
   EXPECT_EQ(client.result(h2).schedule_yaml, OfflineYaml("RedisRaft-42", 31, dump_b));
@@ -494,7 +515,7 @@ TEST(ClusterRouterTest, RestartedRouterReplaysJournalAndFinishesPendingJobs) {
     config.journal_path = journal_path;
     TestCluster cluster(config);
     ServeClient& client = cluster.AddClient();
-    client.Submit(MakeSubmit("RedisRaft-42", 42, dump));
+    SubmitDump(client, "RedisRaft-42", 42, dump);
     while (cluster.router.journal().pending().empty()) {
       cluster.Pump();
     }

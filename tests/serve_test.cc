@@ -75,6 +75,43 @@ TEST(TransportTest, SimSocketSpaceConnectAcceptRefuse) {
   EXPECT_EQ(space.Connect("/srv"), nullptr);
 }
 
+// --- Outbox -----------------------------------------------------------------
+
+TEST(OutboxTest, CompactsPastTheBoundAndResumesAfterShortWrites) {
+  auto [a, b] = MakePipePair(/*capacity=*/40 * 1024);
+  Outbox outbox;
+  std::string queued;
+  auto append = [&](int chunks) {
+    for (int i = 0; i < chunks; i++) {
+      const std::string chunk(1000, static_cast<char>('a' + queued.size() / 1000 % 26));
+      outbox.Append(chunk);
+      queued += chunk;
+    }
+  };
+  append(300);
+  std::string received;
+  bool compacted = false;
+  for (int round = 0; !outbox.empty(); round++) {
+    const size_t backing = outbox.tail()->size();
+    outbox.Flush(*a);  // Short: the pipe takes at most 40 KiB per drain.
+    const size_t unsent = queued.size() - received.size() - b->readable();
+    const size_t sent_prefix = outbox.tail()->size() - unsent;
+    // Sent bytes are dropped once they pass 64 KiB and half the buffer.
+    EXPECT_TRUE(sent_prefix <= 64 * 1024 || sent_prefix < unsent) << round;
+    compacted = compacted || (outbox.tail()->size() < backing && !outbox.empty());
+    // Nothing fits until the reader drains; the queue waits unchanged.
+    outbox.Flush(*a);
+    EXPECT_EQ(b->readable(), queued.size() - received.size() - unsent);
+    received += b->Read(1 << 20);
+    if (round == 2) {
+      append(20);  // Bytes queued mid-drain follow the ones before them.
+    }
+  }
+  EXPECT_TRUE(compacted);
+  EXPECT_EQ(outbox.tail()->size(), 0u);
+  EXPECT_EQ(received, queued);
+}
+
 // --- Protocol ---------------------------------------------------------------
 
 TEST(ServeProtocolTest, FrameRoundTripThroughChunkedFeeding) {
@@ -162,17 +199,15 @@ TEST(ServeProtocolTest, SubmitRoundTripPreservesTraceAndProfile) {
   const BugSpec* spec = FindBug("RedisRaft-42");
   ASSERT_NE(spec, nullptr);
   BugRunner runner(spec);
-  SubmitRequest request;
-  request.bug_id = "RedisRaft-42";
-  request.seed = 99;
-  request.tag = "unit";
-  request.profile = runner.RunProfiling(7);
-  std::optional<Trace> production = runner.ObtainProductionTrace(request.profile, 7 + 17);
-  ASSERT_TRUE(production.has_value());
-  request.trace = std::move(*production);
+  const Profile profile = runner.RunProfiling(7);
+  std::optional<Trace> trace = runner.ObtainProductionTrace(profile, 7 + 17);
+  ASSERT_TRUE(trace.has_value());
 
   SubmitEnvelope decoded;
-  ASSERT_TRUE(DecodeSubmitEnvelope(EncodeSubmit(request), &decoded));
+  ASSERT_TRUE(DecodeSubmitEnvelope(EncodeSubmitBlob("RedisRaft-42", 99, "unit",
+                                                    SerializeProfile(profile),
+                                                    trace->SerializeBinary()),
+                                   &decoded));
   EXPECT_EQ(decoded.bug_id(), "RedisRaft-42");
   EXPECT_EQ(decoded.seed(), 99u);
   EXPECT_EQ(decoded.tag(), "unit");
@@ -182,9 +217,9 @@ TEST(ServeProtocolTest, SubmitRoundTripPreservesTraceAndProfile) {
   std::vector<Diagnostic> diags;
   ASSERT_TRUE(CanonicalBlobHash(decoded.trace_blob(), &blob_hash, &diags, &events));
   EXPECT_TRUE(diags.empty());
-  EXPECT_EQ(events, request.trace.size());
-  EXPECT_EQ(blob_hash, CanonicalTraceHash(request.trace));
-  EXPECT_EQ(SerializeProfile(decoded.profile()), SerializeProfile(request.profile));
+  EXPECT_EQ(events, trace->size());
+  EXPECT_EQ(blob_hash, CanonicalTraceHash(*trace));
+  EXPECT_EQ(SerializeProfile(decoded.profile()), SerializeProfile(profile));
 }
 
 TEST(ServeProtocolTest, ProfileSerializationRoundTrips) {
@@ -368,13 +403,11 @@ Dump MakeDump(const std::string& bug_id, uint64_t seed) {
   return dump;
 }
 
-SubmitRequest MakeSubmit(const std::string& bug_id, uint64_t seed, const Dump& dump) {
-  SubmitRequest request;
-  request.bug_id = bug_id;
-  request.seed = seed;
-  request.profile = dump.profile;
-  request.trace = dump.trace;
-  return request;
+// Submits `dump` as its RTRC blob under (bug_id, seed).
+uint64_t SubmitDump(ServeClient& client, const std::string& bug_id, uint64_t seed,
+                    const Dump& dump) {
+  return client.SubmitBlob(bug_id, seed, "", SerializeProfile(dump.profile),
+                           dump.trace.SerializeBinary());
 }
 
 std::string OfflineYaml(const std::string& bug_id, uint64_t seed, const Dump& dump) {
@@ -399,7 +432,7 @@ TEST(DiagnosisServiceTest, ServedResultMatchesOfflineDiagnosisByteForByte) {
   service.Attach(server_end);
   ServeClient client(client_end);
 
-  const uint64_t handle = client.Submit(MakeSubmit("RedisRaft-42", 42, dump));
+  const uint64_t handle = SubmitDump(client, "RedisRaft-42", 42, dump);
   PumpUntilDone(client, service, handle);
   ASSERT_FALSE(client.failed(handle));
   const ServeJobResult& result = client.result(handle);
@@ -431,8 +464,8 @@ TEST(DiagnosisServiceTest, TwoClientsDistinctTracesServedConcurrently) {
   ServeClient a(a_end);
   ServeClient b(b_end);
 
-  const uint64_t ha = a.Submit(MakeSubmit("RedisRaft-42", 42, dump_a));
-  const uint64_t hb = b.Submit(MakeSubmit("RedisRaft-42", 31, dump_b));
+  const uint64_t ha = SubmitDump(a, "RedisRaft-42", 42, dump_a);
+  const uint64_t hb = SubmitDump(b, "RedisRaft-42", 31, dump_b);
   a.Poll();
   b.Poll();
   service.Poll();
@@ -461,14 +494,14 @@ TEST(DiagnosisServiceTest, IdenticalResubmissionIsCacheHitWithZeroEngineRuns) {
   service.Attach(server_end);
   ServeClient client(client_end);
 
-  const uint64_t first = client.Submit(MakeSubmit("RedisRaft-42", 42, dump));
+  const uint64_t first = SubmitDump(client, "RedisRaft-42", 42, dump);
   PumpUntilDone(client, service, first);
   ASSERT_FALSE(client.failed(first));
   const uint64_t runs_after_first = service.stats().engine_runs;
   EXPECT_GT(runs_after_first, 0u);
 
   // Same dump again — answered from the cache without touching the engine.
-  const uint64_t second = client.Submit(MakeSubmit("RedisRaft-42", 42, dump));
+  const uint64_t second = SubmitDump(client, "RedisRaft-42", 42, dump);
   PumpUntilDone(client, service, second);
   ASSERT_FALSE(client.failed(second));
   EXPECT_EQ(client.accept_kind(second), AcceptKind::kCacheHit);
@@ -482,7 +515,7 @@ TEST(DiagnosisServiceTest, IdenticalResubmissionIsCacheHitWithZeroEngineRuns) {
   // canonical hash is pool-independent.
   Dump reparsed = dump;
   reparsed.trace = Trace::ParseBinary(dump.trace.SerializeBinary());
-  const uint64_t third = client.Submit(MakeSubmit("RedisRaft-42", 42, reparsed));
+  const uint64_t third = SubmitDump(client, "RedisRaft-42", 42, reparsed);
   PumpUntilDone(client, service, third);
   EXPECT_EQ(client.accept_kind(third), AcceptKind::kCacheHit);
   EXPECT_EQ(service.stats().engine_runs, runs_after_first);
@@ -498,8 +531,8 @@ TEST(DiagnosisServiceTest, InflightDuplicateCoalescesOntoOneRun) {
   ServeClient a(a_end);
   ServeClient b(b_end);
 
-  const uint64_t ha = a.Submit(MakeSubmit("RedisRaft-42", 42, dump));
-  const uint64_t hb = b.Submit(MakeSubmit("RedisRaft-42", 42, dump));
+  const uint64_t ha = SubmitDump(a, "RedisRaft-42", 42, dump);
+  const uint64_t hb = SubmitDump(b, "RedisRaft-42", 42, dump);
   while (!a.done(ha) || !b.done(hb)) {
     a.Poll();
     b.Poll();
@@ -522,7 +555,8 @@ TEST(DiagnosisServiceTest, CorruptSubmitFrameMidStreamRecovers) {
 
   // Craft the client's byte stream by hand: header, a submit frame with one
   // payload byte flipped (CRC mismatch), then an intact submit frame.
-  const std::string payload = EncodeSubmit(MakeSubmit("RedisRaft-42", 42, dump));
+  const std::string payload = EncodeSubmitBlob(
+      "RedisRaft-42", 42, "", SerializeProfile(dump.profile), dump.trace.SerializeBinary());
   std::string wire;
   AppendServeHeader(&wire);
   const size_t bad_at = wire.size();
@@ -580,8 +614,8 @@ TEST(DiagnosisServiceTest, QueueFullIsTypedErrorAndClientRetrySucceeds) {
   ServeClient a(a_end);
   ServeClient b(b_end);
 
-  const uint64_t ha = a.Submit(MakeSubmit("RedisRaft-42", 42, dump_a));
-  const uint64_t hb = b.Submit(MakeSubmit("RedisRaft-42", 31, dump_b));
+  const uint64_t ha = SubmitDump(a, "RedisRaft-42", 42, dump_a);
+  const uint64_t hb = SubmitDump(b, "RedisRaft-42", 31, dump_b);
   // Both submissions land in the same admission cycle: A fills the waiting
   // slot, B is rejected with kQueueFull and retries after backoff.
   while (!a.done(ha) || !b.done(hb)) {
@@ -612,8 +646,8 @@ TEST(DiagnosisServiceTest, QueueFullWithoutRetrySurfacesTypedError) {
   no_retry.auto_retry_queue_full = false;
   ServeClient b(b_end, no_retry);
 
-  const uint64_t ha = a.Submit(MakeSubmit("RedisRaft-42", 42, dump_a));
-  const uint64_t hb = b.Submit(MakeSubmit("RedisRaft-42", 31, dump_b));
+  const uint64_t ha = SubmitDump(a, "RedisRaft-42", 42, dump_a);
+  const uint64_t hb = SubmitDump(b, "RedisRaft-42", 31, dump_b);
   while (!a.done(ha) || !b.done(hb)) {
     a.Poll();
     b.Poll();
@@ -643,9 +677,9 @@ int RunSaturatedRetry(const Dump& dump_a, const Dump& dump_a2, const Dump& dump_
 
   // Two distinct jobs from A: one runs, one occupies the single waiting slot
   // until the first *completes* — the queue stays full for a whole diagnosis.
-  a.Submit(MakeSubmit("RedisRaft-42", 42, dump_a));
-  a.Submit(MakeSubmit("RedisRaft-42", 31, dump_a2));
-  const uint64_t hb = b.Submit(MakeSubmit("RedisRaft-42", 7, dump_b));
+  SubmitDump(a, "RedisRaft-42", 42, dump_a);
+  SubmitDump(a, "RedisRaft-42", 31, dump_a2);
+  const uint64_t hb = SubmitDump(b, "RedisRaft-42", 7, dump_b);
   int rounds = 0;
   while (!b.done(hb)) {
     a.Poll();
@@ -711,19 +745,51 @@ TEST(DiagnosisServiceTest, RejectsUnknownBugAndEmptyTrace) {
   service.Attach(server_end);
   ServeClient client(client_end);
 
-  SubmitRequest unknown = MakeSubmit("NoSuchBug-1", 42, dump);
-  const uint64_t h1 = client.Submit(unknown);
+  const uint64_t h1 = SubmitDump(client, "NoSuchBug-1", 42, dump);
   PumpUntilDone(client, service, h1);
   EXPECT_TRUE(client.failed(h1));
   EXPECT_EQ(client.error_code(h1), ServeError::kUnknownBug);
 
-  SubmitRequest empty = MakeSubmit("RedisRaft-42", 42, dump);
+  Dump empty = dump;
   empty.trace = Trace();
-  const uint64_t h2 = client.Submit(empty);
+  const uint64_t h2 = SubmitDump(client, "RedisRaft-42", 42, empty);
   PumpUntilDone(client, service, h2);
   EXPECT_TRUE(client.failed(h2));
   EXPECT_EQ(client.error_code(h2), ServeError::kInvalidTrace);
   EXPECT_EQ(service.stats().rejected_invalid, 2u);
+}
+
+// A client that hangs up mid-job only loses its answer: the diagnosis runs
+// to the end and fills the cache, so the next identical submission is a hit.
+TEST(DiagnosisServiceTest, HungUpClientsJobCompletesAndFillsTheCache) {
+  const Dump dump = MakeDump("RedisRaft-42", 42);
+  DiagnosisService service(ServeConfig{});
+  {
+    auto [client_end, server_end] = MakePipePair();
+    service.Attach(server_end);
+    ServeClient client(client_end);
+    SubmitDump(client, "RedisRaft-42", 42, dump);
+    while (service.stats().jobs_submitted == 0) {
+      client.Poll();
+      service.Poll();
+    }
+    client_end->Close();
+  }
+  while (service.stats().jobs_completed == 0) {
+    service.Poll();
+  }
+  const uint64_t runs = service.stats().engine_runs;
+  EXPECT_GT(runs, 0u);
+
+  auto [client_end, server_end] = MakePipePair();
+  service.Attach(server_end);
+  ServeClient client(client_end);
+  const uint64_t handle = SubmitDump(client, "RedisRaft-42", 42, dump);
+  PumpUntilDone(client, service, handle);
+  ASSERT_FALSE(client.failed(handle));
+  EXPECT_EQ(client.accept_kind(handle), AcceptKind::kCacheHit);
+  EXPECT_EQ(client.result(handle).schedule_yaml, OfflineYaml("RedisRaft-42", 42, dump));
+  EXPECT_EQ(service.stats().engine_runs, runs);
 }
 
 // An RTRC blob whose one `kind` frame (pool or events) announces 2^62
@@ -774,7 +840,7 @@ TEST(DiagnosisServiceTest, HostileBlobsAreInvalidTracesAndTheConnectionSurvives)
   EXPECT_EQ(client.error_code(stream), ServeError::kInvalidTrace);
   EXPECT_EQ(service.stats().rejected_invalid, 4u);
 
-  const uint64_t good = client.Submit(MakeSubmit("RedisRaft-42", 42, dump));
+  const uint64_t good = SubmitDump(client, "RedisRaft-42", 42, dump);
   PumpUntilDone(client, service, good);
   ASSERT_FALSE(client.failed(good));
   EXPECT_EQ(client.result(good).schedule_yaml, OfflineYaml("RedisRaft-42", 42, dump));
@@ -792,7 +858,7 @@ TEST(DiagnosisServiceTest, ScheduleStoreSurvivesRestart) {
     auto [client_end, server_end] = MakePipePair();
     service.Attach(server_end);
     ServeClient client(client_end);
-    const uint64_t handle = client.Submit(MakeSubmit("RedisRaft-42", 42, dump));
+    const uint64_t handle = SubmitDump(client, "RedisRaft-42", 42, dump);
     PumpUntilDone(client, service, handle);
     ASSERT_FALSE(client.failed(handle));
     ASSERT_TRUE(client.result(handle).reproduced);
@@ -805,7 +871,7 @@ TEST(DiagnosisServiceTest, ScheduleStoreSurvivesRestart) {
   auto [client_end, server_end] = MakePipePair();
   restarted.Attach(server_end);
   ServeClient client(client_end);
-  const uint64_t handle = client.Submit(MakeSubmit("RedisRaft-42", 42, dump));
+  const uint64_t handle = SubmitDump(client, "RedisRaft-42", 42, dump);
   PumpUntilDone(client, restarted, handle);
   ASSERT_FALSE(client.failed(handle));
   EXPECT_EQ(client.accept_kind(handle), AcceptKind::kCacheHit);
@@ -868,10 +934,10 @@ TEST(DiagnosisServiceTest, StatsRequestAnsweredOverTheWire) {
 
   // Run a job, resubmit for a cache hit, then STATS again: the reply's
   // counters and the serve.* metrics must both reflect the hit.
-  const uint64_t first = client.Submit(MakeSubmit("RedisRaft-42", 42, dump));
+  const uint64_t first = SubmitDump(client, "RedisRaft-42", 42, dump);
   PumpUntilDone(client, service, first);
   ASSERT_FALSE(client.failed(first));
-  const uint64_t second = client.Submit(MakeSubmit("RedisRaft-42", 42, dump));
+  const uint64_t second = SubmitDump(client, "RedisRaft-42", 42, dump);
   PumpUntilDone(client, service, second);
   EXPECT_EQ(client.accept_kind(second), AcceptKind::kCacheHit);
 

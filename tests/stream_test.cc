@@ -370,25 +370,20 @@ TEST(StreamIngestorTest, EvictionWithoutSpillDropsOldestButStreamSurvives) {
 // service deciding the timeline.
 class FakeServer {
  public:
-  explicit FakeServer(std::shared_ptr<Transport> end) : end_(std::move(end)) {
-    AppendServeHeader(&outbox_);
-  }
+  explicit FakeServer(std::shared_ptr<Transport> end) : link_(std::move(end)) {}
 
-  void Send(ServeFrame kind, std::string_view payload) {
-    AppendServeFrame(&outbox_, kind, payload);
-  }
+  void Send(ServeFrame kind, std::string_view payload) { link_.Send(kind, payload); }
+  // The server process dies: what it queued goes out, then EOF.
+  void HangUp() { link_.Close(); }
 
   // Moves bytes both ways until the wire is quiet.
   void Pump(ServeClient& client) {
     for (int round = 0; round < 64; round++) {
       client.Poll();
-      if (outbox_sent_ < outbox_.size()) {
-        outbox_sent_ += end_->Write(std::string_view(outbox_).substr(outbox_sent_));
-      }
-      decoder_.Feed(end_->Read(64 * 1024));
+      link_.Flush();
       for (;;) {
         DecodedFrame frame;
-        const FrameDecoder::Status status = decoder_.Next(&frame);
+        const FrameDecoder::Status status = link_.Next(&frame);
         if (status == FrameDecoder::Status::kFrame) {
           frames_.push_back(std::move(frame));
           continue;
@@ -415,10 +410,7 @@ class FakeServer {
   }
 
  private:
-  std::shared_ptr<Transport> end_;
-  std::string outbox_;
-  size_t outbox_sent_ = 0;
-  FrameDecoder decoder_;
+  ServeConnection link_;
   std::vector<DecodedFrame> frames_;
 };
 
@@ -479,6 +471,49 @@ TEST(ServeClientTest, DuplicateAcceptIsRecognizedByTokenAndDropped) {
   EXPECT_FALSE(client.failed(hy));
   EXPECT_EQ(client.result(hx).schedule_yaml, "yaml-x\n");
   EXPECT_EQ(client.result(hy).schedule_yaml, "yaml-y\n");
+}
+
+// A server that hangs up can answer nothing more: every handle it left
+// unresolved fails with kConnectionLost instead of spinning `done()` loops
+// forever, and what it resolved before the hang-up stands.
+TEST(ServeClientTest, HungUpServerFailsUnresolvedHandles) {
+  const Dump dump = MakeDump("RedisRaft-42", 42);
+  const std::string blob = dump.trace.SerializeBinary();
+  const std::string profile_text = SerializeProfile(dump.profile);
+  auto [client_end, server_end] = MakePipePair();
+  ServeClient client(client_end);
+  FakeServer server(server_end);
+
+  const uint64_t answered = client.SubmitBlob("RedisRaft-42", 42, "x", profile_text, blob);
+  const uint64_t accepted = client.SubmitBlob("RedisRaft-42", 31, "y", profile_text, blob);
+  const uint64_t queued = client.SubmitBlob("RedisRaft-42", 7, "z", profile_text, blob);
+  const uint64_t stream = client.OpenStream("RedisRaft-42", 42, "s", profile_text);
+  server.Pump(client);
+  AcceptedMsg accept;
+  accept.job_id = 101;
+  server.Send(ServeFrame::kAccepted, EncodeAccepted(accept));
+  accept.job_id = 102;
+  server.Send(ServeFrame::kAccepted, EncodeAccepted(accept));
+  ResultMsg result;
+  result.job_id = 101;
+  result.reproduced = true;
+  result.schedule_yaml = "yaml-x\n";
+  server.Send(ServeFrame::kResult, EncodeResult(result));
+  server.HangUp();
+  server.Pump(client);
+
+  EXPECT_TRUE(client.broken());
+  ASSERT_TRUE(client.done(answered));
+  EXPECT_FALSE(client.failed(answered));
+  EXPECT_EQ(client.result(answered).schedule_yaml, "yaml-x\n");
+  for (const uint64_t handle : {accepted, queued, stream}) {
+    ASSERT_TRUE(client.done(handle)) << handle;
+    EXPECT_EQ(client.error_code(handle), ServeError::kConnectionLost) << handle;
+  }
+  // A submission after the hang-up fails on the next poll, too.
+  const uint64_t late = client.SubmitBlob("RedisRaft-42", 9, "late", profile_text, blob);
+  client.Poll();
+  EXPECT_EQ(client.error_code(late), ServeError::kConnectionLost);
 }
 
 // --- StreamSink: throttle honoring, oracle force-flush, dump parity ----------
@@ -704,6 +739,41 @@ TEST(DiagnosisServiceStreamTest, TinyWindowSurfacesThrottleBackpressure) {
   }
 }
 
+// A sender that crashes mid-stream never sends kStreamClose; its EOF ends
+// the sessions instead, so their windows (and spill files) are freed.
+TEST(DiagnosisServiceStreamTest, HungUpClientsSessionsAreClosed) {
+  const Dump dump = MakeDump("RedisRaft-42", 42);
+  const std::string blob = dump.trace.SerializeBinary();
+  const std::string profile_text = SerializeProfile(dump.profile);
+  DiagnosisService service(ServeConfig{});
+  std::vector<std::shared_ptr<Transport>> ends;
+  std::vector<std::unique_ptr<ServeClient>> clients;
+  for (int c = 0; c < 3; c++) {
+    auto [client_end, server_end] = MakePipePair();
+    service.Attach(server_end);
+    ends.push_back(client_end);
+    clients.push_back(std::make_unique<ServeClient>(client_end));
+    const uint64_t handle = clients.back()->OpenStream("RedisRaft-42", 42, "t", profile_text);
+    clients.back()->StreamData(handle, std::string_view(blob).substr(0, blob.size() / 2));
+  }
+  for (int round = 0; round < 8; round++) {
+    for (auto& client : clients) {
+      client->Poll();
+    }
+    service.Poll();
+  }
+  ASSERT_EQ(service.stream_sessions(), 3u);
+  ASSERT_GT(service.stream_resident_bytes(), 0u);
+
+  for (auto& end : ends) {
+    end->Close();
+  }
+  service.Poll();
+  EXPECT_EQ(service.stream_sessions(), 0u);
+  EXPECT_EQ(service.stream_resident_bytes(), 0u);
+  EXPECT_TRUE(service.idle());
+}
+
 // --- Through the cluster router ----------------------------------------------
 
 TEST(ClusterStreamTest, RoutedStreamMatchesOfflineDiagnosis) {
@@ -756,6 +826,67 @@ TEST(ClusterStreamTest, RoutedStreamMatchesOfflineDiagnosis) {
   while (!router.idle() || shards[0]->stream_sessions() + shards[1]->stream_sessions() > 0) {
     pump();
   }
+}
+
+// A client that hangs up without kStreamClose ends its sessions at the
+// shard too: the router closes each accepted one, and one whose shard accept
+// was still in flight at the hang-up is closed when the accept arrives.
+TEST(ClusterStreamTest, HungUpClientsSessionsCloseAtTheShard) {
+  const Dump dump = MakeDump("RedisRaft-42", 42);
+  const std::string blob = dump.trace.SerializeBinary();
+  const std::string profile_text = SerializeProfile(dump.profile);
+  ClusterRouter router{RouterConfig{}};
+  DiagnosisService shard(ServeConfig{});
+  {
+    auto [router_end, service_end] = MakePipePair();
+    shard.Attach(service_end);
+    router.AttachShard("shard0", router_end);
+  }
+  std::vector<std::shared_ptr<Transport>> ends;
+  std::vector<std::unique_ptr<ServeClient>> clients;
+  auto connect = [&] {
+    auto [client_end, router_end] = MakePipePair();
+    router.AttachClient(router_end);
+    ends.push_back(client_end);
+    clients.push_back(std::make_unique<ServeClient>(client_end));
+    return clients.back()->OpenStream("RedisRaft-42", 42, "t", profile_text);
+  };
+  auto pump = [&] {
+    for (auto& client : clients) {
+      client->Poll();
+    }
+    router.Poll();
+    shard.Poll();
+  };
+  for (int c = 0; c < 3; c++) {
+    const uint64_t handle = connect();
+    while (!clients.back()->stream_accepted(handle)) {
+      pump();
+    }
+    clients.back()->StreamData(handle, std::string_view(blob).substr(0, blob.size() / 2));
+  }
+  for (int round = 0; round < 4; round++) {
+    pump();
+  }
+  ASSERT_EQ(shard.stream_sessions(), 3u);
+
+  // The fourth client's open reaches the shard, but it hangs up before the
+  // router has read the shard's accept.
+  connect();
+  clients.back()->Poll();
+  router.Poll();
+  ASSERT_EQ(router.inflight_jobs(), 4u);
+  for (auto& end : ends) {
+    end->Close();
+  }
+  router.Poll();
+  for (int round = 0; round < 4; round++) {
+    shard.Poll();
+    router.Poll();
+  }
+  EXPECT_EQ(router.inflight_jobs(), 0u);
+  EXPECT_EQ(shard.stream_sessions(), 0u);
+  EXPECT_TRUE(router.idle());
 }
 
 }  // namespace

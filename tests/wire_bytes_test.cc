@@ -1,4 +1,5 @@
-// Pins the bytes of the three binary formats and their shared header rule.
+// Pins the bytes of the three binary formats, their shared header rule and
+// the hashes that name things across runs.
 //
 // Each format's public writers build a header plus a few frames, and the
 // bytes must equal literals recorded before RTRC, RSRV and RJNL moved onto
@@ -6,6 +7,10 @@
 // layer cannot move a byte on any wire or disk. golden_test pins full RTRC
 // dumps the same way (rtrc_fnv). Every reader of every format then applies
 // one header rule: the magic matches and 1 <= version <= the format's max.
+// The hash pins (HashPinTest) were recorded before the FNV-1a and SplitMix64
+// copies were folded into src/common/hash.h: cache keys name persisted
+// files, ring positions place jobs on shards, and the schedule hash seeds
+// every run, so none of them may move.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,9 +19,16 @@
 #include <string_view>
 #include <vector>
 
+#include "src/analyze/schedule_linter.h"
 #include "src/analyze/trace_validator.h"
+#include "src/cluster/hash_ring.h"
 #include "src/cluster/journal.h"
+#include "src/cluster/router.h"
+#include "src/net/transport.h"
+#include "src/schedule/fault_schedule.h"
+#include "src/serve/client.h"
 #include "src/serve/protocol.h"
+#include "src/serve/service.h"
 #include "src/trace/mapped_trace.h"
 #include "src/trace/mmap_file.h"
 #include "src/trace/trace_io.h"
@@ -141,6 +153,90 @@ TEST(WireBytesTest, RjnlRecordsArePinned) {
   std::remove(path.c_str());
 }
 
+// The frames of `kind` the peer of `end` has sent so far.
+std::vector<DecodedFrame> FramesOf(Transport& end, ServeFrame kind) {
+  FrameDecoder decoder;
+  decoder.Feed(end.Read(1 << 20));
+  std::vector<DecodedFrame> frames;
+  DecodedFrame frame;
+  while (decoder.Next(&frame) == FrameDecoder::Status::kFrame) {
+    if (frame.kind == kind) {
+      frames.push_back(frame);
+    }
+  }
+  return frames;
+}
+
+TEST(HashPinTest, CacheKeyRingPointAndScheduleHash) {
+  EXPECT_EQ(DiagnosisService::JobKey(0x0123456789abcdefULL, "RedisRaft-42", 42),
+            0xd630e02fcf31625aULL);
+  EXPECT_EQ(HashRing::HashKey(0x0123456789abcdefULL), 0xd78b5e1386861b93ULL);
+  FaultSchedule schedule;
+  ASSERT_TRUE(FaultSchedule::FromYaml(R"(schedule:
+  name: pinned
+  faults:
+    - kind: syscall
+      node: 1
+      sys: write
+      errno: EIO
+      path: /data/txnlog
+      nth: 3
+      persistent: false
+    - kind: crash
+      node: 0
+      conditions:
+        - type: after_fault
+          fault: 0
+)",
+                                      &schedule));
+  EXPECT_EQ(CanonicalHash(schedule), 0x957ad4c8c8bde2baULL);
+}
+
+TEST(HashPinTest, TraceHashAndSubmitToken) {
+  EXPECT_EQ(CanonicalTraceHash(Trace::ParseBinary(SmallDump())), 0x8acc32c04a254edbULL);
+  uint64_t blob_hash = 0;
+  ASSERT_TRUE(CanonicalBlobHash(SmallDump(), &blob_hash));
+  EXPECT_EQ(blob_hash, 0x8acc32c04a254edbULL);
+
+  auto [client_end, server_end] = MakePipePair();
+  ServeClient client(client_end);
+  client.SubmitBlob("RedisRaft-42", 42, "unit", "rose-profile v1\n", SmallDump());
+  client.Poll();
+  std::vector<DecodedFrame> submits = FramesOf(*server_end, ServeFrame::kSubmit);
+  ASSERT_EQ(submits.size(), 1u);
+  SubmitEnvelope env;
+  ASSERT_TRUE(DecodeSubmitEnvelope(std::move(submits[0].payload), &env));
+  EXPECT_EQ(env.token(), 0x3d28007ae58c1411ULL);
+}
+
+TEST(HashPinTest, StreamOpenLandsOnItsPinnedShard) {
+  ClusterRouter router;
+  std::vector<std::shared_ptr<Transport>> shard_ends;
+  for (const char* name : {"shard0", "shard1"}) {
+    auto [router_end, shard_end] = MakePipePair();
+    router.AttachShard(name, router_end);
+    shard_ends.push_back(shard_end);
+  }
+  auto [client_end, router_end] = MakePipePair();
+  router.AttachClient(router_end);
+  ServeClient client(client_end);
+  for (uint64_t seed = 1; seed <= 8; seed++) {
+    client.OpenStream("RedisRaft-42", seed, "unit", "rose-profile v1\n");
+  }
+  client.Poll();
+  router.Poll();
+  // The seeds of the sessions each shard was asked to open.
+  std::string placed[2];
+  for (size_t s = 0; s < shard_ends.size(); s++) {
+    for (const DecodedFrame& frame : FramesOf(*shard_ends[s], ServeFrame::kStreamOpen)) {
+      StreamOpenMsg open;
+      ASSERT_TRUE(DecodeStreamOpen(frame.payload, &open));
+      placed[s] += std::to_string(open.seed) + " ";
+    }
+  }
+  EXPECT_EQ(placed[0], "1 2 8 ");
+  EXPECT_EQ(placed[1], "3 4 5 6 7 ");
+}
 
 // Sets the u16 version field of a stream header in place.
 void SetVersion(std::string* bytes, uint16_t version) {

@@ -11,9 +11,11 @@
 //
 // Assertions: nothing throws; decoded events and pool entries never
 // outnumber the input bytes; an incremental reader never buffers more than
-// its cap plus one frame header plus the last chunk; and a payload mutation
+// its cap plus one frame header plus the last chunk; a payload mutation
 // left with a stale CRC costs exactly that frame — the shared reader yields
-// every later frame exactly as it does for the unmutated input.
+// every later frame exactly as it does for the unmutated input; and a YAML
+// schedule or profile text that parses prints back to text that parses to
+// the same print.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -197,6 +199,20 @@ constexpr char kYamlCorpus[] = R"(schedule:
       conditions:
         - type: time
           at: 5000000000
+)";
+
+// A profile in SerializeProfile() form with every fact kind.
+constexpr char kProfileCorpus[] = R"(rose-profile v1
+duration 30000000000
+monitored 3
+monitored 14
+function 3 7
+function 14 120
+syscall 1 42
+syscall 4 9
+benign_scf write|/data/log|EIO
+benign_scf fsync||EIO
+benign_nd 10.0.0.1 10.0.0.2
 )";
 
 // --- Mutations ---------------------------------------------------------------
@@ -482,11 +498,29 @@ void CheckRjnl(const std::string& bytes, const std::string& path) {
   EXPECT_FALSE(again.recovered_torn_tail());
 }
 
+// Whatever parses must print (ToYaml) to text that parses back to the same
+// text: the printer copes with every value the parser lets through.
 void CheckYaml(const std::string& text) {
   FaultSchedule schedule;
-  if (FaultSchedule::FromYaml(text, &schedule)) {
-    schedule.ToYaml();  // The printer must cope with whatever parsed.
+  if (!FaultSchedule::FromYaml(text, &schedule)) {
+    return;
   }
+  const std::string printed = schedule.ToYaml();
+  FaultSchedule reparsed;
+  ASSERT_TRUE(FaultSchedule::FromYaml(printed, &reparsed)) << printed;
+  EXPECT_EQ(reparsed.ToYaml(), printed);
+}
+
+// The same round trip for the profile text a kSubmit carries.
+void CheckProfile(const std::string& text) {
+  Profile profile;
+  if (!ParseProfile(text, &profile)) {
+    return;
+  }
+  const std::string printed = SerializeProfile(profile);
+  Profile reparsed;
+  ASSERT_TRUE(ParseProfile(printed, &reparsed)) << printed;
+  EXPECT_EQ(SerializeProfile(reparsed), printed);
 }
 
 // --- Cases -------------------------------------------------------------------
@@ -539,6 +573,13 @@ TEST(WireFuzzTest, ScheduleYamlParserSurvivesMutations) {
   for (uint64_t seed = 1; seed <= 3; seed++) {
     RunCases(kYamlCorpus, /*framed=*/false, 0, seed, 5000,
              [](const std::string& text, Rng&) { CheckYaml(text); });
+  }
+}
+
+TEST(WireFuzzTest, ProfileTextRoundTripsUnderMutations) {
+  for (uint64_t seed = 1; seed <= 3; seed++) {
+    RunCases(kProfileCorpus, /*framed=*/false, 0, seed, 5000,
+             [](const std::string& text, Rng&) { CheckProfile(text); });
   }
 }
 
