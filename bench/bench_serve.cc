@@ -433,9 +433,7 @@ void BM_StreamIngest(benchmark::State& state) {
 
   ServeConfig config = BenchServeConfig();
   // A window far smaller than the pumped volume: every iteration exercises
-  // decode + window eviction, not just buffer appends. No spill dir — the
-  // throughput row measures the in-memory data plane (the spill ring is
-  // covered by stream_test).
+  // decode + window eviction, not just buffer appends.
   config.stream_window_bytes = 16u << 10;
   DiagnosisService service(config);
   std::vector<std::unique_ptr<ServeClient>> clients;

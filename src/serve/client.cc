@@ -308,35 +308,26 @@ void ServeClient::HandleFrame(const DecodedFrame& frame) {
 }
 
 void ServeClient::HandleAccepted(const AcceptedMsg& msg) {
+  // Servers echo the submission's token: claim the first awaiting FIFO entry
+  // carrying it. If a resent submission's original actually registered, the
+  // server answers twice with the same token — by the second accept the job
+  // is no longer awaiting, nothing matches, and the duplicate is dropped
+  // WITHOUT popping the FIFO (popping would steal the next submission's
+  // accept and shift every later correlation by one).
   PendingJob* job = nullptr;
-  if (msg.token != 0) {
-    // Token-directed accept: claim the first awaiting FIFO entry carrying
-    // this token. If a resent submission's original actually registered, the
-    // server answers twice with the same token — by the second accept the job
-    // is no longer awaiting, nothing matches, and the duplicate is dropped
-    // WITHOUT popping the FIFO (popping would steal the next submission's
-    // accept and shift every later correlation by one).
-    for (auto it = accept_fifo_.begin(); it != accept_fifo_.end(); ++it) {
-      auto jit = jobs_.find(*it);
-      if (jit == jobs_.end() || jit->second.state != JobState::kAwaitingAccept) {
-        continue;
-      }
-      if (jit->second.token == msg.token) {
-        job = &jit->second;
-        accept_fifo_.erase(it);
-        break;
-      }
+  for (auto it = accept_fifo_.begin(); it != accept_fifo_.end(); ++it) {
+    auto jit = jobs_.find(*it);
+    if (jit == jobs_.end() || jit->second.state != JobState::kAwaitingAccept) {
+      continue;
     }
-    if (job == nullptr) {
-      return;  // Duplicate (or unknown) token — swallow.
+    if (jit->second.token == msg.token) {
+      job = &jit->second;
+      accept_fifo_.erase(it);
+      break;
     }
-  } else {
-    // Legacy pre-token server: plain FIFO correlation.
-    job = OldestAwaitingAccept();
-    if (job == nullptr) {
-      return;
-    }
-    accept_fifo_.pop_front();
+  }
+  if (job == nullptr) {
+    return;  // Duplicate (or unknown) token — swallow.
   }
   job->state = JobState::kAccepted;
   job->server_job_id = msg.job_id;

@@ -147,8 +147,8 @@ class ServeClient {
     std::string error_message;
     ServeJobResult result;
     std::vector<ProgressMsg> progress;
-    // Idempotency token carried in the submit/stream-open payload (0 on
-    // stats-era encodings that predate tokens).
+    // Idempotency token carried in the submit/stream-open payload (never 0);
+    // the server's kAccepted echoes it.
     uint64_t token = 0;
     bool is_stream = false;
     bool throttled = false;

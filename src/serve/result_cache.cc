@@ -25,9 +25,9 @@ bool ReadFile(const std::filesystem::path& path, std::string* out) {
   return true;
 }
 
-// Temp-file + atomic rename: a crash mid-write leaves a stray .tmp (ignored
-// by LoadFromDisk), never a half-written cache entry under its final name.
-// Readers therefore see each file either whole or absent.
+// Temp-file + atomic rename: a crash mid-write leaves a stray .tmp (never
+// read: Load opens only final names), never a half-written cache entry under
+// its final name. Readers therefore see each file either whole or absent.
 bool WriteFileAtomic(const std::filesystem::path& path, std::string_view data) {
   const std::filesystem::path tmp = path.string() + ".tmp";
   {
@@ -56,43 +56,51 @@ ResultCache::ResultCache(size_t capacity, std::string dir)
   if (!dir_.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(dir_, ec);
-    LoadFromDisk();
   }
 }
 
 std::optional<CachedResult> ResultCache::Get(uint64_t key) {
   auto it = entries_.find(key);
-  if (it == entries_.end()) {
+  if (it != entries_.end()) {
+    lru_.splice(lru_.end(), lru_, it->second.lru_it);
+    return it->second.result;
+  }
+  CachedResult result;
+  if (dir_.empty() || !Load(key, &result)) {
     return std::nullopt;
   }
-  lru_.splice(lru_.end(), lru_, it->second.lru_it);
-  return it->second.result;
+  Remember(key, result);
+  return result;
 }
 
 void ResultCache::Put(uint64_t key, const CachedResult& result) {
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    it->second.result = result;
-    lru_.splice(lru_.end(), lru_, it->second.lru_it);
-  } else {
-    lru_.push_back(key);
-    entries_[key] = Entry{result, std::prev(lru_.end())};
-    while (entries_.size() > capacity_ && !lru_.empty()) {
-      entries_.erase(lru_.front());
-      lru_.pop_front();
-    }
-  }
+  Remember(key, result);
   if (!dir_.empty() && result.reproduced) {
     Persist(key, result);
   }
 }
 
+void ResultCache::Remember(uint64_t key, const CachedResult& result) {
+  auto it = entries_.find(key);
+  if (it != entries_.end()) {
+    it->second.result = result;
+    lru_.splice(lru_.end(), lru_, it->second.lru_it);
+    return;
+  }
+  lru_.push_back(key);
+  entries_[key] = Entry{result, std::prev(lru_.end())};
+  while (entries_.size() > capacity_ && !lru_.empty()) {
+    entries_.erase(lru_.front());
+    lru_.pop_front();
+  }
+}
+
 void ResultCache::Persist(uint64_t key, const CachedResult& result) const {
   const std::filesystem::path base = std::filesystem::path(dir_) / KeyName(key);
-  // Yaml first, meta second: the meta file is the commit point (LoadFromDisk
-  // starts from .meta files), so an entry only becomes visible once both
-  // halves are durably named. yaml_bytes is written last so any truncation
-  // of the meta — or of the yaml it vouches for — is detectable on load.
+  // Yaml first, meta second: the meta file is the commit point (Load starts
+  // from it), so an entry only becomes visible once both halves are durably
+  // named. yaml_bytes is written last so any truncation of the meta — or of
+  // the yaml it vouches for — is detectable on load.
   if (!WriteFileAtomic(base.string() + ".yaml", result.schedule_yaml)) {
     return;
   }
@@ -107,105 +115,63 @@ void ResultCache::Persist(uint64_t key, const CachedResult& result) const {
   WriteFileAtomic(base.string() + ".meta", meta);
 }
 
-void ResultCache::LoadFromDisk() {
-  std::error_code ec;
-  std::filesystem::directory_iterator it(dir_, ec);
-  if (ec) {
-    return;
+bool ResultCache::Load(uint64_t key, CachedResult* result) const {
+  const std::string base = (std::filesystem::path(dir_) / KeyName(key)).string();
+  std::string meta;
+  if (!ReadFile(base + ".meta", &meta)) {
+    return false;
   }
-  // Sorted for a deterministic LRU order regardless of directory iteration
-  // order; the set is re-ranked by use anyway.
-  std::map<uint64_t, std::string> found;
-  for (const auto& entry : it) {
-    const std::filesystem::path& path = entry.path();
-    if (path.extension() != ".meta") {
+  bool header_ok = false;
+  bool sealed = false;  // yaml_bytes present = the meta is complete.
+  uint64_t yaml_bytes = 0;
+  for (const std::string& raw : Split(meta, '\n')) {
+    const std::string_view line = StripWhitespace(raw);
+    if (line.empty()) {
       continue;
     }
-    uint64_t key = 0;
-    const std::string stem = path.stem().string();
-    if (stem.size() != 16) {
-      continue;
-    }
-    bool valid = true;
-    for (char c : stem) {
-      const bool hex = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
-      if (!hex) {
-        valid = false;
+    if (!header_ok) {
+      if (line != "rose-serve-result v1") {
         break;
       }
-      key = key << 4 | static_cast<uint64_t>(c <= '9' ? c - '0' : c - 'a' + 10);
-    }
-    if (valid) {
-      found[key] = path.string();
-    }
-  }
-  for (const auto& [key, meta_path] : found) {
-    std::string meta;
-    if (!ReadFile(meta_path, &meta)) {
+      header_ok = true;
       continue;
     }
-    CachedResult result;
-    bool header_ok = false;
-    bool sealed = false;  // yaml_bytes present = the meta is complete.
-    uint64_t yaml_bytes = 0;
-    for (const std::string& raw : Split(meta, '\n')) {
-      const std::string_view line = StripWhitespace(raw);
-      if (line.empty()) {
-        continue;
-      }
-      if (!header_ok) {
-        if (line != "rose-serve-result v1") {
-          break;
-        }
-        header_ok = true;
-        continue;
-      }
-      const size_t space = line.find(' ');
-      if (space == std::string_view::npos) {
-        continue;
-      }
-      const std::string_view field = line.substr(0, space);
-      const std::string_view value = line.substr(space + 1);
-      uint64_t number = 0;
-      if (field == "summary") {
-        result.fault_summary = std::string(value);
-      } else if (ParseUint64(value, &number)) {
-        if (field == "reproduced") {
-          result.reproduced = number != 0;
-        } else if (field == "rate_permille") {
-          result.rate_permille = static_cast<uint32_t>(number);
-        } else if (field == "level") {
-          result.level = static_cast<uint32_t>(number);
-        } else if (field == "schedules") {
-          result.schedules = static_cast<uint32_t>(number);
-        } else if (field == "runs") {
-          result.runs = static_cast<uint32_t>(number);
-        } else if (field == "yaml_bytes") {
-          yaml_bytes = number;
-          sealed = true;
-        }
-      }
-    }
-    std::string yaml;
-    const std::string yaml_path =
-        meta_path.substr(0, meta_path.size() - 5) + ".yaml";
-    // `sealed` rejects a meta truncated mid-file (yaml_bytes is its last
-    // line); the size check rejects a yaml truncated after its meta was
-    // sealed. Either way the damaged entry is skipped cleanly — the cache
-    // recovers with one fewer hit, never with a corrupt schedule.
-    if (!header_ok || !sealed || !ReadFile(yaml_path, &yaml) ||
-        yaml.size() != yaml_bytes) {
+    const size_t space = line.find(' ');
+    if (space == std::string_view::npos) {
       continue;
     }
-    result.schedule_yaml = std::move(yaml);
-    // Insert without re-persisting (Put would rewrite identical bytes).
-    lru_.push_back(key);
-    entries_[key] = Entry{std::move(result), std::prev(lru_.end())};
-    while (entries_.size() > capacity_ && !lru_.empty()) {
-      entries_.erase(lru_.front());
-      lru_.pop_front();
+    const std::string_view field = line.substr(0, space);
+    const std::string_view value = line.substr(space + 1);
+    uint64_t number = 0;
+    if (field == "summary") {
+      result->fault_summary = std::string(value);
+    } else if (ParseUint64(value, &number)) {
+      if (field == "reproduced") {
+        result->reproduced = number != 0;
+      } else if (field == "rate_permille") {
+        result->rate_permille = static_cast<uint32_t>(number);
+      } else if (field == "level") {
+        result->level = static_cast<uint32_t>(number);
+      } else if (field == "schedules") {
+        result->schedules = static_cast<uint32_t>(number);
+      } else if (field == "runs") {
+        result->runs = static_cast<uint32_t>(number);
+      } else if (field == "yaml_bytes") {
+        yaml_bytes = number;
+        sealed = true;
+      }
     }
   }
+  // `sealed` rejects a meta truncated mid-file (yaml_bytes is its last
+  // line); the size check rejects a yaml truncated after its meta was
+  // sealed. Either way the damaged entry is a miss — the cache recovers
+  // with one fewer hit, never with a corrupt schedule.
+  std::string yaml;
+  if (!header_ok || !sealed || !ReadFile(base + ".yaml", &yaml) || yaml.size() != yaml_bytes) {
+    return false;
+  }
+  result->schedule_yaml = std::move(yaml);
+  return true;
 }
 
 }  // namespace rose

@@ -17,10 +17,11 @@
 //     `<key>.yaml` — the byte-exact FaultSchedule::ToYaml() output, valid
 //     input for the executor and `lint_schedule` as-is — plus a `<key>.meta`
 //     sidecar with the counters (the YAML stays pristine because the
-//     schedule parser has no comment syntax). A restarted daemon reloads
-//     the directory and keeps answering O(1) for every schedule it ever
-//     confirmed. Unconfirmed results are cached in memory only: they are
-//     deterministic too, but worthless across restarts.
+//     schedule parser has no comment syntax). A memory miss reads the
+//     key's two files, so a running or restarted daemon answers every
+//     schedule it ever confirmed, however many there are. Unconfirmed
+//     results are cached in memory only: they are deterministic too, but
+//     worthless across restarts.
 #ifndef SRC_SERVE_RESULT_CACHE_H_
 #define SRC_SERVE_RESULT_CACHE_H_
 
@@ -44,16 +45,16 @@ struct CachedResult {
 
 class ResultCache {
  public:
-  // Loads any persisted entries from `dir` (created if missing; empty
-  // disables persistence), most recently written last into LRU order.
+  // `dir` is created if missing; empty disables persistence.
   ResultCache(size_t capacity, std::string dir);
 
-  // Hit promotes the entry to most-recently-used.
+  // A memory hit promotes the entry to most-recently-used; a memory miss
+  // loads the key's persisted entry, if one is intact, into memory.
   std::optional<CachedResult> Get(uint64_t key);
 
   // Inserts (or refreshes) an entry; persists confirmed ones when a
   // directory is configured. Evicts the least-recently-used entry beyond
-  // capacity (memory only — the disk copy survives for the next restart).
+  // capacity (memory only — the disk copy still answers Get).
   void Put(uint64_t key, const CachedResult& result);
 
   size_t size() const { return entries_.size(); }
@@ -61,7 +62,10 @@ class ResultCache {
 
  private:
   void Persist(uint64_t key, const CachedResult& result) const;
-  void LoadFromDisk();
+  // Reads `key`'s persisted entry; false when it is absent or damaged.
+  bool Load(uint64_t key, CachedResult* result) const;
+  // Inserts into memory as most-recently-used, evicting beyond capacity.
+  void Remember(uint64_t key, const CachedResult& result);
 
   size_t capacity_;
   std::string dir_;

@@ -33,8 +33,7 @@ DiagnosisService::DiagnosisService(ServeConfig config)
     : config_(config),
       cache_(kCacheEntries, config.cache_dir),
       queue_(config.queue_capacity),
-      ingestor_(StreamIngestorConfig{config.stream_window_bytes, config.stream_spill_dir,
-                                     config.stream_spill_bytes}),
+      ingestor_(config.stream_window_bytes),
       pool_(std::make_unique<WorkerPool>(std::max(config.max_concurrent_jobs, 1))) {
   MetricRegistry& reg = MetricRegistry::Global();
   metrics_.submissions = reg.GetCounter("serve.submissions");

@@ -64,13 +64,9 @@ struct ServeConfig {
 
   // --- Streaming ingestion (DESIGN.md §16) -----------------------------------
   // Per-session resident window bound for stream sessions (decoded events +
-  // pool payload). Older events spill to disk or drop; drops trigger
-  // kThrottle backpressure toward the sender.
+  // pool payload). Older events drop; drops trigger kThrottle backpressure
+  // toward the sender.
   size_t stream_window_bytes = 4u << 20;
-  // Per-session spill-ring directory; empty disables spilling.
-  std::string stream_spill_dir;
-  // Per-session spill-ring capacity in bytes.
-  size_t stream_spill_bytes = 32u << 20;
 };
 
 struct ServeStats {
@@ -229,7 +225,7 @@ class DiagnosisService {
     Counter* admit_zero_copy;
     Gauge* queue_depth;
     Histogram* job_ns;
-    // rose::stream ("stream.*"): session-level detail; window/spill/drop
+    // rose::stream ("stream.*"): session-level detail; window and drop
     // counters live in StreamIngestor.
     Counter* stream_sessions_opened;
     Counter* stream_data_frames;
@@ -241,7 +237,7 @@ class DiagnosisService {
   ServeMetrics metrics_;
 
   // One open stream session: identity from the kStreamOpen plus throttle
-  // edge state. Window/spill bytes live in the ingestor under the same id.
+  // edge state. The window lives in the ingestor under the same id.
   struct StreamSession {
     uint64_t id = 0;       // Server job id (client-visible).
     uint64_t conn_id = 0;

@@ -4,23 +4,21 @@
 // A dump submission hands the daemon a finished artifact; a stream session
 // hands it an unbounded byte feed. The ingestor turns that feed back into
 // the tracer's bounded-window discipline on the server side: events decode
-// incrementally (StreamDecoder), the newest stay resident under a per-session
-// byte bound, older ones spill to a fixed-size on-disk ring, and the oldest
-// spilled records are overwritten — the same "keep the recent past" policy
-// the in-kernel ring applies, so per-client memory is bounded no matter how
-// long a session runs or how many clients connect.
+// incrementally (StreamDecoder), the newest stay resident under a
+// per-session byte bound, and the oldest are dropped — the same "keep the
+// recent past" policy the in-kernel ring applies, so a session's events stay
+// bounded no matter how long it runs. Its string pool only grows (kept
+// events resolve against it) and counts against the bound too.
 //
 // When an oracle-mark frame arrives, Materialize() rebuilds the window
-// exactly the way Tracer::Dump canonicalizes one — spilled + resident events
-// in arrival order, stable-sorted by timestamp, pool-compacted in
-// first-appearance order, serialized — so a streamed window that lost
-// nothing produces a byte-identical RTRC blob, the same canonical hash, and
-// therefore the same cached/deduped diagnosis as the equivalent dump file.
+// exactly the way Tracer::Dump canonicalizes one (Trace::FromWindow) and
+// serializes it, so a streamed window that lost nothing produces a
+// byte-identical RTRC blob, the same canonical hash, and therefore the same
+// cached/deduped diagnosis as the equivalent dump file.
 #ifndef SRC_SERVE_STREAM_INGESTOR_H_
 #define SRC_SERVE_STREAM_INGESTOR_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <deque>
 #include <map>
 #include <memory>
@@ -32,25 +30,13 @@
 
 namespace rose {
 
-struct StreamIngestorConfig {
-  // Per-session resident bound: decoded events (fixed-size) plus the
-  // session's string-pool payload must fit here; older events are evicted
-  // to the spill ring (or dropped when spilling is disabled).
-  size_t window_bytes = 4u << 20;
-  // Directory for per-session spill rings; empty disables spilling, so
-  // eviction drops events immediately (counted, and surfaced to the client
-  // as throttle pressure by the service).
-  std::string spill_dir;
-  // Per-session spill-ring capacity in bytes. The ring holds fixed-size
-  // event records; once full, each new spill overwrites the oldest record
-  // (one drop).
-  size_t spill_bytes = 32u << 20;
-};
-
 class StreamIngestor {
  public:
-  explicit StreamIngestor(StreamIngestorConfig config);
-  ~StreamIngestor();
+  // `window_bytes` bounds each session's resident cost: decoded events
+  // (fixed-size) plus the session's string-pool payload. Past it the oldest
+  // events are dropped (counted, and surfaced to the client as throttle
+  // pressure by the service).
+  explicit StreamIngestor(size_t window_bytes);
 
   StreamIngestor(const StreamIngestor&) = delete;
   StreamIngestor& operator=(const StreamIngestor&) = delete;
@@ -65,11 +51,10 @@ class StreamIngestor {
   bool oracle_pending(uint64_t id) const;
   // Clears the latch and returns the mark (ts + detail).
   OracleMark TakeOracle(uint64_t id);
-  // Serializes the session's current window — spilled then resident events,
-  // stable-sorted by timestamp, compacted into a fresh pool — into a
-  // canonical RTRC blob (Tracer::Dump's exact canonicalization).
+  // Serializes the session's current window into a canonical RTRC blob
+  // (Trace::FromWindow, Tracer::Dump's canonicalization).
   std::string Materialize(uint64_t id);
-  // Drops all session state and deletes its spill file.
+  // Drops all session state.
   void Close(uint64_t id);
 
   size_t session_count() const { return sessions_.size(); }
@@ -77,51 +62,39 @@ class StreamIngestor {
   // ingestor's lifetime (the multi-client bench asserts its bound on this).
   size_t resident_bytes() const { return resident_total_; }
   size_t peak_resident_bytes() const { return resident_peak_; }
-  // Events lost by `id` so far (spill-ring overwrites, or evictions with
-  // spilling disabled). Monotone; the service's throttle logic watches it.
+  // Events `id` has dropped from its window so far. Monotone; the service's
+  // throttle logic watches it.
   uint64_t drops(uint64_t id) const;
   uint64_t total_drops() const { return drops_total_; }
-  uint64_t window_evictions() const { return evictions_total_; }
   // Corrupt frames skipped on `id`'s stream (CRC resynchronization).
   uint64_t corrupt_frames(uint64_t id) const;
 
  private:
   struct Session {
     StreamDecoder decoder;
-    // Decoded events not yet evicted, in arrival order. Their StrIds
-    // resolve against decoder.pool(), which only grows — spilled records
-    // stay resolvable without re-interning.
+    // Decoded events not yet dropped, in arrival order. Their StrIds
+    // resolve against decoder.pool(), which only grows.
     std::deque<TraceEvent> resident;
-    std::string spill_path;
-    std::FILE* spill = nullptr;
-    // Monotone record indices into the ring: [begin, end) are live, the
-    // slot of record i is (i % capacity_records).
-    uint64_t spill_begin = 0;
-    uint64_t spill_end = 0;
     uint64_t drops = 0;
     bool oracle_pending = false;
     OracleMark oracle;
   };
 
-  // Evicts from the resident front until the session fits its bound.
+  // Drops from the resident front until the session fits its bound.
   void EnforceWindow(uint64_t id, Session& session);
   size_t ResidentCost(const Session& session) const;
   void UpdateResidentGauge(uint64_t id, Session& session);
 
-  StreamIngestorConfig config_;
-  size_t spill_capacity_records_ = 0;
+  size_t window_bytes_;
   std::map<uint64_t, std::unique_ptr<Session>> sessions_;
   // Cached per-session cost so the total updates incrementally.
   std::map<uint64_t, size_t> session_cost_;
   size_t resident_total_ = 0;
   size_t resident_peak_ = 0;
   uint64_t drops_total_ = 0;
-  uint64_t evictions_total_ = 0;
 
   // docs/metrics.md "stream.*".
   Gauge* m_resident_ = nullptr;
-  Counter* m_evictions_ = nullptr;
-  Counter* m_spilled_bytes_ = nullptr;
   Counter* m_dropped_events_ = nullptr;
   Histogram* m_materialize_ns_ = nullptr;
 };

@@ -67,12 +67,6 @@ void TraceEvent::AppendLine(std::string* out, const StringPool& pool) const {
                    std::string(SysName(scf_info.sys)).c_str(), scf_info.fd,
                    filename.empty() ? "-" : filename.c_str(),
                    std::string(ErrName(scf_info.err)).c_str());
-      // Unindexed events keep the legacy line verbatim — the canonical trace
-      // hash (and every pre-index dump) depends on that.
-      if (scf_info.ctx_digest != 0) {
-        AppendFormat(out, " ctx=%llx cseq=%u",
-                     static_cast<unsigned long long>(scf_info.ctx_digest), scf_info.ctx_seq);
-      }
       return;
     }
     case EventType::kAF: {
@@ -195,7 +189,6 @@ bool TraceEquals(TraceView a, TraceView b) {
         const ScfInfo& sa = ea.scf();
         const ScfInfo& sb = eb.scf();
         if (sa.pid != sb.pid || sa.sys != sb.sys || sa.fd != sb.fd || sa.err != sb.err ||
-            sa.ctx_digest != sb.ctx_digest || sa.ctx_seq != sb.ctx_seq ||
             a.str(sa.filename) != b.str(sb.filename)) {
           return false;
         }
@@ -313,6 +306,18 @@ Trace Trace::Merge(const std::vector<Trace>& traces) {
     }
   }
   return out;
+}
+
+Trace Trace::FromWindow(std::vector<TraceEvent> events, const StringPool& pool) {
+  std::stable_sort(events.begin(), events.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) { return a.ts < b.ts; });
+  Trace trace;
+  trace.events_.reserve(events.size());
+  std::vector<StrId> remap;
+  for (const TraceEvent& event : events) {
+    trace.AppendRemapped(event, pool, &remap);
+  }
+  return trace;
 }
 
 TraceIndex::TraceIndex(TraceView trace) {

@@ -45,14 +45,6 @@ struct ScfInfo {
   // kEmptyStrId when unknown.
   StrId filename = kEmptyStrId;
   Err err = Err::kOk;
-  // Execution-index stamp: a calling-context digest and a 1-based
-  // in-context sequence number. The tracer records 0/0 ("not indexed");
-  // nonzero values come only from dumps recorded before it stopped
-  // stamping. The codecs and canonical hashes carry them and no analysis
-  // reads them. The text codec omits 0/0; RTRC v2 always writes both
-  // fields, so 0/0 costs two zero varints.
-  uint64_t ctx_digest = 0;
-  uint32_t ctx_seq = 0;
 };
 
 struct AfInfo {
@@ -147,6 +139,14 @@ class Trace {
   // Merges per-node traces into one timestamp-ordered trace (stable for
   // ties), re-interning every input's strings into the merged trace's pool.
   static Trace Merge(const std::vector<Trace>& traces);
+
+  // The canonical dump of a window: `events` (in recording order, ids
+  // resolving against `pool`) stable-sorted by timestamp, so ties keep
+  // recording order, then compacted into a fresh pool in first-appearance
+  // order. Tracer::Dump and a stream session's materialization both build
+  // their trace here, which is what makes a streamed window byte-identical
+  // to a dump of the same window.
+  static Trace FromWindow(std::vector<TraceEvent> events, const StringPool& pool);
 
  private:
   std::vector<TraceEvent> events_;

@@ -173,13 +173,12 @@ bool DecodeRtrcEventFrame(std::string_view payload, uint16_t format_version,
         info.filename = static_cast<StrId>(filename);
         info.err = static_cast<Err>(err);
         if (format_version >= 2) {
-          uint64_t digest = 0;
-          uint64_t seq = 0;
-          if (!GetVarint(&payload, &digest) || !GetVarint(&payload, &seq)) {
+          // Version 2's execution-index stamp (context digest, sequence
+          // number): read past, never kept.
+          uint64_t stamp = 0;
+          if (!GetVarint(&payload, &stamp) || !GetVarint(&payload, &stamp)) {
             return false;
           }
-          info.ctx_digest = digest;
-          info.ctx_seq = static_cast<uint32_t>(seq);
         }
         event.info = info;
         break;
@@ -239,12 +238,9 @@ bool DecodeRtrcEventFrame(std::string_view payload, uint16_t format_version,
 
 // --- TraceWriter ------------------------------------------------------------
 
-TraceWriter::TraceWriter(std::string* out, const StringPool* pool, size_t events_per_frame,
-                         uint16_t format_version)
-    : out_(out), pool_(pool),
-      events_per_frame_(events_per_frame == 0 ? 1 : events_per_frame),
-      format_version_(format_version) {
-  AppendRtrcHeader(out_, format_version_);
+TraceWriter::TraceWriter(std::string* out, const StringPool* pool, size_t events_per_frame)
+    : out_(out), pool_(pool), events_per_frame_(events_per_frame == 0 ? 1 : events_per_frame) {
+  AppendRtrcHeader(out_);
 }
 
 void TraceWriter::FlushPool() {
@@ -297,10 +293,6 @@ void TraceWriter::Add(const TraceEvent& event) {
       PutVarint(p, ZigZagEncode(info.fd));
       PutVarint(p, info.filename);
       PutVarint(p, static_cast<uint64_t>(info.err));
-      if (format_version_ >= 2) {
-        PutVarint(p, info.ctx_digest);
-        PutVarint(p, info.ctx_seq);
-      }
       break;
     }
     case EventType::kAF: {

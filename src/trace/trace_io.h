@@ -16,10 +16,10 @@
 // delta timestamp (previous event's ts persists across frames; the delta
 // wraps modulo 2^64), u8 type, zigzag-varint node, then the type-specific
 // fields. The end frame (empty payload) distinguishes a complete stream
-// from one truncated at a frame boundary. Version 2 appends two varints to
-// every SCF record — the execution-index context digest and sequence number
-// (ScfInfo); writers emit 0/0, readers still decode older nonzero stamps,
-// and version 1 streams decode as before with those fields zero.
+// from one truncated at a frame boundary. Writers emit version 1. Version 2
+// appended two varints to every SCF record (an execution-index stamp no
+// analysis reads); readers still accept it and skip them, so a version-2
+// dump decodes to exactly the events of its version-1 encoding.
 //
 // This is the only trace decoder: the one-event-per-line text form
 // (Trace::Serialize) is a display listing, and loading one reports TB201.
@@ -58,18 +58,14 @@ inline constexpr uint8_t kFrameEvents = 2;
 inline constexpr uint8_t kFrameEnd = 3;
 inline constexpr uint8_t kFrameStreamEpoch = 4;
 inline constexpr uint8_t kFrameOracleMark = 5;
-// Wire version 2 adds the execution index to SCF records: two varints
-// (context digest, in-context sequence number) appended after errno. The
-// reader auto-detects version 1 streams and decodes them exactly as before
-// (events surface with ctx_digest = 0, i.e. "not indexed").
-inline constexpr uint16_t kTraceFormatVersion = 2;
-// The pre-execution-index wire format; TraceWriter can still emit it (compat
-// tests and downgrade paths).
-inline constexpr uint16_t kTraceLegacyFormatVersion = 1;
-// The stream decoder bounds the announced payload length at 64 MiB (a dump
-// reader has the whole artifact in hand and needs no cap; a stream decoder
-// must not buffer unboundedly on a corrupted length field).
-inline constexpr FrameFormat kRtrcFormat = {{'R', 'T', 'R', 'C'}, kTraceFormatVersion,
+// The version every writer emits.
+inline constexpr uint16_t kTraceFormatVersion = 1;
+// Readers accept versions 1 and 2 (2 carries two extra varints per SCF
+// record, which DecodeRtrcEventFrame skips). The stream decoder bounds the
+// announced payload length at 64 MiB (a dump reader has the whole artifact
+// in hand and needs no cap; a stream decoder must not buffer unboundedly on
+// a corrupted length field).
+inline constexpr FrameFormat kRtrcFormat = {{'R', 'T', 'R', 'C'}, /*max_version=*/2,
                                             64u << 20};
 
 // --- Streaming frame protocol (docs/wire_protocol.md) -----------------------
@@ -95,9 +91,8 @@ std::string EncodeOracleMark(const OracleMark& mark);
 bool DecodeOracleMark(std::string_view payload, OracleMark* out);
 
 // Appends the 8-byte container header ('RTRC' + version + reserved).
-inline void AppendRtrcHeader(std::string* out,
-                             uint16_t format_version = kTraceFormatVersion) {
-  AppendHeader(out, kRtrcFormat, format_version);
+inline void AppendRtrcHeader(std::string* out) {
+  AppendHeader(out, kRtrcFormat, kTraceFormatVersion);
 }
 // Appends one CRC-framed container frame (the exact grammar TraceWriter
 // emits; exposed so streaming senders can interleave epoch/oracle frames
@@ -110,9 +105,10 @@ inline void AppendRtrcFrame(std::string* out, uint8_t kind, std::string_view pay
 // False on malformed payloads, counts past the payload, or ids out of stream
 // order.
 bool DecodeRtrcPoolFrame(std::string_view payload, StringPool* pool);
-// Decodes one event frame payload, appending to `*out`. `*prev_ts` carries
-// the timestamp-delta base across frames (the writer's does too); events
-// referencing pool ids >= `pool_size`, and counts past the payload, fail.
+// Decodes one event frame payload of a stream announcing `format_version`,
+// appending to `*out`. `*prev_ts` carries the timestamp-delta base across
+// frames (the writer's does too); events referencing pool ids >=
+// `pool_size`, and counts past the payload, fail.
 bool DecodeRtrcEventFrame(std::string_view payload, uint16_t format_version,
                           size_t pool_size, SimTime* prev_ts, std::vector<TraceEvent>* out);
 
@@ -142,12 +138,8 @@ class TraceWriter {
  public:
   static constexpr size_t kDefaultEventsPerFrame = 4096;
 
-  // `format_version` selects the wire format: kTraceFormatVersion (default)
-  // writes execution-index fields on SCF records; kTraceLegacyFormatVersion
-  // drops them, reproducing the historical byte stream exactly.
   TraceWriter(std::string* out, const StringPool* pool,
-              size_t events_per_frame = kDefaultEventsPerFrame,
-              uint16_t format_version = kTraceFormatVersion);
+              size_t events_per_frame = kDefaultEventsPerFrame);
 
   void Add(const TraceEvent& event);
   // Flushes buffered events (and any pool growth) into frames now, without
@@ -163,7 +155,6 @@ class TraceWriter {
   std::string* out_;
   const StringPool* pool_;
   size_t events_per_frame_;
-  uint16_t format_version_;
   // Next pool id to emit; id 0 ("") is implicit in every pool.
   size_t pool_flushed_ = 1;
   std::string events_payload_;
@@ -195,7 +186,7 @@ class TraceReader {
 
   const StringPool& pool() const { return pool_; }
   // The container version announced by the stream header (0 when the header
-  // was refused). Version 1 streams carry no execution-index fields.
+  // was refused).
   uint16_t format_version() const { return format_version_; }
   // Transfers the decoded pool out of the reader (after the stream drains;
   // the reader must not decode further frames afterwards).

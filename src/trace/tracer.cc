@@ -160,7 +160,6 @@ void Tracer::OnSyscallExit(SimTime now, const SyscallInvocation& inv,
     return;
   }
 
-  // The execution-index stamps (ctx_digest/ctx_seq) stay 0: "not indexed".
   ScfInfo info;
   info.pid = inv.pid;
   info.sys = inv.sys;
@@ -405,17 +404,10 @@ Trace Tracer::Dump() {
   ResolveEventFds(&events);
   AppendOpenEndedEvents(&events);
 
-  std::stable_sort(events.begin(), events.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) { return a.ts < b.ts; });
-
-  // Compact into the output trace's own pool: the tracer's pool accumulates
-  // every string ever seen, but a dump only carries the window's survivors.
-  Trace trace;
-  trace.events().reserve(events.size());
-  std::vector<StrId> remap;
-  for (const TraceEvent& event : events) {
-    trace.AppendRemapped(event, pool_, &remap);
-  }
+  // Sorts and compacts into the output trace's own pool: the tracer's pool
+  // accumulates every string ever seen, but a dump only carries the
+  // window's survivors.
+  Trace trace = Trace::FromWindow(std::move(events), pool_);
   dump_processing_seconds_ =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   FlushObsMetrics();

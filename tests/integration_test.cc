@@ -8,6 +8,7 @@
 #include <string>
 
 #include "src/analyze/schedule_linter.h"
+#include "src/analyze/trace_validator.h"
 #include "src/harness/bug_registry.h"
 #include "src/harness/rose.h"
 #include "src/harness/runner.h"
@@ -174,46 +175,65 @@ TEST(ZeroCopyPipelineTest, MmapAndHeapLoadsDiagnoseByteIdentically) {
   }
 }
 
+// Re-encodes `trace` as a version-2 dump whose SCF records carry nonzero
+// execution-index stamps (the n-th SCF: digest 0x9e3779b97f4a7c15 * n,
+// sequence n % 7 + 1). Version 2 appends the stamp to the end of each SCF
+// record, so at one event per frame it is two varints at the end of that
+// event's frame.
+std::string StampedVersion2Dump(const Trace& trace, size_t* scfs) {
+  std::string v1;
+  TraceWriter writer(&v1, &trace.pool(), /*events_per_frame=*/1);
+  for (const TraceEvent& event : trace.events()) {
+    writer.Add(event);
+  }
+  writer.Finish();
+  std::string v2;
+  AppendHeader(&v2, kRtrcFormat, 2);
+  std::string_view rest = std::string_view(v1).substr(kStreamHeaderSize);
+  size_t next_event = 0;
+  *scfs = 0;
+  Frame frame;
+  while (SplitFrame(&rest, UINT32_MAX, &frame) == SplitResult::kFrame) {
+    std::string payload(frame.payload);
+    if (frame.kind == kFrameEvents && trace[next_event++].type == EventType::kSCF) {
+      ++*scfs;
+      PutVarint(&payload, 0x9e3779b97f4a7c15ULL * *scfs);
+      PutVarint(&payload, *scfs % 7 + 1);
+    }
+    AppendFrame(&v2, frame.kind, payload);
+  }
+  return v2;
+}
+
 TEST(PipelineTest, StampedDumpDiagnosesLikeItsZeroedCopy) {
-  // The tracer records ctx_digest = ctx_seq = 0, but dumps (and serve cache
-  // entries) recorded before it stopped stamping carry nonzero stamps. Such
-  // a dump must still round-trip byte-identically through RTRC v2 (its
-  // listing too), and diagnose exactly like the same dump with the stamps
-  // zeroed.
+  // Dumps recorded while the tracer still stamped SCF events are RTRC
+  // version 2 with nonzero stamps. Such a dump must decode to exactly the
+  // events of the same dump without stamps, share its cache key, and
+  // diagnose exactly like it.
   const BugSpec* spec = FindBug("Zookeeper-3006");
   ASSERT_NE(spec, nullptr);
   BugRunner runner(spec);
   const Profile profile = runner.RunProfiling(5);
   std::optional<Trace> zeroed = runner.ObtainProductionTrace(profile, 5 + 17);
   ASSERT_TRUE(zeroed.has_value());
-  Trace stamped = *zeroed;
   size_t scfs = 0;
-  for (TraceEvent& event : stamped.events()) {
-    if (event.type != EventType::kSCF) {
-      continue;
-    }
-    ScfInfo info = event.scf();
-    ASSERT_EQ(info.ctx_digest, 0u);
-    ASSERT_EQ(info.ctx_seq, 0u);
-    scfs++;
-    info.ctx_digest = 0x9e3779b97f4a7c15ULL * scfs;
-    info.ctx_seq = static_cast<uint32_t>(scfs % 7 + 1);
-    event.info = info;
-  }
+  const std::string stamped = StampedVersion2Dump(*zeroed, &scfs);
   ASSERT_GT(scfs, 0u);
 
-  const std::string binary = stamped.SerializeBinary();
   std::vector<Diagnostic> diags;
-  const Trace from_binary = Trace::ParseBinary(binary, &diags);
+  const Trace from_binary = Trace::ParseBinary(stamped, &diags);
   ASSERT_TRUE(diags.empty());
-  EXPECT_TRUE(TraceEquals(stamped, from_binary));
-  EXPECT_EQ(from_binary.SerializeBinary(), binary);
-  EXPECT_EQ(from_binary.Serialize(), stamped.Serialize());
+  EXPECT_TRUE(TraceEquals(*zeroed, from_binary));
+  EXPECT_EQ(from_binary.SerializeBinary(), zeroed->SerializeBinary());
+  uint64_t key = 0;
+  ASSERT_TRUE(CanonicalBlobHash(stamped, &key));
+  EXPECT_EQ(key, CanonicalTraceHash(*zeroed));
 
   RoseConfig config;
   config.seed = 5;
   const DiagnosisResult plain = DiagnoseTrace(*spec, profile, *zeroed, config);
-  const DiagnosisResult with_stamps = DiagnoseTrace(*spec, profile, from_binary, config);
+  const MappedTrace mapped = MappedTrace::FromBuffer(stamped);
+  const DiagnosisResult with_stamps = DiagnoseTrace(*spec, profile, mapped.view(), config);
   ASSERT_TRUE(plain.reproduced);
   EXPECT_EQ(with_stamps.reproduced, plain.reproduced);
   EXPECT_EQ(with_stamps.schedule.ToYaml(), plain.schedule.ToYaml());

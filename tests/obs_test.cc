@@ -6,7 +6,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/obs/event_log.h"
 #include "src/obs/metrics.h"
 
 namespace rose {
@@ -212,23 +211,6 @@ TEST(ObsTest, ConcurrentRegistrationYieldsOneMetricPerName) {
   for (int t = 1; t < kThreads; t++) {
     EXPECT_EQ(seen[t], seen[0]);
   }
-}
-
-TEST(ObsTest, EventLogIsBoundedAndCountsDrops) {
-  EventLog log(4);
-  for (int i = 0; i < 10; i++) {
-    log.Log("test", "event " + std::to_string(i));
-  }
-  const std::vector<ObsEvent> events = log.Snapshot();
-#if ROSE_OBS_ENABLED
-  ASSERT_EQ(events.size(), 4u);
-  // Oldest entries fell off the front; sequence numbers keep counting.
-  EXPECT_EQ(events.front().message, "event 6");
-  EXPECT_EQ(events.back().message, "event 9");
-  EXPECT_EQ(log.dropped(), 6u);
-#else
-  EXPECT_TRUE(events.empty());
-#endif
 }
 
 TEST(ObsTest, WriteStatsFileRoundTrips) {

@@ -333,6 +333,38 @@ TEST(ResultCacheTest, PersistsConfirmedResultsAcrossInstances) {
   std::filesystem::remove_all(dir);
 }
 
+// The in-memory LRU is a cache of the directory, not its index: a persisted
+// schedule still answers after it leaves memory, and after a restart every
+// persisted entry answers, not only the `capacity` with the largest keys.
+TEST(ResultCacheTest, PersistedEntriesAnswerBeyondMemoryCapacity) {
+  const std::string dir = testing::TempDir() + "rose_serve_cache_capacity";
+  std::filesystem::remove_all(dir);
+  {
+    ResultCache cache(2, dir);
+    cache.Put(1, MakeResult("yaml-one\n"));
+    cache.Put(2, MakeResult("yaml-two\n"));
+    cache.Put(3, MakeResult("yaml-three\n"));  // Evicts 1 from memory.
+    cache.Put(4, MakeResult("", /*reproduced=*/false));  // Evicts 2; memory only.
+    std::optional<CachedResult> hit = cache.Get(1);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->schedule_yaml, "yaml-one\n");
+    EXPECT_EQ(hit->runs, 32u);
+    EXPECT_EQ(hit->fault_summary, "PS(Crash)");
+    EXPECT_EQ(cache.size(), 2u);  // Loading 1 evicted the coldest, 3.
+  }
+  ResultCache restarted(2, dir);
+  for (const auto& [key, yaml] : {std::pair<uint64_t, const char*>{1, "yaml-one\n"},
+                                  {2, "yaml-two\n"},
+                                  {3, "yaml-three\n"}}) {
+    std::optional<CachedResult> hit = restarted.Get(key);
+    ASSERT_TRUE(hit.has_value()) << key;
+    EXPECT_EQ(hit->schedule_yaml, yaml) << key;
+  }
+  EXPECT_FALSE(restarted.Get(4).has_value());
+  EXPECT_FALSE(restarted.Get(5).has_value());
+  std::filesystem::remove_all(dir);
+}
+
 void TruncateFile(const std::string& path, size_t drop) {
   std::string bytes;
   {

@@ -17,6 +17,7 @@
 #include "src/trace/mapped_trace.h"
 #include "src/trace/mmap_file.h"
 #include "src/trace/trace_io.h"
+#include "tests/stamped_v2_dump.h"
 
 namespace rose {
 namespace {
@@ -47,13 +48,6 @@ Trace RandomTrace(uint64_t seed, int events) {
                      static_cast<int32_t>(rng.NextBelow(32)) - 1,
                      trace.Intern(file),
                      kErrChoices[rng.NextBelow(std::size(kErrChoices))]};
-        // A mix of execution-indexed and unindexed (pre-index) SCFs, so
-        // every round-trip, truncation, and mmap-parity matrix below also
-        // exercises the v2 ctx varints.
-        if (rng.NextBool(0.6)) {
-          info.ctx_digest = rng.Next() | 1;
-          info.ctx_seq = static_cast<uint32_t>(rng.NextBelow(9)) + 1;
-        }
         event.info = info;
         break;
       }
@@ -250,83 +244,6 @@ TEST(TraceIoTest, FutureVersionRejectedWithDiagnostic) {
   EXPECT_EQ(diags[0].code, DiagCode::kBadTraceVersion);
 }
 
-// --- Wire-version compatibility (DESIGN.md §14) -----------------------------
-
-// Encodes `trace` at the given container wire version.
-std::string EncodeAtVersion(const Trace& trace, uint16_t version) {
-  std::string encoded;
-  TraceWriter writer(&encoded, &trace.pool(), TraceWriter::kDefaultEventsPerFrame, version);
-  for (const TraceEvent& event : trace.events()) {
-    writer.Add(event);
-  }
-  writer.Finish();
-  return encoded;
-}
-
-TEST(TraceIoTest, CurrentVersionRoundTripsExecutionIndex) {
-  const Trace original = RandomTrace(61, 400);
-  const std::string encoded = EncodeAtVersion(original, kTraceFormatVersion);
-  TraceReader reader(encoded);
-  std::vector<TraceEvent> events;
-  TraceEvent event;
-  while (reader.Next(&event)) {
-    events.push_back(event);
-  }
-  ASSERT_TRUE(reader.ok());
-  EXPECT_EQ(reader.format_version(), kTraceFormatVersion);
-  const Trace parsed(std::move(events), reader.pool());
-  // TraceEquals compares ctx_digest/ctx_seq too, so this asserts the index
-  // survived the wire.
-  EXPECT_TRUE(TraceEquals(original, parsed));
-}
-
-TEST(TraceIoTest, LegacyVersionStreamStillLoads) {
-  // A v1 writer reproduces the historical byte stream: no ctx varints. The
-  // reader must auto-detect the stored version and decode every other field
-  // intact, leaving the index at its "not recorded" zeros.
-  const Trace original = RandomTrace(67, 400);
-  const std::string encoded = EncodeAtVersion(original, kTraceLegacyFormatVersion);
-  TraceReader reader(encoded);
-  std::vector<TraceEvent> events;
-  TraceEvent event;
-  while (reader.Next(&event)) {
-    events.push_back(event);
-  }
-  ASSERT_TRUE(reader.ok());
-  EXPECT_EQ(reader.format_version(), kTraceLegacyFormatVersion);
-  const Trace parsed(std::move(events), reader.pool());
-  ASSERT_EQ(parsed.size(), original.size());
-  Trace stripped = original;  // The original with its indices erased.
-  for (size_t i = 0; i < stripped.size(); i++) {
-    if (stripped[i].type == EventType::kSCF) {
-      ScfInfo info = stripped[i].scf();
-      info.ctx_digest = 0;
-      info.ctx_seq = 0;
-      stripped.events()[i].info = info;
-    }
-  }
-  EXPECT_TRUE(TraceEquals(stripped, parsed));
-  // And the legacy stream is byte-identical whether the in-memory trace
-  // carried indices or not — v1 encoding never looks at them.
-  EXPECT_EQ(encoded, EncodeAtVersion(stripped, kTraceLegacyFormatVersion));
-}
-
-TEST(TraceIoTest, LegacyTruncationAtEveryByteNeverCrashes) {
-  // The every-byte truncation guarantee holds for both wire versions.
-  const Trace original = RandomTrace(5, 120);
-  const std::string encoded = EncodeAtVersion(original, kTraceLegacyFormatVersion);
-  for (size_t cut = 0; cut < encoded.size(); cut++) {
-    std::vector<Diagnostic> diags;
-    const Trace parsed = Trace::ParseBinary(std::string_view(encoded).substr(0, cut), &diags);
-    EXPECT_FALSE(diags.empty()) << "cut at " << cut;
-    ASSERT_LE(parsed.size(), original.size());
-    for (size_t i = 0; i < parsed.size(); i++) {
-      EXPECT_EQ(parsed[i].ts, original[i].ts);
-      EXPECT_EQ(parsed[i].type, original[i].type);
-    }
-  }
-}
-
 TEST(TraceIoTest, TruncationAtEveryByteNeverCrashes) {
   const Trace original = RandomTrace(5, 120);
   const std::string encoded = original.SerializeBinary();
@@ -508,17 +425,125 @@ TEST(MappedTraceTest, MmapLargeTraceRoundTripMatchesHeap) {
 }
 
 TEST(MappedTraceTest, LegacyVersionFileMatchesHeap) {
-  // mmap parity holds for v1 dumps too: the zero-copy walk auto-detects the
-  // stored version exactly like the heap parse.
-  const Trace original = RandomTrace(23, 300);
-  const std::string encoded = EncodeAtVersion(original, kTraceLegacyFormatVersion);
+  // mmap parity holds for version-2 dumps: the zero-copy walk skips the
+  // stamps exactly like the heap parse.
+  const std::string v2 = FromHex(kStampedV2DumpHex);
   const std::string path = TempTracePath("mapped_legacy.trc");
-  WriteBytes(path, encoded);
+  WriteBytes(path, v2);
   const MappedTrace mapped = MappedTrace::OpenFile(path);
   ASSERT_TRUE(mapped.valid());
   EXPECT_TRUE(mapped.diagnostics().empty());
-  ExpectMatchesHeapParse(mapped, encoded, "legacy version");
+  ExpectMatchesHeapParse(mapped, v2, "version 2");
+  EXPECT_TRUE(TraceEquals(mapped.view(), Trace::ParseBinary(FromHex(kStampedV1DumpHex))));
   std::remove(path.c_str());
+}
+
+// --- Version-2 dumps (DESIGN.md §14) -----------------------------------------
+
+// Every event a StreamDecoder yields for `bytes` fed in `chunk`-byte pieces.
+// `*clean` turns false when the decoder skips a frame or kills the stream.
+Trace StreamDecode(std::string_view bytes, size_t chunk, bool* clean) {
+  StreamDecoder decoder;
+  std::vector<TraceEvent> events;
+  *clean = true;
+  for (size_t at = 0; at < bytes.size(); at += chunk) {
+    decoder.Feed(bytes.substr(at, chunk));
+    for (StreamDecoder::Item item = decoder.Next(); item != StreamDecoder::Item::kNeedMore;
+         item = decoder.Next()) {
+      if (item == StreamDecoder::Item::kBadStream) {
+        *clean = false;
+        return Trace(std::move(events), decoder.pool());
+      }
+      if (item == StreamDecoder::Item::kCorrupt) {
+        *clean = false;
+      }
+      if (item == StreamDecoder::Item::kEvents) {
+        events.insert(events.end(), decoder.events().begin(), decoder.events().end());
+      }
+    }
+  }
+  return Trace(std::move(events), decoder.pool());
+}
+
+// The first `count` events of `trace`.
+TraceView Prefix(const Trace& trace, size_t count) {
+  return TraceView(trace.events().data(), count, &trace.pool());
+}
+
+// `trace` as the stamped literals were written: 4 events per frame.
+std::string EncodeLikeTheLiterals(const Trace& trace) {
+  std::string encoded;
+  TraceWriter writer(&encoded, &trace.pool(), /*events_per_frame=*/4);
+  for (const TraceEvent& event : trace.events()) {
+    writer.Add(event);
+  }
+  writer.Finish();
+  return encoded;
+}
+
+TEST(TraceIoTest, LegacyVersionStreamStillLoads) {
+  // Every reader decodes the stamped version-2 dump to exactly the events of
+  // its version-1 encoding: the stamps are read past and dropped, so both
+  // dumps hash alike and the writer re-encodes either as the version-1
+  // bytes.
+  const std::string v2 = FromHex(kStampedV2DumpHex);
+  const std::string v1 = FromHex(kStampedV1DumpHex);
+  std::vector<Diagnostic> diags;
+  const Trace from_v1 = Trace::ParseBinary(v1, &diags);
+  ASSERT_TRUE(diags.empty());
+  ASSERT_EQ(from_v1.size(), 9u);
+  EXPECT_EQ(EncodeLikeTheLiterals(from_v1), v1);
+  EXPECT_EQ(CanonicalTraceHash(from_v1), kStampedDumpCanonicalHash);
+
+  TraceReader reader(v2);
+  std::vector<TraceEvent> events;
+  TraceEvent event;
+  while (reader.Next(&event)) {
+    events.push_back(event);
+  }
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ(reader.format_version(), 2);
+  const Trace from_v2(std::move(events), reader.ReleasePool());
+  EXPECT_TRUE(TraceEquals(from_v2, from_v1));
+  EXPECT_EQ(EncodeLikeTheLiterals(from_v2), v1);
+  EXPECT_EQ(CanonicalTraceHash(from_v2), kStampedDumpCanonicalHash);
+  uint64_t blob_hash = 0;
+  ASSERT_TRUE(CanonicalBlobHash(v2, &blob_hash));
+  EXPECT_EQ(blob_hash, kStampedDumpCanonicalHash);
+
+  const MappedTrace mapped = MappedTrace::FromBuffer(v2);
+  EXPECT_TRUE(mapped.diagnostics().empty());
+  EXPECT_TRUE(TraceEquals(mapped.view(), from_v1));
+
+  for (const size_t chunk : {size_t{1}, size_t{7}, v2.size()}) {
+    bool clean = false;
+    EXPECT_TRUE(TraceEquals(StreamDecode(v2, chunk, &clean), from_v1)) << "chunk " << chunk;
+    EXPECT_TRUE(clean) << "chunk " << chunk;
+  }
+}
+
+TEST(TraceIoTest, LegacyTruncationAtEveryByteNeverCrashes) {
+  // The version-2 dump cut at every byte: the dump readers report the
+  // damage and keep a prefix of the events, and the stream decoder takes
+  // the cut for a slow sender, never for a bad or corrupt stream.
+  const std::string v2 = FromHex(kStampedV2DumpHex);
+  const Trace whole = Trace::ParseBinary(FromHex(kStampedV1DumpHex));
+  for (size_t cut = 0; cut < v2.size(); cut++) {
+    SCOPED_TRACE(testing::Message() << "cut at " << cut);
+    const std::string_view prefix = std::string_view(v2).substr(0, cut);
+    std::vector<Diagnostic> diags;
+    const Trace parsed = Trace::ParseBinary(prefix, &diags);
+    EXPECT_FALSE(diags.empty());
+    ASSERT_LE(parsed.size(), whole.size());
+    EXPECT_TRUE(TraceEquals(parsed, Prefix(whole, parsed.size())));
+    ExpectMatchesHeapParse(MappedTrace::FromBuffer(std::string(prefix)), prefix, "mapped");
+
+    bool clean = false;
+    const Trace streamed = StreamDecode(prefix, 1, &clean);
+    EXPECT_TRUE(clean);
+    ASSERT_LE(streamed.size(), whole.size());
+    EXPECT_TRUE(TraceEquals(streamed, Prefix(whole, streamed.size())));
+  }
 }
 
 TEST(MappedTraceTest, TruncationAtEveryByteMatchesHeap) {

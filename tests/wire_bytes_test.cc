@@ -4,9 +4,12 @@
 // Each format's public writers build a header plus a few frames, and the
 // bytes must equal literals recorded before RTRC, RSRV and RJNL moved onto
 // the shared framing (src/common/framing.h) — so a refactor of the framing
-// layer cannot move a byte on any wire or disk. golden_test pins full RTRC
-// dumps the same way (rtrc_fnv). Every reader of every format then applies
-// one header rule: the magic matches and 1 <= version <= the format's max.
+// layer cannot move a byte on any wire or disk. The RTRC literals, and the
+// RSRV submit that embeds an RTRC dump, were re-recorded when writers
+// stopped emitting RTRC version 2: each is what the last version-2-capable
+// writer produced in its version-1 mode. golden_test pins full RTRC dumps
+// the same way (rtrc_fnv). Every reader of every format then applies one
+// header rule: the magic matches and 1 <= version <= the format's max.
 // The hash pins (HashPinTest) were recorded before the FNV-1a and SplitMix64
 // copies were folded into src/common/hash.h: cache keys name persisted
 // files, ring positions place jobs on shards, and the schedule hash seeds
@@ -52,7 +55,7 @@ std::string TempPath(const char* name) {
 }
 
 // A three-event dump (SCF, ND, PS) — small enough to pin, and it covers the
-// pool, event and end frames of RTRC v2.
+// pool, event and end frames of RTRC.
 std::string SmallDump() {
   Trace trace;
   TraceEvent scf;
@@ -78,10 +81,10 @@ std::string SmallDump() {
 
 TEST(WireBytesTest, RtrcDumpAndStreamFramesArePinned) {
   EXPECT_EQ(Hex(SmallDump()),
-            "5254524302000000011e00000037b6c4b30103092f646174612f6c6f67083130"
-            "2e302e302e320831302e302e302e33022a0000002de22e570380c8afa0250002"
-            "ca0104080105000080a8d6b9070204020380a8d6b9070980a8d6b9070302ca01"
-            "0200030000000000000000");
+            "5254524301000000011e00000037b6c4b30103092f646174612f6c6f67083130"
+            "2e302e302e320831302e302e302e33022800000093ce480c0380c8afa0250002"
+            "ca010408010580a8d6b9070204020380a8d6b9070980a8d6b9070302ca010200"
+            "030000000000000000");
 
   std::string stream;
   AppendRtrcHeader(&stream);
@@ -95,7 +98,7 @@ TEST(WireBytesTest, RtrcDumpAndStreamFramesArePinned) {
   mark.detail = "leader lost";
   AppendRtrcFrame(&stream, kFrameOracleMark, EncodeOracleMark(mark));
   EXPECT_EQ(Hex(stream),
-            "52545243020000000415000000fbfdc0c80380d0acf30e0e7a6b2d323234372f"
+            "52545243010000000415000000fbfdc0c80380d0acf30e0e7a6b2d323234372f"
             "7472616365720511000000760c2bc4a2e88887430b6c6561646572206c6f7374");
 }
 
@@ -113,13 +116,13 @@ TEST(WireBytesTest, RsrvSubmitAndAcceptedArePinned) {
   accepted.token = 0x1234567;
   AppendServeFrame(&wire, ServeFrame::kAccepted, EncodeAccepted(accepted));
   EXPECT_EQ(Hex(wire),
-            "525352560100000001a9000000976ef9920c5265646973526166742d34322a04"
+            "525352560100000001a7000000304247190c5265646973526166742d34322a04"
             "756e697425726f73652d70726f66696c652076310a6475726174696f6e203330"
-            "3030303030303030300a6b5254524302000000011e00000037b6c4b30103092f"
-            "646174612f6c6f670831302e302e302e320831302e302e302e33022a0000002d"
-            "e22e570380c8afa0250002ca0104080105000080a8d6b9070204020380a8d6b9"
-            "070980a8d6b9070302ca010200030000000000000000e78a8d091007000000ee"
-            "aa383f070202e78a8d09");
+            "3030303030303030300a695254524301000000011e00000037b6c4b30103092f"
+            "646174612f6c6f670831302e302e302e320831302e302e302e33022800000093"
+            "ce480c0380c8afa0250002ca010408010580a8d6b9070204020380a8d6b90709"
+            "80a8d6b9070302ca010200030000000000000000e78a8d091007000000eeaa38"
+            "3f070202e78a8d09");
 }
 
 TEST(WireBytesTest, RjnlRecordsArePinned) {
@@ -245,7 +248,11 @@ void SetVersion(std::string* bytes, uint16_t version) {
 }
 
 TEST(HeaderRuleTest, EveryRtrcReaderRefusesVersionZeroAndNewer) {
-  for (const uint16_t version : {uint16_t{0}, uint16_t{kTraceFormatVersion + 1}}) {
+  // Readers accept more versions than writers emit: the ceiling is the
+  // format's, not the written version.
+  EXPECT_EQ(kRtrcFormat.max_version, 2);
+  EXPECT_LT(kTraceFormatVersion, kRtrcFormat.max_version);
+  for (const uint16_t version : {uint16_t{0}, uint16_t{kRtrcFormat.max_version + 1}}) {
     std::string blob = SmallDump();
     SetVersion(&blob, version);
     std::vector<Diagnostic> diags;
@@ -269,14 +276,20 @@ TEST(HeaderRuleTest, EveryRtrcReaderRefusesVersionZeroAndNewer) {
     EXPECT_EQ(stream.Next(), StreamDecoder::Item::kBadStream) << version;
   }
   // Every version in [1, max] is read.
-  for (uint16_t version = 1; version <= kTraceFormatVersion; version++) {
+  for (uint16_t version = 1; version <= kRtrcFormat.max_version; version++) {
     std::string blob = SmallDump();
     SetVersion(&blob, version);
     std::vector<Diagnostic> diags;
     Trace::ParseBinary(blob, &diags);
+    CanonicalBlobHash(blob, nullptr, &diags);
+    const MappedTrace mapped = MappedTrace::FromBuffer(blob);
+    diags.insert(diags.end(), mapped.diagnostics().begin(), mapped.diagnostics().end());
     for (const Diagnostic& diag : diags) {
       EXPECT_NE(diag.code, DiagCode::kBadTraceVersion) << version;
     }
+    StreamDecoder stream;
+    stream.Feed(blob);
+    EXPECT_NE(stream.Next(), StreamDecoder::Item::kBadStream) << version;
   }
 }
 

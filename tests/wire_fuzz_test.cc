@@ -36,6 +36,7 @@
 #include "src/serve/protocol.h"
 #include "src/trace/mapped_trace.h"
 #include "src/trace/trace_io.h"
+#include "tests/stamped_v2_dump.h"
 
 namespace rose {
 namespace {
@@ -545,9 +546,11 @@ void RunCases(const std::string& clean, bool framed, uint32_t cap, uint64_t seed
 }
 
 TEST(WireFuzzTest, RtrcReadersSurviveMutations) {
-  const std::string clean = RtrcCorpus();
-  for (uint64_t seed = 1; seed <= 3; seed++) {
-    RunCases(clean, /*framed=*/true, kRtrcFormat.max_payload, seed, 3000, CheckRtrc);
+  // The written form (version 1) and a version-2 dump with stamped SCFs.
+  for (const std::string& clean : {RtrcCorpus(), FromHex(kStampedV2DumpHex)}) {
+    for (uint64_t seed = 1; seed <= 3; seed++) {
+      RunCases(clean, /*framed=*/true, kRtrcFormat.max_payload, seed, 3000, CheckRtrc);
+    }
   }
 }
 
