@@ -198,7 +198,8 @@ void BM_CanonicalBlobHash(benchmark::State& state) {
 BENCHMARK(BM_CanonicalBlobHash)->Unit(benchmark::kMillisecond);
 
 void BM_MergeRemap(benchmark::State& state) {
-  // K-way merge with per-input pool remapping, 4 nodes x 64k events.
+  // Merge (concatenate with per-input pool remapping, then FromWindow's
+  // stable sort and remap), 4 nodes x 64k events.
   std::vector<Trace> inputs;
   for (uint64_t node = 0; node < 4; node++) {
     Rng rng(node + 1);

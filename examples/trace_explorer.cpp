@@ -15,9 +15,10 @@
 //                 listing, which --load refuses with TB201)
 //   --load FILE   skip the simulated run and explore a saved binary dump
 //                 instead (mapped and decoded zero-copy)
-//   --merge ...   k-way merge saved per-node traces (Trace::Merge):
-//                 timestamp-ordered, stable for ties, strings re-interned
-//                 into one pool; combine with --save to persist the result
+//   --merge ...   merge saved per-node traces (Trace::Merge, the dump's
+//                 canonicalization over their concatenation): timestamp-
+//                 ordered, ties in argument order, strings re-interned into
+//                 one pool; combine with --save to persist the result
 //   --stats       print window statistics (events by type and node, string
 //                 pool size, window time span, encoded sizes) — rendered
 //                 from the rose::obs registry (src/obs/trace_report.h)
@@ -66,8 +67,8 @@ flags:
                     ends in .txt; listings cannot be loaded back)
   --load FILE       explore a saved binary dump instead of running; the
                     file is mapped and decoded zero-copy
-  --merge A B ...   k-way merge saved per-node traces (timestamp-ordered,
-                    stable for ties); combine with --save to persist
+  --merge A B ...   merge saved per-node traces (timestamp-ordered, ties
+                    in argument order); combine with --save to persist
   --stats           print window statistics from the rose::obs registry
                     (events by kind and node, occupancy, pool, sizes);
                     loaded traces add mapped-bytes and resident rows

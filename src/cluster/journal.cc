@@ -205,12 +205,13 @@ void ClusterJournal::AppendRingEpoch(const RingEpochRecord& record) {
   last_epoch_ = record;
 }
 
-void ClusterJournal::AppendDispatch(const DispatchRecord& record) {
+void ClusterJournal::AppendDispatch(DispatchRecord record) {
   Append(JournalRecordType::kDispatch, EncodeDispatch(record));
   if (record.job_id >= next_job_id_) {
     next_job_id_ = record.job_id + 1;
   }
-  pending_[record.job_id] = record;
+  const uint64_t job_id = record.job_id;
+  pending_[job_id] = std::move(record);
 }
 
 void ClusterJournal::AppendComplete(const CompleteRecord& record) {

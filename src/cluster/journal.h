@@ -97,12 +97,13 @@ class ClusterJournal {
 
   // --- Appends (written + fsync'd before returning) ------------------------
   void AppendRingEpoch(const RingEpochRecord& record);
-  void AppendDispatch(const DispatchRecord& record);
+  void AppendDispatch(DispatchRecord record);
   void AppendComplete(const CompleteRecord& record);
 
   // --- Replay results -------------------------------------------------------
   // Dispatches without a completion, by job id; a re-dispatch overwrites the
-  // shard of its predecessor (last writer wins, as on the wire).
+  // shard of its predecessor (last writer wins, as on the wire). The router
+  // keeps no other copy of a submit: it dispatches and re-poses from here.
   const std::map<uint64_t, DispatchRecord>& pending() const { return pending_; }
   // The last epoch record, or a default (epoch 0, no shards).
   const RingEpochRecord& last_epoch() const { return last_epoch_; }

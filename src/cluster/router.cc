@@ -45,13 +45,7 @@ ClusterRouter::ClusterRouter(RouterConfig config)
   for (const auto& [job_id, record] : journal_.pending()) {
     auto job = std::make_unique<RouterJob>();
     job->id = job_id;
-    job->client = 0;
-    job->key = record.key;
-    job->trace_hash = record.trace_hash;
-    job->payload = record.payload;
     job->redispatched = true;
-    job->accept_ready = true;  // No subscriber to answer.
-    job->accept_sent = true;
     stats_.recovered_jobs++;
     metrics_.recovered_jobs->Inc();
     jobs_.emplace(job_id, std::move(job));
@@ -85,10 +79,22 @@ void ClusterRouter::DetachShard(const std::string& name) {
 }
 
 void ClusterRouter::Poll() {
-  for (auto& [id, conn] : clients_) {
-    if (!conn->link.closed()) {
-      ReadClient(*conn);
+  // A client that hung up (or was refused) is dropped with the replies it
+  // was still owed: its submitted jobs keep running (the journal owns them)
+  // and their frames go nowhere, and its stream sessions end at the shards.
+  for (auto it = clients_.begin(); it != clients_.end();) {
+    ClientConn& conn = *it->second;
+    if (!conn.link.closed()) {
+      ReadClient(conn);
     }
+    if (!conn.link.closed() && !conn.link.hung_up()) {
+      ++it;
+      continue;
+    }
+    conn.link.Close();
+    const uint64_t id = conn.id;
+    it = clients_.erase(it);
+    EndStreamsOf(id);
   }
 
   // Drain every shard before declaring any of them dead: a shard that
@@ -97,30 +103,12 @@ void ClusterRouter::Poll() {
   std::vector<std::string> dead_shards;
   for (auto& [name, shard] : shards_) {
     ReadShard(*shard);
-    if (shard->link.hung_up()) {
+    if (shard->link.closed() || shard->link.hung_up()) {
       dead_shards.push_back(name);
     }
   }
   for (const std::string& name : dead_shards) {
     OnShardDead(name);
-  }
-
-  // Clients that hung up: their submitted jobs keep running (the journal
-  // already owns them) and responses degrade to no-ops, their stream
-  // sessions end at the shards, and the connection is reaped once its
-  // admission FIFO drains.
-  std::vector<uint64_t> gone;
-  for (auto& [id, conn] : clients_) {
-    if (!conn->link.closed() && conn->link.hung_up()) {
-      OnClientHungUp(*conn);
-    }
-    FlushClientFifo(*conn);
-    if (conn->link.closed() && conn->accept_fifo.empty()) {
-      gone.push_back(id);
-    }
-  }
-  for (uint64_t id : gone) {
-    clients_.erase(id);
   }
 
   FlushOutboxes();
@@ -135,7 +123,7 @@ bool ClusterRouter::idle() const {
   for (const auto& [id, job] : jobs_) {
     // An accepted stream session at rest is idle state, not pending work —
     // it lives until the client closes it.
-    if (job->is_stream && job->accept_sent) {
+    if (job->is_stream && job->answered) {
       continue;
     }
     return false;
@@ -163,7 +151,7 @@ void ClusterRouter::ReadClient(ClientConn& conn) {
         if (frame.kind == ServeFrame::kSubmit) {
           HandleSubmit(conn, std::move(frame.payload));
         } else if (frame.kind == ServeFrame::kStatsRequest) {
-          SendToClient(conn.id, ServeFrame::kStatsReply, EncodeStats(BuildStats()));
+          conn.link.Send(ServeFrame::kStatsReply, EncodeStats(BuildStats()));
         } else if (frame.kind == ServeFrame::kStreamOpen) {
           HandleStreamOpen(conn, frame.payload);
         } else if (frame.kind == ServeFrame::kStreamData) {
@@ -174,8 +162,8 @@ void ClusterRouter::ReadClient(ClientConn& conn) {
         break;
       case FrameDecoder::Status::kCorruptFrame:
         // Same wire behavior as the daemon (kBadFrame, job id 0), but queued
-        // in the admission FIFO so it cannot overtake an accept the router is
-        // still waiting on from a shard.
+        // in the client's reply order so it cannot overtake an accept the
+        // router is still waiting on from a shard.
         stats_.corrupt_frames++;
         metrics_.corrupt_frames->Inc();
         RejectSubmit(conn, ServeError::kBadFrame,
@@ -209,32 +197,19 @@ void ClusterRouter::HandleSubmit(ClientConn& conn, std::string payload) {
     return;
   }
 
-  auto job = std::make_unique<RouterJob>();
-  job->id = next_job_id_++;
-  job->client = conn.id;
-  job->key = DiagnosisService::JobKey(trace_hash, env.bug_id(), env.seed());
-  job->trace_hash = trace_hash;
-  job->payload = std::string(env.payload());
-  conn.accept_fifo.push_back(job->id);
-  stats_.jobs_routed++;
-  metrics_.jobs_routed->Inc();
-
+  RouterJob& job = AdmitJob(conn, /*is_stream=*/false);
   // Sharded by trace hash — not the full job key — so every submission of
   // one dump lands on the same shard regardless of bug/seed, and that
   // shard's ResultCache answers repeats byte-identically to a single daemon.
+  // With no shard alive the admission is journaled shard-less and the job
+  // waits; AttachShard re-poses it.
   const std::string owner = ring_.OwnerOf(trace_hash);
-  RouterJob& ref = *job;
-  jobs_.emplace(ref.id, std::move(job));
-  if (owner.empty()) {
-    // No shard alive: journal the admission (shard-less) and hold the job;
-    // AttachShard re-poses it.
-    journal_.AppendDispatch(DispatchRecord{ref.id, ref.key, ref.trace_hash, "",
-                                           /*redispatch=*/false, ref.payload});
-    return;
+  journal_.AppendDispatch(DispatchRecord{
+      job.id, DiagnosisService::JobKey(trace_hash, env.bug_id(), env.seed()), trace_hash,
+      owner, /*redispatch=*/false, std::string(env.payload())});
+  if (!owner.empty()) {
+    DispatchTo(job, *shards_.at(owner));
   }
-  journal_.AppendDispatch(DispatchRecord{ref.id, ref.key, ref.trace_hash, owner,
-                                         /*redispatch=*/false, ref.payload});
-  DispatchTo(ref, *shards_.at(owner));
 }
 
 void ClusterRouter::HandleStreamOpen(ClientConn& conn, std::string_view payload) {
@@ -254,18 +229,11 @@ void ClusterRouter::HandleStreamOpen(ClientConn& conn, std::string_view payload)
                  "no shards attached; retry the stream open with backoff");
     return;
   }
-  auto job = std::make_unique<RouterJob>();
-  job->id = next_job_id_++;
-  job->client = conn.id;
-  job->is_stream = true;
-  conn.accept_fifo.push_back(job->id);
-  stats_.jobs_routed++;
-  metrics_.jobs_routed->Inc();
+  RouterJob& job = AdmitJob(conn, /*is_stream=*/true);
   Shard& shard = *shards_.at(owner);
   shard.link.Send(ServeFrame::kStreamOpen, payload);
-  shard.accept_fifo.push_back(job->id);
-  job->shard = owner;
-  jobs_.emplace(job->id, std::move(job));
+  shard.accept_fifo.push_back(job.id);
+  job.shard = owner;
 }
 
 void ClusterRouter::HandleStreamData(ClientConn& conn, std::string_view payload) {
@@ -295,10 +263,24 @@ void ClusterRouter::HandleStreamClose(ClientConn& conn, std::string_view payload
     return;
   }
   auto it = jobs_.find(msg.job_id);
-  if (it == jobs_.end() || !it->second->is_stream || it->second->client != conn.id) {
+  // Only an answered session: the client names it by the id its accept
+  // carried, and an unanswered one must keep its reply entry.
+  if (it == jobs_.end() || !it->second->is_stream || it->second->client != conn.id ||
+      !it->second->answered) {
     return;
   }
   EndStream(*it->second);
+}
+
+ClusterRouter::RouterJob& ClusterRouter::AdmitJob(ClientConn& conn, bool is_stream) {
+  auto job = std::make_unique<RouterJob>();
+  job->id = next_job_id_++;
+  job->client = conn.id;
+  job->is_stream = is_stream;
+  conn.replies.push_back(ClientConn::Reply{job->id, {}});
+  stats_.jobs_routed++;
+  metrics_.jobs_routed->Inc();
+  return *jobs_.emplace(job->id, std::move(job)).first->second;
 }
 
 void ClusterRouter::EndStream(RouterJob& job) {
@@ -307,16 +289,15 @@ void ClusterRouter::EndStream(RouterJob& job) {
                            EncodeStreamClose(StreamCloseMsg{job.backend_job_id}));
     sit->second->by_backend_id.erase(job.backend_job_id);
   }
-  FinishJob(job.id);
+  jobs_.erase(job.id);
 }
 
-void ClusterRouter::OnClientHungUp(ClientConn& conn) {
-  conn.link.Close();
+void ClusterRouter::EndStreamsOf(uint64_t client_id) {
   std::vector<RouterJob*> sessions;
   for (auto& [rid, job] : jobs_) {
     // A session whose shard has not accepted yet ends when the accept
     // arrives (HandleShardFrame).
-    if (job->client == conn.id && job->is_stream && job->backend_job_id != 0) {
+    if (job->client == client_id && job->is_stream && job->backend_job_id != 0) {
       sessions.push_back(job.get());
     }
   }
@@ -327,26 +308,36 @@ void ClusterRouter::OnClientHungUp(ClientConn& conn) {
 
 void ClusterRouter::RejectSubmit(ClientConn& conn, ServeError code,
                                  const std::string& message) {
-  auto job = std::make_unique<RouterJob>();
-  job->id = next_job_id_++;
-  job->client = conn.id;
-  job->accept_ready = true;
-  job->terminal = true;
-  job->response_kind = ServeFrame::kError;
   // Job id 0 on the wire: the client correlates pre-admission rejections
   // FIFO, exactly as against a single daemon.
-  job->response_payload = EncodeError(ErrorMsg{0, code, message});
-  conn.accept_fifo.push_back(job->id);
-  jobs_.emplace(job->id, std::move(job));
-  FlushClientFifo(conn);
+  conn.replies.push_back(ClientConn::Reply{
+      0, {{ServeFrame::kError, EncodeError(ErrorMsg{0, code, message})}}});
+  FlushReplies(conn);
 }
 
 void ClusterRouter::DispatchTo(RouterJob& job, Shard& shard) {
-  shard.link.Send(ServeFrame::kSubmit, job.payload);
+  shard.link.Send(ServeFrame::kSubmit, journal_.pending().at(job.id).payload);
   shard.accept_fifo.push_back(job.id);
   shard.inflight++;
   job.shard = shard.name;
   job.backend_job_id = 0;
+}
+
+bool ClusterRouter::Redispatch(RouterJob& job) {
+  DispatchRecord record = journal_.pending().at(job.id);
+  record.shard = ring_.OwnerOf(record.trace_hash);
+  if (record.shard.empty()) {
+    return false;
+  }
+  record.redispatch = job.redispatched;
+  if (job.redispatched) {
+    stats_.redispatches++;
+    metrics_.redispatches->Inc();
+  }
+  Shard& shard = *shards_.at(record.shard);
+  journal_.AppendDispatch(std::move(record));
+  DispatchTo(job, shard);
+  return true;
 }
 
 void ClusterRouter::ReadShard(Shard& shard) {
@@ -359,15 +350,28 @@ void ClusterRouter::ReadShard(Shard& shard) {
         HandleShardFrame(shard, std::move(frame));
         break;
       case FrameDecoder::Status::kCorruptFrame:
+        // The lost frame may have been a job's only accept, rejection or
+        // result, so the shard is failed over like a crashed one: its jobs
+        // re-run on the successor, byte-identically.
         stats_.corrupt_frames++;
         metrics_.corrupt_frames->Inc();
-        break;
+        shard.link.Close();
+        return;
       case FrameDecoder::Status::kBadStream:
         // A shard speaking a different protocol is as dead as a crashed one.
         shard.link.Close();
         return;
     }
   }
+}
+
+ClusterRouter::RouterJob* ClusterRouter::JobOf(const Shard& shard, uint64_t backend_job_id) {
+  auto bit = shard.by_backend_id.find(backend_job_id);
+  if (bit == shard.by_backend_id.end()) {
+    return nullptr;
+  }
+  auto it = jobs_.find(bit->second);
+  return it == jobs_.end() ? nullptr : it->second.get();
 }
 
 void ClusterRouter::HandleShardFrame(Shard& shard, DecodedFrame frame) {
@@ -386,22 +390,17 @@ void ClusterRouter::HandleShardFrame(Shard& shard, DecodedFrame frame) {
       RouterJob& job = *it->second;
       job.backend_job_id = msg.job_id;
       shard.by_backend_id[msg.job_id] = rid;
-      if (job.is_stream && !ClientConnected(job.client)) {
+      if (job.is_stream && clients_.count(job.client) == 0) {
         EndStream(job);  // Its client hung up while the open was in flight.
         return;
       }
-      if (job.accept_ready || job.accept_sent) {
+      if (job.answered) {
         // Failover duplicate: the client already has (or will get) the first
         // shard's accept; only the id mapping moves to the successor.
         return;
       }
       msg.job_id = rid;  // Rewrite into the router's id namespace.
-      job.accept_ready = true;
-      job.response_kind = ServeFrame::kAccepted;
-      job.response_payload = EncodeAccepted(msg);
-      if (auto c = clients_.find(job.client); c != clients_.end()) {
-        FlushClientFifo(*c->second);
-      }
+      Deliver(job, ServeFrame::kAccepted, EncodeAccepted(msg), /*answers=*/true);
       return;
     }
     case ServeFrame::kError: {
@@ -419,21 +418,20 @@ void ClusterRouter::HandleShardFrame(Shard& shard, DecodedFrame frame) {
         rid = shard.accept_fifo.front();
         shard.accept_fifo.pop_front();
       } else {
-        auto bit = shard.by_backend_id.find(msg.job_id);
-        if (bit == shard.by_backend_id.end()) {
-          return;
-        }
-        rid = bit->second;
-        if (auto jit = jobs_.find(rid);
-            jit != jobs_.end() && jit->second->is_stream) {
+        RouterJob* job = JobOf(shard, msg.job_id);
+        if (job != nullptr && job->is_stream) {
           // Stream-session error (oracle admission rejected, unusable
           // stream bytes): forwarded under the router's id. The mapping
           // stays — the backend may hold the session open for more data.
-          msg.job_id = rid;
-          SendToClient(jit->second->client, ServeFrame::kError, EncodeError(msg));
+          msg.job_id = job->id;
+          Deliver(*job, ServeFrame::kError, EncodeError(msg), /*answers=*/false);
           return;
         }
-        shard.by_backend_id.erase(bit);
+        shard.by_backend_id.erase(msg.job_id);
+        if (job == nullptr) {
+          return;
+        }
+        rid = job->id;
       }
       auto it = jobs_.find(rid);
       if (it == jobs_.end()) {
@@ -446,22 +444,13 @@ void ClusterRouter::HandleShardFrame(Shard& shard, DecodedFrame frame) {
       // A rejected job is as complete as a diagnosed one: journal it so a
       // restarted coordinator does not re-pose a submission a shard refused.
       journal_.AppendComplete(CompleteRecord{rid, false});
-      if (!job.accept_sent) {
-        // The error *is* the admission response; job id 0 on the wire keeps
-        // the client's FIFO correlation (and its queue-full retry) intact.
-        msg.job_id = 0;
-        job.accept_ready = true;
-        job.terminal = true;
-        job.response_kind = ServeFrame::kError;
-        job.response_payload = EncodeError(msg);
-        if (auto c = clients_.find(job.client); c != clients_.end()) {
-          FlushClientFifo(*c->second);
-        }
-      } else {
-        msg.job_id = rid;
-        SendToClient(job.client, ServeFrame::kError, EncodeError(msg));
-        FinishJob(rid);
-      }
+      // Unanswered, the error *is* the admission reply, and job id 0 on the
+      // wire keeps the client's FIFO correlation (and its queue-full retry)
+      // intact; answered, it names the job.
+      const bool answers = !job.answered;
+      msg.job_id = answers ? 0 : rid;
+      Deliver(job, ServeFrame::kError, EncodeError(msg), answers);
+      jobs_.erase(rid);
       return;
     }
     case ServeFrame::kProgress: {
@@ -469,21 +458,9 @@ void ClusterRouter::HandleShardFrame(Shard& shard, DecodedFrame frame) {
       if (!DecodeProgress(frame.payload, &msg)) {
         return;
       }
-      auto bit = shard.by_backend_id.find(msg.job_id);
-      if (bit == shard.by_backend_id.end()) {
-        return;
-      }
-      auto it = jobs_.find(bit->second);
-      if (it == jobs_.end()) {
-        return;
-      }
-      RouterJob& job = *it->second;
-      msg.job_id = job.id;
-      const std::string body = EncodeProgress(msg);
-      if (job.accept_sent) {
-        SendToClient(job.client, ServeFrame::kProgress, body);
-      } else {
-        job.deferred.emplace_back(ServeFrame::kProgress, body);
+      if (RouterJob* job = JobOf(shard, msg.job_id)) {
+        msg.job_id = job->id;
+        Deliver(*job, ServeFrame::kProgress, EncodeProgress(msg), /*answers=*/false);
       }
       return;
     }
@@ -492,52 +469,30 @@ void ClusterRouter::HandleShardFrame(Shard& shard, DecodedFrame frame) {
       if (!DecodeResult(frame.payload, &msg)) {
         return;
       }
-      auto bit = shard.by_backend_id.find(msg.job_id);
-      if (bit == shard.by_backend_id.end()) {
+      const uint64_t backend_id = msg.job_id;
+      RouterJob* job = JobOf(shard, backend_id);
+      if (job == nullptr) {
+        shard.by_backend_id.erase(backend_id);
         return;
       }
-      const uint64_t rid = bit->second;
-      auto it = jobs_.find(rid);
-      if (it == jobs_.end()) {
-        shard.by_backend_id.erase(bit);
-        return;
-      }
-      RouterJob& job = *it->second;
-      if (job.is_stream) {
+      stats_.completions++;
+      metrics_.completions->Inc();
+      msg.job_id = job->id;
+      if (job->is_stream) {
         // A session's diagnosis result: forward it, keep the session — the
         // id mapping must survive (the window can fire further oracles, and
         // data/close frames still need routing). Never journaled: sessions
         // are not re-posable (see RouterJob::is_stream).
-        stats_.completions++;
-        metrics_.completions->Inc();
-        msg.job_id = rid;
-        const std::string body = EncodeResult(msg);
-        if (job.accept_sent) {
-          SendToClient(job.client, ServeFrame::kResult, body);
-        } else {
-          job.deferred.emplace_back(ServeFrame::kResult, body);
-        }
+        Deliver(*job, ServeFrame::kResult, EncodeResult(msg), /*answers=*/false);
         return;
       }
-      shard.by_backend_id.erase(bit);
+      shard.by_backend_id.erase(backend_id);
       if (shard.inflight > 0) {
         shard.inflight--;
       }
-      journal_.AppendComplete(CompleteRecord{rid, msg.reproduced});
-      stats_.completions++;
-      metrics_.completions->Inc();
-      msg.job_id = rid;
-      const std::string body = EncodeResult(msg);
-      job.result_seen = true;
-      if (job.accept_sent) {
-        SendToClient(job.client, ServeFrame::kResult, body);
-        FinishJob(rid);
-      } else {
-        job.deferred.emplace_back(ServeFrame::kResult, body);
-        if (auto c = clients_.find(job.client); c != clients_.end()) {
-          FlushClientFifo(*c->second);
-        }
-      }
+      journal_.AppendComplete(CompleteRecord{job->id, msg.reproduced});
+      Deliver(*job, ServeFrame::kResult, EncodeResult(msg), /*answers=*/false);
+      jobs_.erase(msg.job_id);
       return;
     }
     case ServeFrame::kThrottle: {
@@ -548,16 +503,10 @@ void ClusterRouter::HandleShardFrame(Shard& shard, DecodedFrame frame) {
       if (!DecodeThrottle(frame.payload, &msg)) {
         return;
       }
-      auto bit = shard.by_backend_id.find(msg.job_id);
-      if (bit == shard.by_backend_id.end()) {
-        return;
+      if (RouterJob* job = JobOf(shard, msg.job_id)) {
+        msg.job_id = job->id;
+        Deliver(*job, ServeFrame::kThrottle, EncodeThrottle(msg), /*answers=*/false);
       }
-      auto it = jobs_.find(bit->second);
-      if (it == jobs_.end()) {
-        return;
-      }
-      msg.job_id = bit->second;
-      SendToClient(it->second->client, ServeFrame::kThrottle, EncodeThrottle(msg));
       return;
     }
     case ServeFrame::kStatsReply:
@@ -565,6 +514,33 @@ void ClusterRouter::HandleShardFrame(Shard& shard, DecodedFrame frame) {
     case ServeFrame::kStatsRequest:
     default:
       return;  // Unknown / unexpected kinds: framing already advanced.
+  }
+}
+
+void ClusterRouter::Deliver(RouterJob& job, ServeFrame kind, std::string payload,
+                            bool answers) {
+  job.answered = job.answered || answers;
+  auto cit = clients_.find(job.client);
+  if (cit == clients_.end()) {
+    return;  // No subscriber: the journal still completes the job.
+  }
+  ClientConn& conn = *cit->second;
+  auto entry = std::find_if(conn.replies.begin(), conn.replies.end(),
+                            [&job](const ClientConn::Reply& r) { return r.job == job.id; });
+  if (entry == conn.replies.end()) {
+    conn.link.Send(kind, payload);  // Its turn already came.
+    return;
+  }
+  entry->frames.emplace_back(kind, std::move(payload));
+  FlushReplies(conn);
+}
+
+void ClusterRouter::FlushReplies(ClientConn& conn) {
+  while (!conn.replies.empty() && !conn.replies.front().frames.empty()) {
+    for (const auto& [kind, payload] : conn.replies.front().frames) {
+      conn.link.Send(kind, payload);
+    }
+    conn.replies.pop_front();
   }
 }
 
@@ -581,9 +557,9 @@ void ClusterRouter::OnShardDead(const std::string& name) {
     journal_.AppendRingEpoch(RingEpochRecord{ring_.epoch(), ring_.shards()});
   }
   // Re-pose every job the dead shard owned. With the shard off the ring,
-  // OwnerOf(trace_hash) *is* the failover successor; engine determinism
+  // the trace hash's owner *is* the failover successor; engine determinism
   // makes the re-run result byte-identical to the one that was lost. Jobs
-  // whose accept already reached the client keep their router job id — the
+  // whose accept the client already has keep their router job id — the
   // successor's duplicate accept is swallowed in HandleShardFrame.
   std::vector<uint64_t> dead_streams;
   for (auto& [rid, job] : jobs_) {
@@ -593,87 +569,30 @@ void ClusterRouter::OnShardDead(const std::string& name) {
     if (job->is_stream) {
       // The session's window died with the shard; there is nothing to
       // re-pose. The client learns its session is gone and reopens.
-      ErrorMsg err{job->id, ServeError::kInvalidTrace,
-                   "stream session lost: shard '" + name + "' died"};
-      if (job->accept_sent) {
-        SendToClient(job->client, ServeFrame::kError, EncodeError(err));
-        dead_streams.push_back(rid);
-      } else {
-        err.job_id = 0;  // FIFO-correlated, like any pre-admission reject.
-        job->accept_ready = true;
-        job->terminal = true;
-        job->response_kind = ServeFrame::kError;
-        job->response_payload = EncodeError(err);
-      }
+      const bool answers = !job->answered;
+      Deliver(*job, ServeFrame::kError,
+              EncodeError(ErrorMsg{answers ? 0 : rid, ServeError::kInvalidTrace,
+                                   "stream session lost: shard '" + name + "' died"}),
+              answers);
+      dead_streams.push_back(rid);
       continue;
     }
     job->shard.clear();
     job->backend_job_id = 0;
     job->redispatched = true;
-    const std::string owner = ring_.OwnerOf(job->trace_hash);
-    if (owner.empty()) {
-      continue;  // Stranded until a shard attaches.
-    }
-    stats_.redispatches++;
-    metrics_.redispatches->Inc();
-    journal_.AppendDispatch(DispatchRecord{job->id, job->key, job->trace_hash,
-                                           owner, /*redispatch=*/true,
-                                           job->payload});
-    DispatchTo(*job, *shards_.at(owner));
+    Redispatch(*job);  // Stranded until a shard attaches when the ring is empty.
   }
   for (uint64_t rid : dead_streams) {
-    FinishJob(rid);
+    jobs_.erase(rid);
   }
 }
 
 void ClusterRouter::DispatchStranded() {
   for (auto& [rid, job] : jobs_) {
-    if (!job->shard.empty() || job->terminal || job->is_stream) {
-      continue;
-    }
-    const std::string owner = ring_.OwnerOf(job->trace_hash);
-    if (owner.empty()) {
+    if (job->shard.empty() && !job->is_stream && !Redispatch(*job)) {
       return;
     }
-    if (job->redispatched) {
-      stats_.redispatches++;
-      metrics_.redispatches->Inc();
-    }
-    journal_.AppendDispatch(DispatchRecord{job->id, job->key, job->trace_hash,
-                                           owner, job->redispatched,
-                                           job->payload});
-    DispatchTo(*job, *shards_.at(owner));
   }
-}
-
-void ClusterRouter::FlushClientFifo(ClientConn& conn) {
-  while (!conn.accept_fifo.empty()) {
-    auto it = jobs_.find(conn.accept_fifo.front());
-    if (it == jobs_.end()) {
-      conn.accept_fifo.pop_front();  // Stale (job finished elsewhere).
-      continue;
-    }
-    RouterJob& job = *it->second;
-    if (!job.accept_ready) {
-      return;  // Head-of-line admission still pending on its shard.
-    }
-    if (!job.accept_sent) {
-      SendToClient(conn.id, job.response_kind, job.response_payload);
-      job.accept_sent = true;
-      for (auto& [kind, body] : job.deferred) {
-        SendToClient(conn.id, kind, body);
-      }
-      job.deferred.clear();
-    }
-    conn.accept_fifo.pop_front();
-    if (job.terminal || job.result_seen) {
-      FinishJob(job.id);
-    }
-  }
-}
-
-void ClusterRouter::FinishJob(uint64_t job_id) {
-  jobs_.erase(job_id);
 }
 
 void ClusterRouter::FlushOutboxes() {
@@ -706,20 +625,6 @@ void ClusterRouter::UpdateDepthGauges() {
   metrics_.ring_imbalance->Set(static_cast<int64_t>(max_depth - min_depth));
 }
 
-bool ClusterRouter::ClientConnected(uint64_t client_id) const {
-  auto it = clients_.find(client_id);
-  return it != clients_.end() && !it->second->link.closed();
-}
-
-void ClusterRouter::SendToClient(uint64_t client_id, ServeFrame kind,
-                                 const std::string& payload) {
-  // A closed link drops the frame: the subscriber is gone, and the journal
-  // still completes the job.
-  if (auto it = clients_.find(client_id); it != clients_.end()) {
-    it->second->link.Send(kind, payload);
-  }
-}
-
 StatsMsg ClusterRouter::BuildStats() const {
   StatsMsg msg;
   msg.jobs_submitted = stats_.jobs_routed;
@@ -728,9 +633,6 @@ StatsMsg ClusterRouter::BuildStats() const {
   msg.corrupt_frames = stats_.corrupt_frames;
   size_t dispatched = 0, stranded = 0;
   for (const auto& [rid, job] : jobs_) {
-    if (job->terminal) {
-      continue;
-    }
     (job->shard.empty() ? stranded : dispatched)++;
   }
   msg.queued_jobs = stranded;

@@ -16,20 +16,25 @@
 //
 // Every consequential decision — ring epochs, dispatches (with the full
 // submit payload), completions — goes through the coordinator journal
-// *before* it takes effect. When a shard dies mid-job (transport EOF or an
-// explicit DetachShard), its in-flight jobs are re-posed from those records
-// to the ring successor; the diagnosis engine is deterministic, so the
-// re-run result is byte-identical to what the dead shard would have
-// produced. A restarted router replays the journal and re-dispatches
-// whatever never completed.
+// *before* it takes effect. When a shard dies mid-job (transport EOF, a
+// damaged frame, or an explicit DetachShard), its in-flight jobs are
+// re-posed from those records to the ring successor; the diagnosis engine is
+// deterministic, so the re-run result is byte-identical to what the dead
+// shard would have produced. A restarted router replays the journal and
+// re-dispatches whatever never completed.
 //
-// Response ordering: the serve protocol answers submissions FIFO per
+// One owner per fact: each client connection owns the replies it is owed,
+// the journal's pending dispatch records own every submit (key, trace hash,
+// payload), and a RouterJob owns only the mapping between the client's id
+// for a job and its shard's.
+//
+// Response ordering: the serve protocol answers requests FIFO per
 // connection. Submissions from one client fan out to different shards whose
-// answers race, so the router holds each admission response until every
-// earlier submission of that client has been answered — per-client FIFO is
-// preserved end to end. Progress/result frames for a job are buffered until
-// its admission response has been flushed (clients discard frames for jobs
-// they have not seen accepted).
+// answers race, so each client keeps a queue with one entry per request
+// (submit, stream open or router-local rejection). An entry holds its job's
+// frames while an earlier request is unanswered — clients discard frames
+// for jobs they have not seen accepted — and flushes once it reaches the
+// front, so per-client FIFO is preserved end to end.
 //
 // Threading: like DiagnosisService, Poll() is the only entry point and runs
 // on one thread; the backends do their own worker-pool threading behind
@@ -87,13 +92,14 @@ class ClusterRouter {
 
   // Treats `name` as dead right now: drops it from the ring, journals the
   // epoch, and re-dispatches its in-flight jobs to the ring successor. The
-  // same path runs automatically when a shard's transport reaches EOF.
+  // same path runs automatically when a shard's transport reaches EOF or one
+  // of its frames fails its CRC (it may have been a job's only answer).
   void DetachShard(const std::string& name);
 
-  // One pump cycle: read clients, admit + dispatch, read shards, harvest
-  // and forward responses, detect dead shards and hung-up clients (whose
-  // stream sessions are closed at their shards), flush every outbox, pump
-  // journal replication.
+  // One pump cycle: read clients, admit + dispatch, drop clients that hung
+  // up or were refused (their stream sessions close at their shards), read
+  // shards, harvest and forward responses, fail over dead shards, flush
+  // every outbox, pump journal replication.
   void Poll();
 
   // No in-flight jobs and every outgoing byte accepted by its transport.
@@ -117,11 +123,17 @@ class ClusterRouter {
  private:
   struct ClientConn {
     explicit ClientConn(std::shared_ptr<Transport> transport) : link(std::move(transport)) {}
+    // One request's admission reply and the frames that follow it. The first
+    // frame handed to an entry is always its answer (an accept or a
+    // rejection), so an entry with frames is answered.
+    struct Reply {
+      uint64_t job = 0;  // Router job id; 0 for a router-local rejection.
+      std::vector<std::pair<ServeFrame, std::string>> frames;
+    };
     uint64_t id = 0;
-    ServeConnection link;  // Closed once the client hung up (or was refused).
-    // Router job ids in submission order — the FIFO the admission responses
-    // must be flushed in.
-    std::deque<uint64_t> accept_fifo;
+    ServeConnection link;
+    // In request order; the front entry flushes as soon as it is answered.
+    std::deque<Reply> replies;
   };
 
   struct Shard {
@@ -136,12 +148,12 @@ class ClusterRouter {
     size_t inflight = 0;
   };
 
+  // A submit or stream session between admission and its terminal frame.
+  // A submit's key, trace hash and payload live in its journal dispatch
+  // record (journal_.pending()), which every (re-)dispatch reads.
   struct RouterJob {
     uint64_t id = 0;
-    uint64_t client = 0;  // 0 = no subscriber (recovered / client gone).
-    uint64_t key = 0;
-    uint64_t trace_hash = 0;
-    std::string payload;  // Verbatim submit payload (kept for re-dispatch).
+    uint64_t client = 0;  // 0 = no subscriber (recovered from the journal).
     std::string shard;    // Current owner ("" = stranded, awaiting a shard).
     uint64_t backend_job_id = 0;
     // Stream session (kStreamOpen) instead of a one-shot submit: data/close
@@ -152,17 +164,10 @@ class ClusterRouter {
     // docs/wire_protocol.md).
     bool is_stream = false;
     bool redispatched = false;
-    // Admission response state: ready = received (or router-local reject),
-    // sent = flushed to the client in FIFO turn.
-    bool accept_ready = false;
-    bool accept_sent = false;
-    bool terminal = false;  // The ready response (or result) ends the job.
-    ServeFrame response_kind = ServeFrame::kAccepted;
-    std::string response_payload;
-    // Progress/result frames received before the admission response was
-    // flushed (clients ignore frames for jobs not yet accepted).
-    std::vector<std::pair<ServeFrame, std::string>> deferred;
-    bool result_seen = false;
+    // The client's admission reply (accept or rejection) was handed over:
+    // later frames name the job, and a re-posed job's second accept is
+    // swallowed.
+    bool answered = false;
   };
 
   void ReadClient(ClientConn& conn);
@@ -173,29 +178,37 @@ class ClusterRouter {
   void HandleStreamOpen(ClientConn& conn, std::string_view payload);
   void HandleStreamData(ClientConn& conn, std::string_view payload);
   void HandleStreamClose(ClientConn& conn, std::string_view payload);
-  // Sends kStreamClose to the session's shard (once it accepted) and
-  // finishes the job.
+  // A job for `conn`'s next request, with its entry in the reply queue.
+  RouterJob& AdmitJob(ClientConn& conn, bool is_stream);
+  // Sends kStreamClose to the session's shard (once it accepted) and erases
+  // the job.
   void EndStream(RouterJob& job);
-  // Closes the link and ends the client's accepted stream sessions.
-  void OnClientHungUp(ClientConn& conn);
+  // Ends the accepted stream sessions of a client that is gone.
+  void EndStreamsOf(uint64_t client_id);
   // Queues a router-local rejection in the client's FIFO turn.
   void RejectSubmit(ClientConn& conn, ServeError code, const std::string& message);
   void ReadShard(Shard& shard);
   void HandleShardFrame(Shard& shard, DecodedFrame frame);
-  // Appends the job's submit frame to `shard`'s outbox and bookkeeps.
+  // The live job a shard's backend id names, or nullptr.
+  RouterJob* JobOf(const Shard& shard, uint64_t backend_job_id);
+  // Hands one frame for `job` to its client: held in the job's reply entry
+  // while an earlier request is unanswered, sent directly otherwise.
+  // `answers` marks the job's admission reply. A job's frames go nowhere
+  // once its client is gone.
+  void Deliver(RouterJob& job, ServeFrame kind, std::string payload, bool answers);
+  // Sends the answered entries at the front of the client's reply queue.
+  void FlushReplies(ClientConn& conn);
+  // Appends the job's journaled submit to `shard`'s outbox and bookkeeps.
   void DispatchTo(RouterJob& job, Shard& shard);
+  // Journals and dispatches a job with no shard to its ring owner; false
+  // when no shard is alive.
+  bool Redispatch(RouterJob& job);
   void OnShardDead(const std::string& name);
   // Dispatches jobs with no owner to the current ring owner (after a shard
   // attaches, or when failover left the ring empty).
   void DispatchStranded();
-  // Flushes ready admission responses (and their deferred frames) in FIFO
-  // order; erases finished jobs.
-  void FlushClientFifo(ClientConn& conn);
-  void FinishJob(uint64_t job_id);
   void FlushOutboxes();
   void UpdateDepthGauges();
-  bool ClientConnected(uint64_t client_id) const;
-  void SendToClient(uint64_t client_id, ServeFrame kind, const std::string& payload);
 
   RouterConfig config_;
   ClusterStats stats_;

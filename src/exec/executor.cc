@@ -2,19 +2,9 @@
 
 namespace rose {
 
-Executor::Executor(SimKernel* kernel, Network* network, FaultSchedule schedule,
-                   const FeasibilityChecker* feasibility)
+Executor::Executor(SimKernel* kernel, Network* network, FaultSchedule schedule)
     : kernel_(kernel), network_(network), schedule_(std::move(schedule)) {
   diagnostics_ = ScheduleLinter().Lint(schedule_);
-  if (feasibility != nullptr && feasibility->valid()) {
-    // Causal admission: an injection order the production trace's
-    // happens-before relation contradicts can never replay; refuse it like
-    // any other statically-unsatisfiable schedule.
-    FeasibilityReport report = feasibility->Check(schedule_);
-    diagnostics_.insert(diagnostics_.end(),
-                        std::make_move_iterator(report.diagnostics.begin()),
-                        std::make_move_iterator(report.diagnostics.end()));
-  }
   schedule_valid_ = !HasErrors(diagnostics_);
   runtime_.resize(schedule_.faults.size());
 }

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "src/analyze/schedule_linter.h"
-#include "src/causal/feasibility.h"
 #include "src/exec/pid_tracker.h"
 #include "src/net/network.h"
 #include "src/os/kernel.h"
@@ -49,25 +48,17 @@ struct ExecutionFeedback {
 
 class Executor : public KernelObserver, public SyscallInterposer {
  public:
-  // `feasibility`, when provided, admits the schedule against the production
-  // trace's happens-before order (DESIGN.md §12): an infeasible schedule —
-  // one whose enforced injection order the trace contradicts (TB301) — is
-  // refused exactly like a lint rejection. The checker (and the graph and
-  // trace it borrows) must outlive the executor.
-  Executor(SimKernel* kernel, Network* network, FaultSchedule schedule,
-           const FeasibilityChecker* feasibility = nullptr);
+  Executor(SimKernel* kernel, Network* network, FaultSchedule schedule);
   ~Executor() override;
 
   // Hooks into the kernel. A schedule the linter rejects (error-severity
-  // diagnostics) or the feasibility checker refutes is refused up front:
-  // Attach() returns false and installs nothing, instead of letting the
-  // faults silently never fire.
+  // diagnostics) is refused up front: Attach() returns false and installs
+  // nothing, instead of letting the faults silently never fire.
   bool Attach();
   void Detach();
 
   const FaultSchedule& schedule() const { return schedule_; }
-  // Lint (and, when a checker was given, feasibility) findings for the
-  // schedule, computed at construction.
+  // Lint findings for the schedule, computed at construction.
   const std::vector<Diagnostic>& diagnostics() const { return diagnostics_; }
   // False when the schedule is statically malformed (Attach() will refuse).
   bool schedule_valid() const { return schedule_valid_; }

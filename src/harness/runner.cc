@@ -45,7 +45,7 @@ RunOutcome BugRunner::RunOnce(const RunOptions& options) const {
 
   std::optional<Executor> executor;
   if (options.schedule != nullptr) {
-    executor.emplace(&world.kernel, &world.network, *options.schedule, options.feasibility);
+    executor.emplace(&world.kernel, &world.network, *options.schedule);
     executor->Attach();
   }
 

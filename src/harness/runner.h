@@ -20,10 +20,6 @@ struct RunOptions {
   uint64_t seed = 1;
   SimTime duration = Seconds(40);
   const FaultSchedule* schedule = nullptr;  // Reproduction runs.
-  // Optional causal admission for `schedule` (DESIGN.md §12): when set, the
-  // executor refuses schedules whose enforced order the production trace's
-  // happens-before relation contradicts. Must outlive the run.
-  const FeasibilityChecker* feasibility = nullptr;
   bool with_nemesis = false;                // Production runs.
   const Profile* profile = nullptr;         // Supplies AF monitoring sites.
   TracerConfig tracer_config;               // Mode/window/etc.

@@ -1,6 +1,7 @@
 #include "src/net/transport.h"
 
 #include <algorithm>
+#include <mutex>
 
 namespace rose {
 
@@ -94,39 +95,6 @@ void Outbox::Flush(Transport& transport) {
     bytes_.erase(0, sent_);
     sent_ = 0;
   }
-}
-
-bool SimSocketSpace::Listen(const std::string& path) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return listeners_.emplace(path, std::deque<std::shared_ptr<Transport>>{}).second;
-}
-
-void SimSocketSpace::CloseListener(const std::string& path) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  listeners_.erase(path);
-}
-
-std::shared_ptr<Transport> SimSocketSpace::Connect(const std::string& path,
-                                                   size_t capacity) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = listeners_.find(path);
-  if (it == listeners_.end() || it->second.size() >= backlog_) {
-    return nullptr;
-  }
-  auto [client_end, server_end] = MakePipePair(capacity);
-  it->second.push_back(std::move(server_end));
-  return client_end;
-}
-
-std::shared_ptr<Transport> SimSocketSpace::Accept(const std::string& path) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = listeners_.find(path);
-  if (it == listeners_.end() || it->second.empty()) {
-    return nullptr;
-  }
-  std::shared_ptr<Transport> endpoint = std::move(it->second.front());
-  it->second.pop_front();
-  return endpoint;
 }
 
 }  // namespace rose

@@ -9,13 +9,9 @@
 // protocol's framing, backpressure, and corruption handling are exercised for
 // real in tests.
 //
-// Two implementations:
-//   - MakePipePair(): a connected pair of endpoints over two bounded byte
-//     queues (the loopback "wire").
-//   - SimSocketSpace: a Unix-socket-style namespace — a server Listen()s on a
-//     path, clients Connect() to it, the server Accept()s the peer endpoint.
-//     Connect fails when nobody listens or the backlog is full (the ECONNREFUSED
-//     analogue).
+// One implementation: MakePipePair(), a connected pair of endpoints over two
+// bounded byte queues (the loopback "wire"). A daemon's listen/accept is
+// nothing more than the server end of a fresh pair.
 //
 // Thread safety: endpoints are internally locked, so a service Poll()ing on
 // one thread and a client on another may share a pair. Determinism is the
@@ -24,10 +20,7 @@
 #define SRC_NET_TRANSPORT_H_
 
 #include <cstddef>
-#include <deque>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -92,32 +85,6 @@ class Outbox {
 // and vice versa). `capacity` bounds each direction independently.
 std::pair<std::shared_ptr<Transport>, std::shared_ptr<Transport>> MakePipePair(
     size_t capacity = kDefaultTransportCapacity);
-
-// Unix-socket-style namespace for in-process endpoints.
-class SimSocketSpace {
- public:
-  explicit SimSocketSpace(size_t backlog = 8) : backlog_(backlog) {}
-
-  // Claims `path`; false when already claimed.
-  bool Listen(const std::string& path);
-  void CloseListener(const std::string& path);
-
-  // Creates a connected pair, queues the server end on `path`'s backlog, and
-  // returns the client end — or nullptr when nobody listens or the backlog
-  // is full.
-  std::shared_ptr<Transport> Connect(const std::string& path,
-                                     size_t capacity = kDefaultTransportCapacity);
-
-  // Pops the next pending server-side endpoint for `path` (nullptr if none).
-  std::shared_ptr<Transport> Accept(const std::string& path);
-
- private:
-  mutable std::mutex mutex_;
-  size_t backlog_;
-  // path -> pending server-side endpoints (listening paths map to a queue,
-  // possibly empty; absent key = not listening).
-  std::map<std::string, std::deque<std::shared_ptr<Transport>>> listeners_;
-};
 
 }  // namespace rose
 

@@ -165,7 +165,10 @@ void ServeClient::Poll() {
       return;
     }
     if (status == FrameDecoder::Status::kCorruptFrame) {
-      continue;  // Server frames are regenerable; resynchronization handled it.
+      // The lost frame may have been a job's only accept, rejection or
+      // result, and nothing resends it.
+      Break(ServeError::kBadFrame, "server frame failed its CRC32");
+      return;
     }
     HandleFrame(frame);
   }
@@ -174,6 +177,7 @@ void ServeClient::Poll() {
 void ServeClient::Break(ServeError code, std::string message) {
   broken_ = code;
   broken_message_ = std::move(message);
+  link_.Close();  // The server drops the connection at our EOF.
   FailUnresolved();
 }
 

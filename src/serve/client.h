@@ -14,7 +14,9 @@
 // The server answers submissions in FIFO order, so the client correlates
 // kAccepted/kError frames with the oldest in-flight submission; kProgress /
 // kResult frames carry the server-assigned job id. A server that hangs up
-// fails every unresolved handle with kConnectionLost.
+// fails every unresolved handle with kConnectionLost; a server frame that
+// fails its CRC fails them with kBadFrame, since the lost frame may have been
+// a job's only answer.
 #ifndef SRC_SERVE_CLIENT_H_
 #define SRC_SERVE_CLIENT_H_
 
@@ -122,8 +124,8 @@ class ServeClient {
   bool all_done() const;
   // Queue-full retries performed so far (across all handles).
   int retries_performed() const { return retries_performed_; }
-  // True once the server stream turned out to be unusable (bad header) or
-  // the server hung up.
+  // True once the server stream turned out to be unusable (bad header or a
+  // damaged frame) or the server hung up.
   bool broken() const { return broken_ != ServeError::kNone; }
 
  private:
@@ -158,8 +160,8 @@ class ServeClient {
 
   void HandleFrame(const DecodedFrame& frame);
   void HandleAccepted(const AcceptedMsg& msg);
-  // Marks the connection unusable and fails every unresolved handle with
-  // `code`.
+  // Marks the connection unusable, closes it and fails every unresolved
+  // handle with `code`.
   void Break(ServeError code, std::string message);
   void FailUnresolved();
   // Rounds to wait before retry `job.attempts`: exponential base, capped,

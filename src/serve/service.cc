@@ -340,7 +340,9 @@ void DiagnosisService::HandleStreamData(uint64_t conn_id, std::string_view paylo
   metrics_.stream_bytes_ingested->Inc(chunk.size());
   if (!ingestor_.Feed(session_id, chunk)) {
     SendError(conn_id, ServeError::kInvalidTrace,
-              "stream bytes are not a usable RTRC container", session_id);
+              "stream bytes are not a usable RTRC container, or their string pool "
+              "outgrew the session window",
+              session_id);
     ingestor_.Close(session_id);
     stream_sessions_.erase(it);
     return;

@@ -28,6 +28,11 @@ bool StreamIngestor::Feed(uint64_t id, std::string_view bytes) {
   for (;;) {
     switch (session.decoder.Next()) {
       case StreamDecoder::Item::kNeedMore:
+        // The pool cannot shrink (a later frame may name any earlier id):
+        // once it alone outgrows the window, the session never fits again.
+        if (session.decoder.pool().payload_bytes() > window_bytes_) {
+          return false;
+        }
         EnforceWindow(id, session);
         return true;
       case StreamDecoder::Item::kEvents:
@@ -107,9 +112,8 @@ size_t StreamIngestor::ResidentCost(const Session& session) const {
 }
 
 void StreamIngestor::EnforceWindow(uint64_t id, Session& session) {
-  // The pool is part of the resident cost but cannot shrink (kept events
-  // resolve against it), so a pathological pool alone can exceed the bound;
-  // the loop then drops every event and stops.
+  // Feed ended any session whose pool alone exceeds the bound, so dropping
+  // events always brings the cost back under it.
   while (ResidentCost(session) > window_bytes_ && !session.resident.empty()) {
     session.resident.pop_front();
     session.drops++;

@@ -7,8 +7,9 @@
 // incrementally (StreamDecoder), the newest stay resident under a
 // per-session byte bound, and the oldest are dropped — the same "keep the
 // recent past" policy the in-kernel ring applies, so a session's events stay
-// bounded no matter how long it runs. Its string pool only grows (kept
-// events resolve against it) and counts against the bound too.
+// bounded no matter how long it runs. Its string pool only grows (a later
+// frame may name any earlier id) and counts against the bound too, so a
+// session whose pool alone outgrows the bound is unusable.
 //
 // When an oracle-mark frame arrives, Materialize() rebuilds the window
 // exactly the way Tracer::Dump canonicalizes one (Trace::FromWindow) and
@@ -44,9 +45,9 @@ class StreamIngestor {
   // Creates session state for `id` (the server job id of the stream).
   void Open(uint64_t id);
   // Feeds raw stream bytes; decodes every complete frame. Returns false
-  // when the session's byte stream is unusable (bad magic/version/length) —
-  // the caller should error the session out. Oracle marks are latched:
-  // check oracle_pending() after every Feed.
+  // when the session is unusable — bad magic/version/length, or a string
+  // pool larger than the window — and the caller should error it out.
+  // Oracle marks are latched: check oracle_pending() after every Feed.
   bool Feed(uint64_t id, std::string_view bytes);
   bool oracle_pending(uint64_t id) const;
   // Clears the latch and returns the mark (ts + detail).

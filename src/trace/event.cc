@@ -234,78 +234,17 @@ std::string Trace::Serialize() const {
 }
 
 Trace Trace::Merge(const std::vector<Trace>& traces) {
-  // Per-node dumps are already timestamp-ordered, so a k-way merge beats
-  // concat + stable_sort. Stability contract: ties keep input-trace order
-  // (trace 0's events before trace 1's), and order within a trace — exactly
-  // what stable_sort over the concatenation produced. Strings are
-  // re-interned into the merged trace's own pool; the per-input caches make
-  // that one hash lookup per distinct string, not per event.
-  size_t total = 0;
-  bool all_sorted = true;
-  for (const auto& trace : traces) {
-    total += trace.size();
-    for (size_t i = 1; i < trace.size(); i++) {
-      if (trace.events()[i].ts < trace.events()[i - 1].ts) {
-        all_sorted = false;
-        break;
-      }
+  // The inputs, concatenated in argument order into one pool, are a window
+  // like any other: FromWindow's stable sort keeps ties in input order and
+  // its remap gives the pool first-appearance order.
+  Trace all;
+  for (const Trace& trace : traces) {
+    std::vector<StrId> remap;
+    for (const TraceEvent& event : trace.events_) {
+      all.AppendRemapped(event, trace.pool_, &remap);
     }
   }
-  Trace out;
-  out.events().reserve(total);
-  std::vector<std::vector<StrId>> remap(traces.size());
-  if (!all_sorted) {
-    // An unsorted input would break the merge invariant; fall back to the
-    // sort so behavior matches the historical contract bit-for-bit.
-    std::vector<std::pair<size_t, const TraceEvent*>> all;
-    all.reserve(total);
-    for (size_t t = 0; t < traces.size(); t++) {
-      for (const TraceEvent& event : traces[t].events()) {
-        all.emplace_back(t, &event);
-      }
-    }
-    std::stable_sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
-      return a.second->ts < b.second->ts;
-    });
-    for (const auto& [t, event] : all) {
-      out.AppendRemapped(*event, traces[t].pool(), &remap[t]);
-    }
-    return out;
-  }
-
-  struct Cursor {
-    size_t trace;
-    size_t pos;
-  };
-  // Min-heap on (ts, trace index); std::make_heap is a max-heap, so invert.
-  auto later = [&traces](const Cursor& a, const Cursor& b) {
-    const SimTime ta = traces[a.trace].events()[a.pos].ts;
-    const SimTime tb = traces[b.trace].events()[b.pos].ts;
-    if (ta != tb) {
-      return ta > tb;
-    }
-    return a.trace > b.trace;
-  };
-  std::vector<Cursor> heap;
-  heap.reserve(traces.size());
-  for (size_t i = 0; i < traces.size(); i++) {
-    if (!traces[i].empty()) {
-      heap.push_back(Cursor{i, 0});
-    }
-  }
-  std::make_heap(heap.begin(), heap.end(), later);
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), later);
-    Cursor cursor = heap.back();
-    heap.pop_back();
-    out.AppendRemapped(traces[cursor.trace].events()[cursor.pos], traces[cursor.trace].pool(),
-                       &remap[cursor.trace]);
-    if (++cursor.pos < traces[cursor.trace].size()) {
-      heap.push_back(cursor);
-      std::push_heap(heap.begin(), heap.end(), later);
-    }
-  }
-  return out;
+  return FromWindow(std::move(all.events_), all.pool_);
 }
 
 Trace Trace::FromWindow(std::vector<TraceEvent> events, const StringPool& pool) {

@@ -136,16 +136,17 @@ class Trace {
   std::string SerializeBinary() const;
   static Trace ParseBinary(std::string_view data, std::vector<Diagnostic>* diags = nullptr);
 
-  // Merges per-node traces into one timestamp-ordered trace (stable for
-  // ties), re-interning every input's strings into the merged trace's pool.
+  // Merges per-node traces into one timestamp-ordered trace: FromWindow
+  // over the inputs concatenated in argument order, so ties keep input-trace
+  // order and order within a trace, whether or not the inputs are sorted.
   static Trace Merge(const std::vector<Trace>& traces);
 
   // The canonical dump of a window: `events` (in recording order, ids
   // resolving against `pool`) stable-sorted by timestamp, so ties keep
   // recording order, then compacted into a fresh pool in first-appearance
-  // order. Tracer::Dump and a stream session's materialization both build
-  // their trace here, which is what makes a streamed window byte-identical
-  // to a dump of the same window.
+  // order. Tracer::Dump, a stream session's materialization and Merge all
+  // build their trace here, which is what makes a streamed window
+  // byte-identical to a dump of the same window.
   static Trace FromWindow(std::vector<TraceEvent> events, const StringPool& pool);
 
  private:

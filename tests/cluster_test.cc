@@ -2,7 +2,9 @@
 // coordinator journal (replay determinism, torn tails, follower byte
 // identity), and the router end to end: clustered output parity with a
 // single daemon, mid-job shard kill -> re-dispatch -> byte-identical result,
-// corrupt-frame resynchronization, and journal-replay restart recovery.
+// corrupt-frame resynchronization, journal-replay restart recovery, the
+// per-client reply order across shards, and failover on a damaged shard
+// frame.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -15,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/analyze/trace_validator.h"
 #include "src/cluster/hash_ring.h"
 #include "src/cluster/journal.h"
 #include "src/cluster/router.h"
@@ -312,6 +315,89 @@ std::string OfflineYaml(const std::string& bug_id, uint64_t seed, const Dump& du
       .schedule.ToYaml();
 }
 
+// The server half of a shard link, scripted by the test: it collects the
+// router's submits and sends only what the test says, so when each reply
+// reaches the router is the test's choice rather than a diagnosis's.
+class ScriptedShard {
+ public:
+  explicit ScriptedShard(std::shared_ptr<Transport> end) : end_(end), link_(std::move(end)) {}
+
+  // Sends what the test queued and collects the router's submits.
+  void Pump() {
+    link_.Flush();
+    DecodedFrame frame;
+    while (link_.Next(&frame) == FrameDecoder::Status::kFrame) {
+      if (frame.kind == ServeFrame::kSubmit) {
+        SubmitEnvelope env;
+        ASSERT_TRUE(DecodeSubmitEnvelope(std::move(frame.payload), &env));
+        tokens_.push_back(env.token());
+      }
+    }
+  }
+  size_t submits() const { return tokens_.size(); }
+
+  // Accepts the oldest unanswered submit as backend job `job_id`, echoing
+  // its token as every server does.
+  void AcceptNext(uint64_t job_id) {
+    AcceptedMsg accept;
+    accept.job_id = job_id;
+    accept.token = tokens_.at(accepted_++);
+    link_.Send(ServeFrame::kAccepted, EncodeAccepted(accept));
+  }
+  void Result(uint64_t job_id, const std::string& yaml) {
+    link_.Send(ServeFrame::kResult, EncodeResult(ScriptedResult(job_id, yaml)));
+  }
+  // Sends `payload` as a `kind` frame with its last payload byte flipped, so
+  // it fails its CRC.
+  void SendDamaged(ServeFrame kind, std::string_view payload) {
+    std::string frame;
+    AppendServeFrame(&frame, kind, payload);
+    frame.back() ^= 0x5a;
+    link_.Flush();
+    ASSERT_EQ(end_->Write(frame), frame.size());
+  }
+
+  static ResultMsg ScriptedResult(uint64_t job_id, const std::string& yaml) {
+    ResultMsg result;
+    result.job_id = job_id;
+    result.reproduced = true;
+    result.schedule_yaml = yaml;
+    return result;
+  }
+
+ private:
+  std::shared_ptr<Transport> end_;
+  ServeConnection link_;
+  std::vector<uint64_t> tokens_;
+  size_t accepted_ = 0;
+};
+
+// A one-event RTRC blob; each `n` names a different file, so each hashes
+// (and is placed on the ring) differently.
+std::string SmallBlob(int n) {
+  Trace trace;
+  TraceEvent event;
+  event.ts = Seconds(1);
+  event.node = 0;
+  event.type = EventType::kSCF;
+  event.info = ScfInfo{100, Sys::kOpen, -1, trace.Intern("/data/f" + std::to_string(n)),
+                       Err::kEIO};
+  trace.Append(event);
+  return trace.SerializeBinary();
+}
+
+// The first SmallBlob that `ring` places on `shard`.
+std::string BlobOwnedBy(const HashRing& ring, const std::string& shard) {
+  for (int n = 0;; n++) {
+    std::string blob = SmallBlob(n);
+    uint64_t hash = 0;
+    CanonicalBlobHash(blob, &hash);
+    if (ring.OwnerOf(hash) == shard) {
+      return blob;
+    }
+  }
+}
+
 // A router fronting N in-process DiagnosisService shards.
 struct TestCluster {
   explicit TestCluster(RouterConfig config = {}) : router(std::move(config)) {}
@@ -325,6 +411,13 @@ struct TestCluster {
     service_ends.push_back(service_end);
     names.push_back(name);
     alive.push_back(true);
+  }
+
+  ScriptedShard& AddScriptedShard(const std::string& name) {
+    auto [router_end, shard_end] = MakePipePair();
+    scripted.push_back(std::make_unique<ScriptedShard>(shard_end));
+    router.AttachShard(name, router_end);
+    return *scripted.back();
   }
 
   ServeClient& AddClient() {
@@ -351,6 +444,15 @@ struct TestCluster {
         services[i]->Poll();
       }
     }
+    for (auto& shard : scripted) {
+      shard->Pump();
+    }
+  }
+
+  void Pump(int rounds) {
+    for (int round = 0; round < rounds; round++) {
+      Pump();
+    }
   }
 
   void PumpUntilAllDone() {
@@ -372,6 +474,7 @@ struct TestCluster {
   std::vector<std::shared_ptr<Transport>> client_ends;
   std::vector<std::string> names;
   std::vector<bool> alive;
+  std::vector<std::unique_ptr<ScriptedShard>> scripted;
   std::vector<std::unique_ptr<ServeClient>> clients;
 };
 
@@ -564,6 +667,162 @@ TEST(ClusterRouterTest, EpochsStayMonotonicAcrossRestart) {
   cluster.AddShard("shard0");
   EXPECT_EQ(cluster.router.ring().epoch(), 3u);  // Strictly after history.
   std::filesystem::remove(journal_path);
+}
+
+// --- Reply order through the router -------------------------------------------
+
+// The client correlates a job-id-0 rejection with its oldest unanswered
+// request, so a rejection the router makes on its own must not overtake the
+// accept it still owes an earlier submit.
+TEST(ClusterRouterTest, LocalRejectionWaitsForAnEarlierSubmitsAccept) {
+  TestCluster cluster;
+  ScriptedShard& shard = cluster.AddScriptedShard("shard0");
+  ServeClient& client = cluster.AddClient();
+  const std::string profile = SerializeProfile(Profile{});
+  const std::string blob = SmallBlob(0);
+  std::string damaged = blob;
+  damaged[4] = 0;  // RTRC version 0: refused by the router's own admission.
+  damaged[5] = 0;
+  const uint64_t valid = client.SubmitBlob("RedisRaft-42", 42, "valid", profile, blob);
+  const uint64_t rejected = client.SubmitBlob("RedisRaft-42", 43, "damaged", profile, damaged);
+  cluster.Pump(8);
+  ASSERT_EQ(shard.submits(), 1u);
+  EXPECT_EQ(cluster.router.stats().rejected_invalid, 1u);
+  EXPECT_FALSE(client.done(valid));
+  EXPECT_FALSE(client.done(rejected));
+
+  shard.AcceptNext(7);
+  cluster.Pump(8);
+  EXPECT_FALSE(client.done(valid));  // Accepted; its result is still to come.
+  ASSERT_TRUE(client.done(rejected));
+  EXPECT_EQ(client.error_code(rejected), ServeError::kInvalidTrace);
+
+  shard.Result(7, "valid\n");
+  cluster.Pump(8);
+  ASSERT_TRUE(client.done(valid));
+  EXPECT_FALSE(client.failed(valid));
+  EXPECT_EQ(client.result(valid).schedule_yaml, "valid\n");
+  EXPECT_TRUE(cluster.router.journal().pending().empty());
+}
+
+// A later submit whose shard answers first (accept and result) reaches the
+// client only after the earlier submit's accept: the client drops frames for
+// a job it has not seen accepted.
+TEST(ClusterRouterTest, LaterResultWaitsForAnEarlierAdmissionReply) {
+  TestCluster cluster;
+  ScriptedShard& slow = cluster.AddScriptedShard("shard0");
+  ScriptedShard& fast = cluster.AddScriptedShard("shard1");
+  ServeClient& client = cluster.AddClient();
+  const std::string profile = SerializeProfile(Profile{});
+  const uint64_t first = client.SubmitBlob("RedisRaft-42", 42, "first", profile,
+                                           BlobOwnedBy(cluster.router.ring(), "shard0"));
+  const uint64_t second = client.SubmitBlob("RedisRaft-42", 42, "second", profile,
+                                            BlobOwnedBy(cluster.router.ring(), "shard1"));
+  cluster.Pump(8);
+  ASSERT_EQ(slow.submits(), 1u);
+  ASSERT_EQ(fast.submits(), 1u);
+
+  fast.AcceptNext(1);
+  fast.Result(1, "second\n");
+  cluster.Pump(8);
+  EXPECT_EQ(cluster.router.stats().completions, 1u);
+  EXPECT_FALSE(client.done(second));  // Held behind the first request's reply.
+
+  slow.AcceptNext(1);
+  cluster.Pump(8);
+  ASSERT_TRUE(client.done(second));
+  EXPECT_FALSE(client.failed(second));
+  EXPECT_EQ(client.result(second).schedule_yaml, "second\n");
+  EXPECT_FALSE(client.done(first));
+
+  slow.Result(1, "first\n");
+  cluster.Pump(8);
+  ASSERT_TRUE(client.done(first));
+  EXPECT_EQ(client.result(first).schedule_yaml, "first\n");
+  EXPECT_TRUE(cluster.router.journal().pending().empty());
+  EXPECT_EQ(cluster.router.inflight_jobs(), 0u);
+}
+
+// A client that hangs up while replies are queued for it is dropped; the
+// journal still owns its submits, which complete.
+TEST(ClusterRouterTest, ClientHungUpWithQueuedRepliesIsDroppedAndItsJobsComplete) {
+  TestCluster cluster;
+  ScriptedShard& slow = cluster.AddScriptedShard("shard0");
+  ScriptedShard& fast = cluster.AddScriptedShard("shard1");
+  auto [client_end, router_end] = MakePipePair();
+  const std::weak_ptr<Transport> router_side = router_end;
+  cluster.router.AttachClient(std::move(router_end));
+  ServeClient client(client_end);
+  const std::string profile = SerializeProfile(Profile{});
+  client.SubmitBlob("RedisRaft-42", 42, "first", profile,
+                    BlobOwnedBy(cluster.router.ring(), "shard0"));
+  client.SubmitBlob("RedisRaft-42", 42, "second", profile,
+                    BlobOwnedBy(cluster.router.ring(), "shard1"));
+  for (int round = 0; round < 8; round++) {
+    client.Poll();
+    cluster.Pump();
+  }
+  ASSERT_EQ(slow.submits(), 1u);
+  ASSERT_EQ(fast.submits(), 1u);
+  fast.AcceptNext(1);
+  fast.Result(1, "second\n");
+  cluster.Pump(8);
+  ASSERT_EQ(cluster.router.stats().completions, 1u);
+
+  client_end->Close();  // Hangs up: the second request's replies are queued.
+  cluster.Pump(8);
+  slow.AcceptNext(1);
+  slow.Result(1, "first\n");
+  cluster.Pump(8);
+  EXPECT_EQ(cluster.router.stats().completions, 2u);
+  EXPECT_TRUE(cluster.router.journal().pending().empty());
+  EXPECT_EQ(cluster.router.inflight_jobs(), 0u);
+  EXPECT_TRUE(router_side.expired());  // The router let go of the connection.
+  EXPECT_TRUE(cluster.router.idle());
+}
+
+// --- Damaged replies -----------------------------------------------------------
+
+// A shard frame that fails its CRC may have been the only answer a job will
+// ever get, so the router fails the shard over: the successor re-runs the
+// job, byte-identically.
+TEST(ClusterRouterTest, DamagedShardReplyFailsTheShardOver) {
+  const Dump dump = MakeDump("RedisRaft-42", 42);
+  uint64_t hash = 0;
+  CanonicalBlobHash(dump.trace.SerializeBinary(), &hash);
+  HashRing ring;
+  ring.AddShard("shard0");
+  ring.AddShard("shard1");
+  TestCluster cluster;
+  ScriptedShard* owner = nullptr;
+  for (const std::string name : {"shard0", "shard1"}) {
+    if (name == ring.OwnerOf(hash)) {
+      owner = &cluster.AddScriptedShard(name);
+    } else {
+      cluster.AddShard(name);
+    }
+  }
+  ServeClient& client = cluster.AddClient();
+  const uint64_t handle = SubmitDump(client, "RedisRaft-42", 42, dump);
+  for (int round = 0; round < 16 && owner->submits() == 0; round++) {
+    cluster.Pump();
+  }
+  ASSERT_EQ(owner->submits(), 1u);
+
+  owner->AcceptNext(5);
+  owner->SendDamaged(ServeFrame::kResult,
+                     EncodeResult(ScriptedShard::ScriptedResult(5, "lost\n")));
+  for (int round = 0; round < 16 && cluster.router.stats().failovers == 0; round++) {
+    cluster.Pump();
+  }
+  ASSERT_EQ(cluster.router.stats().failovers, 1u);
+  EXPECT_EQ(cluster.router.stats().corrupt_frames, 1u);
+
+  cluster.PumpUntilAllDone();
+  ASSERT_FALSE(client.failed(handle));
+  EXPECT_EQ(client.result(handle).schedule_yaml, OfflineYaml("RedisRaft-42", 42, dump));
+  EXPECT_EQ(cluster.router.stats().redispatches, 1u);
+  EXPECT_TRUE(cluster.router.journal().pending().empty());
 }
 
 }  // namespace

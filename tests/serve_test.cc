@@ -59,24 +59,6 @@ TEST(TransportTest, HalfCloseDeliversBufferedBytesThenEof) {
   EXPECT_EQ(a->Write("more"), 0u);  // Closed side accepts nothing.
 }
 
-TEST(TransportTest, SimSocketSpaceConnectAcceptRefuse) {
-  SimSocketSpace space(/*backlog=*/1);
-  EXPECT_EQ(space.Connect("/none"), nullptr);  // Nobody listening.
-  ASSERT_TRUE(space.Listen("/srv"));
-  EXPECT_FALSE(space.Listen("/srv"));  // Path already claimed.
-  std::shared_ptr<Transport> c1 = space.Connect("/srv");
-  ASSERT_NE(c1, nullptr);
-  EXPECT_EQ(space.Connect("/srv"), nullptr);  // Backlog of 1 is full.
-  std::shared_ptr<Transport> s1 = space.Accept("/srv");
-  ASSERT_NE(s1, nullptr);
-  c1->Write("ping");
-  EXPECT_EQ(s1->Read(64), "ping");
-  space.CloseListener("/srv");
-  EXPECT_EQ(space.Connect("/srv"), nullptr);
-}
-
-// --- Outbox -----------------------------------------------------------------
-
 TEST(OutboxTest, CompactsPastTheBoundAndResumesAfterShortWrites) {
   auto [a, b] = MakePipePair(/*capacity=*/40 * 1024);
   Outbox outbox;

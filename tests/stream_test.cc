@@ -5,6 +5,7 @@
 // whole subsystem exists for: a streamed window diagnoses byte-identically
 // to the equivalent dump-file submission, directly and through the cluster
 // router.
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -366,9 +367,18 @@ TEST(StreamIngestorTest, OverflowedWindowMaterializesExactlyTheNewestEvents) {
 // service deciding the timeline.
 class FakeServer {
  public:
-  explicit FakeServer(std::shared_ptr<Transport> end) : link_(std::move(end)) {}
+  explicit FakeServer(std::shared_ptr<Transport> end) : end_(end), link_(std::move(end)) {}
 
   void Send(ServeFrame kind, std::string_view payload) { link_.Send(kind, payload); }
+  // Sends `payload` as a `kind` frame with its last payload byte flipped, so
+  // it fails its CRC.
+  void SendDamaged(ServeFrame kind, std::string_view payload) {
+    std::string frame;
+    AppendServeFrame(&frame, kind, payload);
+    frame.back() ^= 0x5a;
+    link_.Flush();
+    ASSERT_EQ(end_->Write(frame), frame.size());
+  }
   // Accepts the oldest received kSubmit as server job `job_id`, echoing its
   // token as every server does.
   void AcceptSubmit(uint64_t job_id) {
@@ -418,6 +428,7 @@ class FakeServer {
   }
 
  private:
+  std::shared_ptr<Transport> end_;
   ServeConnection link_;
   std::vector<DecodedFrame> frames_;
 };
@@ -519,6 +530,43 @@ TEST(ServeClientTest, HungUpServerFailsUnresolvedHandles) {
   const uint64_t late = client.SubmitBlob("RedisRaft-42", 9, "late", profile_text, blob);
   client.Poll();
   EXPECT_EQ(client.error_code(late), ServeError::kConnectionLost);
+}
+
+// A server frame that fails its CRC may have been a job's only answer (an
+// accept, a rejection or a result), so the client breaks the connection with
+// kBadFrame instead of waiting for a frame that will never come; what was
+// resolved before it stands.
+TEST(ServeClientTest, DamagedServerFrameBreaksTheConnection) {
+  const Dump dump = MakeDump("RedisRaft-42", 42);
+  const std::string blob = dump.trace.SerializeBinary();
+  const std::string profile_text = SerializeProfile(dump.profile);
+  auto [client_end, server_end] = MakePipePair();
+  ServeClient client(client_end);
+  FakeServer server(server_end);
+
+  const uint64_t answered = client.SubmitBlob("RedisRaft-42", 42, "x", profile_text, blob);
+  const uint64_t damaged = client.SubmitBlob("RedisRaft-42", 31, "y", profile_text, blob);
+  server.Pump(client);
+  server.AcceptSubmit(101);
+  server.AcceptSubmit(102);
+  ResultMsg result;
+  result.job_id = 101;
+  result.reproduced = true;
+  result.schedule_yaml = "yaml-x\n";
+  server.Send(ServeFrame::kResult, EncodeResult(result));
+  result.job_id = 102;
+  result.schedule_yaml = "yaml-y\n";
+  server.SendDamaged(ServeFrame::kResult, EncodeResult(result));
+  for (int poll = 0; poll < 1000 && !client.done(damaged); poll++) {
+    client.Poll();
+  }
+
+  ASSERT_TRUE(client.done(damaged));
+  EXPECT_EQ(client.error_code(damaged), ServeError::kBadFrame);
+  EXPECT_TRUE(client.broken());
+  ASSERT_TRUE(client.done(answered));
+  EXPECT_FALSE(client.failed(answered));
+  EXPECT_EQ(client.result(answered).schedule_yaml, "yaml-x\n");
 }
 
 // --- StreamSink: throttle honoring, oracle force-flush, dump parity ----------
@@ -742,6 +790,59 @@ TEST(DiagnosisServiceStreamTest, TinyWindowSurfacesThrottleBackpressure) {
     client.Poll();
     service.Poll();
   }
+}
+
+// A session's string pool cannot shrink (a later frame may name any earlier
+// id), so a sender that keeps naming new strings would grow the session past
+// any window. Once the pool alone outgrows the window the session ends: the
+// service answers kInvalidTrace under the session id and frees the window.
+TEST(DiagnosisServiceStreamTest, SessionWhosePoolOutgrowsItsWindowEnds) {
+  ServeConfig config;
+  config.stream_window_bytes = 16u << 10;
+  DiagnosisService service(config);
+  auto [client_end, server_end] = MakePipePair();
+  service.Attach(server_end);
+  ServeClient client(client_end);
+  const uint64_t handle =
+      client.OpenStream("RedisRaft-42", 42, "t", SerializeProfile(Profile{}));
+  while (!client.stream_accepted(handle)) {
+    client.Poll();
+    service.Poll();
+  }
+
+  // Every event names a file no earlier event named.
+  StringPool pool;
+  std::string wire;
+  TraceWriter writer(&wire, &pool);
+  size_t largest = 0;
+  int64_t event_no = 0;
+  for (int batch = 0; batch < 64 && !client.done(handle); batch++) {
+    for (int i = 0; i < 64; i++, event_no++) {
+      TraceEvent event;
+      event.ts = Seconds(1) + event_no;
+      event.node = 0;
+      event.type = EventType::kSCF;
+      event.info = ScfInfo{100, Sys::kOpen, -1,
+                           pool.Intern("/data/segment-" + std::to_string(event_no)), Err::kEIO};
+      writer.Add(event);
+    }
+    writer.Flush();
+    largest = std::max(largest, wire.size());
+    client.StreamData(handle, wire);
+    wire.clear();
+    client.Poll();
+    service.Poll();
+  }
+  for (int round = 0; round < 8; round++) {
+    client.Poll();
+    service.Poll();
+  }
+
+  ASSERT_TRUE(client.done(handle));
+  EXPECT_EQ(client.error_code(handle), ServeError::kInvalidTrace);
+  EXPECT_EQ(service.stream_sessions(), 0u);
+  EXPECT_EQ(service.stream_resident_bytes(), 0u);
+  EXPECT_LT(service.stream_peak_resident_bytes(), config.stream_window_bytes + largest);
 }
 
 // A sender that crashes mid-stream never sends kStreamClose; its EOF ends

@@ -165,10 +165,9 @@ TEST(TraceTest, MergeSortsByTimestampStably) {
   EXPECT_EQ(merged[3].af().function_id, 4);
 }
 
-// The k-way merge must be indistinguishable from the old implementation
-// (concatenate in argument order, then stable_sort by timestamp): for equal
-// timestamps, events from earlier traces precede events from later ones, and
-// same-trace order is preserved.
+// Merge must equal the reference (concatenate in argument order, then
+// stable_sort by timestamp): for equal timestamps, events from earlier traces
+// precede events from later ones, and same-trace order is preserved.
 TEST(TraceTest, MergeMatchesStableSortReferenceOnRandomizedInputs) {
   Rng rng(0xfeedbeef);
   for (int round = 0; round < 50; round++) {
@@ -202,9 +201,8 @@ TEST(TraceTest, MergeMatchesStableSortReferenceOnRandomizedInputs) {
 }
 
 TEST(TraceTest, MergeHandlesUnsortedInputs) {
-  // An out-of-order input trips the fallback path (concat + stable_sort);
-  // the result must still be globally sorted with ties resolved by trace
-  // order.
+  // An out-of-order input: the result must still be globally sorted with
+  // ties resolved by trace order.
   Trace a;
   a.Append(MakeAf(30, 0, 1, 1));
   a.Append(MakeAf(10, 0, 1, 2));  // Out of order.
