@@ -146,6 +146,12 @@ int main(int argc, char** argv) {
   }
   std::filesystem::create_directories(out_dir);
 
+  std::unique_ptr<rose::JournalFollower> follower;
+  if (!follower_path.empty()) {
+    auto [leader_end, follower_end] = rose::MakePipePair();
+    router_config.journal_follower = leader_end;
+    follower = std::make_unique<rose::JournalFollower>(follower_path, follower_end);
+  }
   rose::ClusterRouter router(router_config);
   std::vector<ShardProc> shards(static_cast<size_t>(shard_count));
   for (size_t i = 0; i < shards.size(); i++) {
@@ -159,12 +165,6 @@ int main(int argc, char** argv) {
     shards[i].service_end = service_end;
     shards[i].service->Attach(service_end);
     router.AttachShard(shards[i].name, router_end);
-  }
-  std::unique_ptr<rose::JournalFollower> follower;
-  if (!follower_path.empty()) {
-    auto [leader_end, follower_end] = rose::MakePipePair();
-    router.AttachJournalFollower(leader_end);
-    follower = std::make_unique<rose::JournalFollower>(follower_path, follower_end);
   }
   std::printf("rose_routerd: %d shards on the ring (journal=%s epoch=%llu)\n",
               shard_count,

@@ -3,8 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
-
 #include "src/trace/mmap_file.h"
 
 namespace rose {
@@ -81,27 +79,45 @@ bool DecodeComplete(std::string_view payload, CompleteRecord* out) {
 
 // --- ClusterJournal ----------------------------------------------------------
 
-ClusterJournal::ClusterJournal(std::string path) : path_(std::move(path)) {
-  Replay();
-  if (!path_.empty()) {
-    fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT, 0644);
+namespace {
+
+// Writes every byte to `fd` (continuing after short writes, stopping at an
+// error), then fsyncs; returns the bytes written. The one write path for the
+// leader's records and the follower's copy.
+size_t WriteAndSync(int fd, std::string_view bytes) {
+  size_t written = 0;
+  while (written < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + written, bytes.size() - written);
+    if (n <= 0) {
+      break;
+    }
+    written += static_cast<size_t>(n);
+  }
+  ::fsync(fd);
+  return written;
+}
+
+}  // namespace
+
+ClusterJournal::ClusterJournal(const std::string& path, std::shared_ptr<Transport> follower)
+    : follower_(std::move(follower)) {
+  std::string intact = Replay(path);
+  if (!path.empty()) {
+    fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT, 0644);
     if (fd_ >= 0) {
-      // Position after the last intact record: replay truncated a torn tail
-      // out of history_, and the file must agree before the next append.
+      // Position after the last intact record: replay dropped a torn tail,
+      // and the file must agree before the next append.
       if (recovered_torn_tail_) {
-        (void)::ftruncate(fd_, static_cast<off_t>(history_.size()));
+        (void)::ftruncate(fd_, static_cast<off_t>(intact.size()));
       }
-      (void)::lseek(fd_, static_cast<off_t>(history_.size()), SEEK_SET);
+      (void)::lseek(fd_, static_cast<off_t>(intact.size()), SEEK_SET);
     }
   }
-  if (history_.empty()) {
-    AppendHeader(&history_, kJournalFormat, kJournalFormatVersion);
-    if (fd_ >= 0) {
-      (void)!::write(fd_, history_.data(), history_.size());
-      ::fsync(fd_);
-      fsyncs_++;
-      bytes_written_ += history_.size();
-    }
+  if (intact.empty()) {
+    AppendHeader(&intact, kJournalFormat, kJournalFormatVersion);
+    Emit(intact);
+  } else if (follower_ != nullptr) {
+    outbox_.Append(intact);  // Already on disk; the follower starts at byte 0.
   }
 }
 
@@ -111,10 +127,10 @@ ClusterJournal::~ClusterJournal() {
   }
 }
 
-void ClusterJournal::Replay() {
+std::string ClusterJournal::Replay(const std::string& path) {
   std::string bytes;
-  if (path_.empty() || !ReadFileBytes(path_, &bytes) || bytes.empty()) {
-    return;
+  if (path.empty() || !ReadFileBytes(path, &bytes) || bytes.empty()) {
+    return {};
   }
   uint16_t version = 0;
   if (ReadHeader(kJournalFormat, bytes, &version) != HeaderStatus::kOk) {
@@ -122,7 +138,7 @@ void ClusterJournal::Replay() {
     // Appends start a fresh stream at offset zero (the constructor
     // truncates).
     recovered_torn_tail_ = true;
-    return;
+    return {};
   }
   // Everything before the first short, over-long, CRC-broken or
   // undecodable record is intact; that record and all after it are the torn
@@ -173,31 +189,25 @@ void ClusterJournal::Replay() {
   }
   recovered_torn_tail_ = last_good != bytes.size();
   bytes.resize(last_good);
-  history_ = std::move(bytes);
+  return bytes;
+}
+
+void ClusterJournal::Emit(std::string_view bytes) {
+  if (fd_ >= 0) {
+    bytes_written_ += WriteAndSync(fd_, bytes);
+    fsyncs_++;
+  }
+  if (follower_ != nullptr) {
+    outbox_.Append(bytes);
+  }
 }
 
 void ClusterJournal::Append(JournalRecordType type, std::string_view payload) {
   std::string frame;
   frame.reserve(kFrameHeaderSize + payload.size());
   AppendFrame(&frame, static_cast<uint8_t>(type), payload);
-  history_ += frame;
   appends_++;
-  if (fd_ >= 0) {
-    size_t written = 0;
-    while (written < frame.size()) {
-      const ssize_t n = ::write(fd_, frame.data() + written, frame.size() - written);
-      if (n <= 0) {
-        break;
-      }
-      written += static_cast<size_t>(n);
-    }
-    bytes_written_ += written;
-    ::fsync(fd_);
-    fsyncs_++;
-  }
-  for (Follower& follower : followers_) {
-    follower.outbox.Append(frame);
-  }
+  Emit(frame);
 }
 
 void ClusterJournal::AppendRingEpoch(const RingEpochRecord& record) {
@@ -219,31 +229,18 @@ void ClusterJournal::AppendComplete(const CompleteRecord& record) {
   pending_.erase(record.job_id);
 }
 
-void ClusterJournal::AttachFollower(std::shared_ptr<Transport> transport) {
-  Follower follower;
-  follower.transport = std::move(transport);
-  follower.outbox.Append(history_);  // Full history first, then tail.
-  followers_.push_back(std::move(follower));
-}
-
 void ClusterJournal::PumpReplication() {
+  if (follower_ == nullptr) {
+    return;
+  }
   // A follower that hung up will never drain its backlog: drop it rather
   // than queue every later record for it.
-  followers_.erase(std::remove_if(followers_.begin(), followers_.end(),
-                                  [](const Follower& f) { return f.transport->AtEof(); }),
-                   followers_.end());
-  for (Follower& follower : followers_) {
-    follower.outbox.Flush(*follower.transport);
+  if (follower_->AtEof()) {
+    follower_.reset();
+    outbox_ = Outbox();
+    return;
   }
-}
-
-bool ClusterJournal::replication_idle() const {
-  for (const Follower& follower : followers_) {
-    if (!follower.outbox.empty()) {
-      return false;
-    }
-  }
-  return true;
+  outbox_.Flush(*follower_);
 }
 
 // --- JournalFollower ---------------------------------------------------------
@@ -268,17 +265,8 @@ void JournalFollower::Poll() {
       return;
     }
     bytes_received_ += chunk.size();
-    bytes_ += chunk;
     if (fd_ >= 0) {
-      size_t written = 0;
-      while (written < chunk.size()) {
-        const ssize_t n = ::write(fd_, chunk.data() + written, chunk.size() - written);
-        if (n <= 0) {
-          break;
-        }
-        written += static_cast<size_t>(n);
-      }
-      ::fsync(fd_);
+      WriteAndSync(fd_, chunk);
     }
   }
 }

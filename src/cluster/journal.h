@@ -19,10 +19,11 @@
 // Append() then overwrites (the file is truncated back to the last good
 // record), exactly the recovery the RTRC trace container practices.
 //
-// Replication: followers receive the journal as a byte stream over a
-// Transport — the same framed bytes that hit the leader's disk, so a
-// follower's file is a byte-identical prefix of the leader's and replays
-// with the same code. Attach ships history from offset zero, then tails.
+// Replication: the one follower, fixed when the journal opens, receives the
+// journal as a byte stream over a Transport — the same framed bytes that hit
+// the leader's disk, so its file is a byte-identical prefix of the leader's
+// and replays with the same code. It is sent the intact journal Replay read
+// (from byte 0), then every append; the leader keeps no other copy.
 //
 // Replay output: the pending map (dispatches without a completion) is
 // exactly the set of jobs a restarted or failed-over coordinator must
@@ -89,7 +90,9 @@ class ClusterJournal {
   // Opens (creating if missing) and replays `path`. Empty path = memory-only
   // journal: appends are framed and replicated but nothing touches disk —
   // the configuration a router without durability needs (tests, benches).
-  explicit ClusterJournal(std::string path);
+  // A non-null `follower` is the journal's one replica link: it is sent the
+  // intact journal from byte 0, then every append.
+  explicit ClusterJournal(const std::string& path, std::shared_ptr<Transport> follower = nullptr);
   ~ClusterJournal();
 
   ClusterJournal(const ClusterJournal&) = delete;
@@ -120,30 +123,22 @@ class ClusterJournal {
   uint64_t bytes_written() const { return bytes_written_; }
 
   // --- Follower replication -------------------------------------------------
-  // Queues the full journal history for `transport`, then tails every new
-  // append. PumpReplication() moves queued bytes out (short writes respected)
-  // and drops a follower once it hung up; call it from the router's Poll().
-  void AttachFollower(std::shared_ptr<Transport> transport);
+  // Moves the bytes the follower has not taken yet (short writes respected)
+  // and drops the follower once it hung up; call it from the router's Poll().
   void PumpReplication();
-  bool replication_idle() const;
-
-  const std::string& path() const { return path_; }
+  bool replication_idle() const { return outbox_.empty(); }
 
  private:
   void Append(JournalRecordType type, std::string_view payload);
-  void Replay();
+  // Writes `bytes` to the file (if any) and queues them for the follower.
+  void Emit(std::string_view bytes);
+  // Reads `path` into the replay results; returns its intact prefix.
+  std::string Replay(const std::string& path);
 
-  struct Follower {
-    std::shared_ptr<Transport> transport;
-    Outbox outbox;
-  };
-
-  std::string path_;
   int fd_ = -1;
-  // Every byte ever framed (header + records), the replication source of
-  // truth. Memory cost is bounded by the journal itself, which a dispatch-
-  // heavy coordinator rotates by restarting on a fresh path.
-  std::string history_;
+  std::shared_ptr<Transport> follower_;
+  // Bytes not yet taken by the follower; empty without one.
+  Outbox outbox_;
 
   std::map<uint64_t, DispatchRecord> pending_;
   RingEpochRecord last_epoch_;
@@ -154,8 +149,6 @@ class ClusterJournal {
   uint64_t appends_ = 0;
   uint64_t fsyncs_ = 0;
   uint64_t bytes_written_ = 0;
-
-  std::vector<Follower> followers_;
 };
 
 // Follower half of journal replication: drains a Transport into a local
@@ -164,8 +157,8 @@ class ClusterJournal {
 // follower recovers the same pending set the leader would have.
 class JournalFollower {
  public:
-  // Empty path keeps the received bytes in memory only (bytes() exposes
-  // them); tests and benches replicate without touching disk.
+  // Empty path counts the received bytes and writes them nowhere; tests and
+  // benches replicate without touching disk.
   JournalFollower(std::string path, std::shared_ptr<Transport> transport);
   ~JournalFollower();
 
@@ -176,14 +169,12 @@ class JournalFollower {
   void Poll();
 
   uint64_t bytes_received() const { return bytes_received_; }
-  const std::string& bytes() const { return bytes_; }
   const std::string& path() const { return path_; }
 
  private:
   std::string path_;
   int fd_ = -1;
   std::shared_ptr<Transport> transport_;
-  std::string bytes_;
   uint64_t bytes_received_ = 0;
 };
 

@@ -21,7 +21,7 @@ uint64_t StreamShardKey(std::string_view bug_id, uint64_t seed, uint64_t token) 
 }  // namespace
 
 ClusterRouter::ClusterRouter(RouterConfig config)
-    : config_(std::move(config)), journal_(config_.journal_path) {
+    : journal_(config.journal_path, std::move(config.journal_follower)) {
   MetricRegistry& reg = MetricRegistry::Global();
   metrics_.jobs_routed = reg.GetCounter("cluster.jobs_routed");
   metrics_.completions = reg.GetCounter("cluster.completions");
@@ -68,6 +68,7 @@ void ClusterRouter::AttachShard(const std::string& name,
   }
   auto shard = std::make_unique<Shard>(std::move(transport));  // We are its client.
   shard->name = name;
+  shard->depth = MetricRegistry::Global().GetGauge("cluster.shard_depth." + name);
   shards_.emplace(name, std::move(shard));
   DispatchStranded();
 }
@@ -318,7 +319,6 @@ void ClusterRouter::RejectSubmit(ClientConn& conn, ServeError code,
 void ClusterRouter::DispatchTo(RouterJob& job, Shard& shard) {
   shard.link.Send(ServeFrame::kSubmit, journal_.pending().at(job.id).payload);
   shard.accept_fifo.push_back(job.id);
-  shard.inflight++;
   job.shard = shard.name;
   job.backend_job_id = 0;
 }
@@ -438,12 +438,12 @@ void ClusterRouter::HandleShardFrame(Shard& shard, DecodedFrame frame) {
         return;
       }
       RouterJob& job = *it->second;
-      if (shard.inflight > 0) {
-        shard.inflight--;
+      // A refused submit is as complete as a diagnosed one: journal it so a
+      // restarted coordinator does not re-pose it. A refused stream open was
+      // never journaled.
+      if (!job.is_stream) {
+        journal_.AppendComplete(CompleteRecord{rid, false});
       }
-      // A rejected job is as complete as a diagnosed one: journal it so a
-      // restarted coordinator does not re-pose a submission a shard refused.
-      journal_.AppendComplete(CompleteRecord{rid, false});
       // Unanswered, the error *is* the admission reply, and job id 0 on the
       // wire keeps the client's FIFO correlation (and its queue-full retry)
       // intact; answered, it names the job.
@@ -487,9 +487,6 @@ void ClusterRouter::HandleShardFrame(Shard& shard, DecodedFrame frame) {
         return;
       }
       shard.by_backend_id.erase(backend_id);
-      if (shard.inflight > 0) {
-        shard.inflight--;
-      }
       journal_.AppendComplete(CompleteRecord{job->id, msg.reproduced});
       Deliver(*job, ServeFrame::kResult, EncodeResult(msg), /*answers=*/false);
       jobs_.erase(msg.job_id);
@@ -551,8 +548,8 @@ void ClusterRouter::OnShardDead(const std::string& name) {
   }
   stats_.failovers++;
   metrics_.failovers->Inc();
+  sit->second->depth->Set(0);
   shards_.erase(sit);
-  MetricRegistry::Global().GetGauge("cluster.shard_depth." + name)->Set(0);
   if (ring_.RemoveShard(name)) {
     journal_.AppendRingEpoch(RingEpochRecord{ring_.epoch(), ring_.shards()});
   }
@@ -608,21 +605,18 @@ void ClusterRouter::UpdateDepthGauges() {
   metrics_.journal_appends->Set(static_cast<int64_t>(journal_.appends()));
   metrics_.journal_fsyncs->Set(static_cast<int64_t>(journal_.fsyncs()));
   metrics_.journal_bytes->Set(static_cast<int64_t>(journal_.bytes_written()));
-  size_t min_depth = 0, max_depth = 0;
+  int64_t min_depth = 0, max_depth = 0;
   bool first = true;
-  MetricRegistry& reg = MetricRegistry::Global();
   for (const auto& [name, shard] : shards_) {
-    reg.GetGauge("cluster.shard_depth." + name)
-        ->Set(static_cast<int64_t>(shard->inflight));
-    if (first || shard->inflight < min_depth) {
-      min_depth = shard->inflight;
-    }
-    if (first || shard->inflight > max_depth) {
-      max_depth = shard->inflight;
-    }
+    const int64_t depth = std::count_if(jobs_.begin(), jobs_.end(), [&](const auto& entry) {
+      return !entry.second->is_stream && entry.second->shard == name;
+    });
+    shard->depth->Set(depth);
+    min_depth = first ? depth : std::min(min_depth, depth);
+    max_depth = first ? depth : std::max(max_depth, depth);
     first = false;
   }
-  metrics_.ring_imbalance->Set(static_cast<int64_t>(max_depth - min_depth));
+  metrics_.ring_imbalance->Set(max_depth - min_depth);
 }
 
 StatsMsg ClusterRouter::BuildStats() const {

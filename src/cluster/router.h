@@ -62,6 +62,9 @@ struct RouterConfig {
   // Coordinator journal file; empty = in-memory only (no durability, but
   // failover re-dispatch still works from the mirrored in-process state).
   std::string journal_path;
+  // Replica link for the journal (the leader end of a connection to a
+  // JournalFollower), or null. Sent the whole journal, then every append.
+  std::shared_ptr<Transport> journal_follower;
 };
 
 struct ClusterStats {
@@ -110,12 +113,6 @@ class ClusterRouter {
   ClusterJournal& journal() { return journal_; }
   size_t inflight_jobs() const { return jobs_.size(); }
 
-  // Replicate the coordinator journal to a follower over `transport`
-  // (history first, then every new append; pumped by Poll()).
-  void AttachJournalFollower(std::shared_ptr<Transport> transport) {
-    journal_.AttachFollower(std::move(transport));
-  }
-
   // The kStatsReply body a client's RequestStats() receives: cluster-level
   // counters in the ServeStats slots plus the process-wide obs snapshot.
   StatsMsg BuildStats() const;
@@ -145,7 +142,7 @@ class ClusterRouter {
     std::deque<uint64_t> accept_fifo;
     // Backend job id -> router job id for kProgress/kResult correlation.
     std::map<uint64_t, uint64_t> by_backend_id;
-    size_t inflight = 0;
+    Gauge* depth = nullptr;  // cluster.shard_depth.<name>
   };
 
   // A submit or stream session between admission and its terminal frame.
@@ -208,9 +205,9 @@ class ClusterRouter {
   // attaches, or when failover left the ring empty).
   void DispatchStranded();
   void FlushOutboxes();
+  // Journal gauges, and each shard's depth: its submits in jobs_.
   void UpdateDepthGauges();
 
-  RouterConfig config_;
   ClusterStats stats_;
 
   struct ClusterMetrics {

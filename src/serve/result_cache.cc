@@ -2,9 +2,9 @@
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "src/common/strings.h"
+#include "src/trace/mmap_file.h"
 
 namespace rose {
 
@@ -12,17 +12,6 @@ namespace {
 
 std::string KeyName(uint64_t key) {
   return StrFormat("%016llx", static_cast<unsigned long long>(key));
-}
-
-bool ReadFile(const std::filesystem::path& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  *out = buf.str();
-  return true;
 }
 
 // Temp-file + atomic rename: a crash mid-write leaves a stray .tmp (never
@@ -118,7 +107,7 @@ void ResultCache::Persist(uint64_t key, const CachedResult& result) const {
 bool ResultCache::Load(uint64_t key, CachedResult* result) const {
   const std::string base = (std::filesystem::path(dir_) / KeyName(key)).string();
   std::string meta;
-  if (!ReadFile(base + ".meta", &meta)) {
+  if (!ReadFileBytes(base + ".meta", &meta)) {
     return false;
   }
   bool header_ok = false;
@@ -167,7 +156,8 @@ bool ResultCache::Load(uint64_t key, CachedResult* result) const {
   // sealed. Either way the damaged entry is a miss — the cache recovers
   // with one fewer hit, never with a corrupt schedule.
   std::string yaml;
-  if (!header_ok || !sealed || !ReadFile(base + ".yaml", &yaml) || yaml.size() != yaml_bytes) {
+  if (!header_ok || !sealed || !ReadFileBytes(base + ".yaml", &yaml) ||
+      yaml.size() != yaml_bytes) {
     return false;
   }
   result->schedule_yaml = std::move(yaml);

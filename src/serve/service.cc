@@ -33,7 +33,6 @@ DiagnosisService::DiagnosisService(ServeConfig config)
     : config_(config),
       cache_(kCacheEntries, config.cache_dir),
       queue_(config.queue_capacity),
-      ingestor_(config.stream_window_bytes),
       pool_(std::make_unique<WorkerPool>(std::max(config.max_concurrent_jobs, 1))) {
   MetricRegistry& reg = MetricRegistry::Global();
   metrics_.submissions = reg.GetCounter("serve.submissions");
@@ -48,6 +47,7 @@ DiagnosisService::DiagnosisService(ServeConfig config)
   metrics_.admit_zero_copy = reg.GetCounter("serve.admit_zero_copy");
   metrics_.queue_depth = reg.GetGauge("serve.queue_depth");
   metrics_.job_ns = reg.GetHistogram("serve.job_ns");
+  metrics_.stream_resident_bytes = reg.GetGauge("stream.resident_bytes");
   metrics_.stream_sessions_opened = reg.GetCounter("stream.sessions_opened");
   metrics_.stream_data_frames = reg.GetCounter("stream.data_frames");
   metrics_.stream_bytes_ingested = reg.GetCounter("stream.bytes_ingested");
@@ -305,22 +305,21 @@ void DiagnosisService::HandleStreamOpen(uint64_t conn_id, std::string_view paylo
     RejectInvalid(conn_id, ServeError::kUnknownBug, "unknown bug id: " + msg.bug_id);
     return;
   }
-  StreamSession session;
-  session.id = next_job_id_++;
+  const uint64_t id = next_job_id_++;
+  StreamSession& session =
+      stream_sessions_.try_emplace(id, config_.stream_window_bytes).first->second;
+  session.id = id;
   session.conn_id = conn_id;
   session.bug_id = std::move(msg.bug_id);
   session.seed = msg.seed;
   session.tag = std::move(msg.tag);
   session.profile_text = std::move(msg.profile_text);
-  session.token = msg.token;
-  ingestor_.Open(session.id);
   metrics_.stream_sessions_opened->Inc();
   AcceptedMsg accepted;
-  accepted.job_id = session.id;
+  accepted.job_id = id;
   accepted.kind = AcceptKind::kStream;
   accepted.token = msg.token;
   SendFrame(conn_id, ServeFrame::kAccepted, EncodeAccepted(accepted));
-  stream_sessions_.emplace(session.id, std::move(session));
 }
 
 void DiagnosisService::HandleStreamData(uint64_t conn_id, std::string_view payload) {
@@ -338,17 +337,21 @@ void DiagnosisService::HandleStreamData(uint64_t conn_id, std::string_view paylo
   }
   metrics_.stream_data_frames->Inc();
   metrics_.stream_bytes_ingested->Inc(chunk.size());
-  if (!ingestor_.Feed(session_id, chunk)) {
+  StreamWindow& window = it->second.window;
+  const size_t cost_before = window.cost();
+  const bool usable = window.Feed(chunk);
+  // An unusable window leaves the resident total with its session.
+  SetStreamResident(stream_resident_bytes_ - cost_before + (usable ? window.cost() : 0));
+  if (!usable) {
     SendError(conn_id, ServeError::kInvalidTrace,
               "stream bytes are not a usable RTRC container, or their string pool "
               "outgrew the session window",
               session_id);
-    ingestor_.Close(session_id);
     stream_sessions_.erase(it);
     return;
   }
-  if (ingestor_.oracle_pending(session_id)) {
-    AdmitStreamOracle(conn_id, session_id);
+  if (window.oracle_pending()) {
+    AdmitStreamOracle(it->second);
   }
 }
 
@@ -362,14 +365,12 @@ void DiagnosisService::HandleStreamClose(uint64_t conn_id, std::string_view payl
   if (it == stream_sessions_.end() || it->second.conn_id != conn_id) {
     return;  // Already gone (errored out, or a confused peer); nothing to do.
   }
-  ingestor_.Close(msg.job_id);
-  stream_sessions_.erase(it);
+  EraseStreamSession(it);
 }
 
-void DiagnosisService::AdmitStreamOracle(uint64_t conn_id, uint64_t session_id) {
-  StreamSession& session = stream_sessions_.at(session_id);
-  ingestor_.TakeOracle(session_id);  // Clears the latch; ts/detail are the
-                                     // sender's annotation, not inputs here.
+void DiagnosisService::AdmitStreamOracle(StreamSession& session) {
+  session.window.TakeOracle();  // Clears the latch; ts/detail are the
+                                // sender's annotation, not inputs here.
   metrics_.stream_oracle_marks->Inc();
   const auto oracle_at = std::chrono::steady_clock::now();
   // Materialize re-canonicalizes the window exactly as Tracer::Dump would,
@@ -377,16 +378,16 @@ void DiagnosisService::AdmitStreamOracle(uint64_t conn_id, uint64_t session_id) 
   // same cache entries — as a dump-file submission of this window. The blob
   // re-enters through the submit envelope: one encode buys the entire
   // existing admission chain (hash, cache, coalesce, validate, queue).
-  AdmitSubmission(conn_id,
+  AdmitSubmission(session.conn_id,
                   EncodeSubmitBlob(session.bug_id, session.seed, session.tag,
-                                   session.profile_text,
-                                   ingestor_.Materialize(session_id), /*token=*/0),
-                  /*reply_job_id=*/session_id, oracle_at);
+                                   session.profile_text, session.window.Materialize(),
+                                   /*token=*/0),
+                  /*reply_job_id=*/session.id, oracle_at);
 }
 
 void DiagnosisService::PollStreamSessions() {
   for (auto& [id, session] : stream_sessions_) {
-    const uint64_t drops = ingestor_.drops(id);
+    const uint64_t drops = session.window.drops();
     const bool dropping = drops > session.drops_at_check;
     session.drops_at_check = drops;
     if (dropping == session.throttled) {
@@ -399,7 +400,7 @@ void DiagnosisService::PollStreamSessions() {
     ThrottleMsg msg;
     msg.job_id = id;
     msg.on = dropping;
-    msg.resident_bytes = ingestor_.resident_bytes();
+    msg.resident_bytes = session.window.cost();
     SendFrame(session.conn_id, ServeFrame::kThrottle, EncodeThrottle(msg));
   }
 }
@@ -407,12 +408,23 @@ void DiagnosisService::PollStreamSessions() {
 void DiagnosisService::CloseStreamSessionsFor(uint64_t conn_id) {
   for (auto it = stream_sessions_.begin(); it != stream_sessions_.end();) {
     if (it->second.conn_id == conn_id) {
-      ingestor_.Close(it->first);
-      it = stream_sessions_.erase(it);
+      it = EraseStreamSession(it);
     } else {
       ++it;
     }
   }
+}
+
+std::map<uint64_t, DiagnosisService::StreamSession>::iterator
+DiagnosisService::EraseStreamSession(std::map<uint64_t, StreamSession>::iterator it) {
+  SetStreamResident(stream_resident_bytes_ - it->second.window.cost());
+  return stream_sessions_.erase(it);
+}
+
+void DiagnosisService::SetStreamResident(size_t bytes) {
+  stream_resident_bytes_ = bytes;
+  stream_peak_resident_bytes_ = std::max(stream_peak_resident_bytes_, bytes);
+  metrics_.stream_resident_bytes->Set(static_cast<int64_t>(bytes));
 }
 
 void DiagnosisService::StartJobs() {

@@ -108,11 +108,11 @@ class DiagnosisService {
   size_t queued_jobs() const { return queue_.size(); }
   int running_jobs() const { return running_; }
   // Stream-ingestion footprint: open sessions, current and high-water
-  // resident bytes across all of them (the multi-client ingest bench asserts
-  // the peak stays under sessions x stream_window_bytes).
-  size_t stream_sessions() const { return ingestor_.session_count(); }
-  size_t stream_resident_bytes() const { return ingestor_.resident_bytes(); }
-  size_t stream_peak_resident_bytes() const { return ingestor_.peak_resident_bytes(); }
+  // resident bytes across their usable windows (the multi-client ingest
+  // bench asserts the peak stays under sessions x stream_window_bytes).
+  size_t stream_sessions() const { return stream_sessions_.size(); }
+  size_t stream_resident_bytes() const { return stream_resident_bytes_; }
+  size_t stream_peak_resident_bytes() const { return stream_peak_resident_bytes_; }
 
   // The kStatsReply body: lifetime ServeStats + instantaneous queue/worker
   // state + the process-wide rose::obs registry snapshot. Also what the
@@ -157,6 +157,21 @@ class DiagnosisService {
     DiagnosisResult result;
   };
 
+  // One open stream session: identity from the kStreamOpen, its window and
+  // throttle edge state.
+  struct StreamSession {
+    explicit StreamSession(size_t window_bytes) : window(window_bytes) {}
+    uint64_t id = 0;       // Server job id (client-visible).
+    uint64_t conn_id = 0;
+    std::string bug_id;
+    uint64_t seed = 0;
+    std::string tag;
+    std::string profile_text;
+    StreamWindow window;
+    uint64_t drops_at_check = 0;  // Window drop count at the last poll.
+    bool throttled = false;
+  };
+
   // Dispatches every complete frame; false once the connection is over (the
   // client hung up, or its stream header was refused).
   bool ReadConnection(uint64_t conn_id, ServeConnection& conn);
@@ -179,11 +194,17 @@ class DiagnosisService {
   void HandleStreamClose(uint64_t conn_id, std::string_view payload);
   // Oracle mark latched on a session: materialize its window and admit the
   // blob as a diagnosis under the session's job id.
-  void AdmitStreamOracle(uint64_t conn_id, uint64_t session_id);
+  void AdmitStreamOracle(StreamSession& session);
   // Transition-edged kThrottle emission: on when a session dropped events
   // since the last poll, off when a poll passes clean. Called from Poll().
   void PollStreamSessions();
   void CloseStreamSessionsFor(uint64_t conn_id);
+  // Erases a session whose window is counted in the resident total;
+  // returns the next session.
+  std::map<uint64_t, StreamSession>::iterator EraseStreamSession(
+      std::map<uint64_t, StreamSession>::iterator it);
+  // Sets the resident total (and its high-water mark and gauge).
+  void SetStreamResident(size_t bytes);
   void StartJobs();
   void HarvestJobs();
   // Records (into stream.oracle_to_candidate_ns) and forgets every stream
@@ -225,8 +246,9 @@ class DiagnosisService {
     Counter* admit_zero_copy;
     Gauge* queue_depth;
     Histogram* job_ns;
-    // rose::stream ("stream.*"): session-level detail; window and drop
-    // counters live in StreamIngestor.
+    // rose::stream ("stream.*"): session-level detail; drop and
+    // materialize metrics live in StreamWindow.
+    Gauge* stream_resident_bytes;
     Counter* stream_sessions_opened;
     Counter* stream_data_frames;
     Counter* stream_bytes_ingested;
@@ -236,24 +258,11 @@ class DiagnosisService {
   };
   ServeMetrics metrics_;
 
-  // One open stream session: identity from the kStreamOpen plus throttle
-  // edge state. The window lives in the ingestor under the same id.
-  struct StreamSession {
-    uint64_t id = 0;       // Server job id (client-visible).
-    uint64_t conn_id = 0;
-    std::string bug_id;
-    uint64_t seed = 0;
-    std::string tag;
-    std::string profile_text;
-    uint64_t token = 0;
-    uint64_t drops_at_check = 0;  // Ingestor drop count at the last poll.
-    bool throttled = false;
-  };
-
   ResultCache cache_;
   JobQueue queue_;
-  StreamIngestor ingestor_;
   std::map<uint64_t, StreamSession> stream_sessions_;
+  size_t stream_resident_bytes_ = 0;
+  size_t stream_peak_resident_bytes_ = 0;
   // Stream admissions awaiting their first candidate: job id -> oracle
   // arrival timestamp (multimap: coalescing can attach several sessions to
   // one job). Resolved — and recorded into stream.oracle_to_candidate_ns — at

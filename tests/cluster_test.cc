@@ -3,8 +3,8 @@
 // identity), and the router end to end: clustered output parity with a
 // single daemon, mid-job shard kill -> re-dispatch -> byte-identical result,
 // corrupt-frame resynchronization, journal-replay restart recovery, the
-// per-client reply order across shards, and failover on a damaged shard
-// frame.
+// per-client reply order across shards, a refused stream open, and failover
+// on a damaged shard frame.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -229,12 +229,15 @@ TEST(ClusterJournalTest, FollowerReceivesByteIdenticalJournal) {
   std::filesystem::remove(leader_path);
   std::filesystem::remove(follower_path);
   {
-    ClusterJournal leader(leader_path);
-    leader.AppendRingEpoch(RingEpochRecord{1, {"s0", "s1"}});
-    leader.AppendDispatch(SampleDispatch(1, "s0"));
-    // Attach mid-stream: history ships first, then the tail.
+    ClusterJournal earlier(leader_path);
+    earlier.AppendRingEpoch(RingEpochRecord{1, {"s0", "s1"}});
+    earlier.AppendDispatch(SampleDispatch(1, "s0"));
+  }
+  {
+    // Reopened with a follower: the replayed journal ships from byte 0,
+    // then every append.
     auto [leader_end, follower_end] = MakePipePair(/*capacity=*/128);
-    leader.AttachFollower(leader_end);
+    ClusterJournal leader(leader_path, leader_end);
     JournalFollower follower(follower_path, follower_end);
     leader.AppendDispatch(SampleDispatch(2, "s1"));
     leader.AppendComplete(CompleteRecord{1, false});
@@ -263,9 +266,8 @@ TEST(ClusterJournalTest, FollowerReceivesByteIdenticalJournal) {
 // outgrows the pipe, the leader must drop it rather than stay non-idle and
 // queue every later record for it.
 TEST(ClusterJournalTest, HungUpFollowerIsDropped) {
-  ClusterJournal leader("");
   auto [leader_end, follower_end] = MakePipePair();
-  leader.AttachFollower(leader_end);
+  ClusterJournal leader("", leader_end);
   JournalFollower follower("", follower_end);
   leader.AppendDispatch(SampleDispatch(1, "s0"));
   leader.PumpReplication();
@@ -346,6 +348,11 @@ class ScriptedShard {
   }
   void Result(uint64_t job_id, const std::string& yaml) {
     link_.Send(ServeFrame::kResult, EncodeResult(ScriptedResult(job_id, yaml)));
+  }
+  // Refuses the oldest unanswered request (a submit or a stream open) before
+  // admission, as a server does: kError under job id 0.
+  void Refuse(ServeError code) {
+    link_.Send(ServeFrame::kError, EncodeError(ErrorMsg{0, code, "refused"}));
   }
   // Sends `payload` as a `kind` frame with its last payload byte flipped, so
   // it fails its CRC.
@@ -779,6 +786,48 @@ TEST(ClusterRouterTest, ClientHungUpWithQueuedRepliesIsDroppedAndItsJobsComplete
   EXPECT_EQ(cluster.router.inflight_jobs(), 0u);
   EXPECT_TRUE(router_side.expired());  // The router let go of the connection.
   EXPECT_TRUE(cluster.router.idle());
+}
+
+// A stream open that the shard refuses is not a submit: it was never
+// journaled, and the shard's depth counts submits only.
+TEST(ClusterRouterTest, RefusedStreamOpenLeavesJournalAndDepthAlone) {
+  TestCluster cluster;
+  ScriptedShard& shard = cluster.AddScriptedShard("shard0");
+  ServeClient& client = cluster.AddClient();
+  const std::string profile = SerializeProfile(Profile{});
+  const uint64_t submit = client.SubmitBlob("RedisRaft-42", 42, "submit", profile, SmallBlob(0));
+  cluster.Pump(8);
+  ASSERT_EQ(shard.submits(), 1u);
+  shard.AcceptNext(7);
+  cluster.Pump(8);
+  const uint64_t appends = cluster.router.journal().appends();
+  ASSERT_EQ(cluster.router.journal().pending().size(), 1u);
+#if ROSE_OBS_ENABLED
+  const Gauge* depth = MetricRegistry::Global().GetGauge("cluster.shard_depth.shard0");
+  EXPECT_EQ(depth->value(), 1);
+#endif
+
+  const uint64_t stream = client.OpenStream("RedisRaft-42", 42, "stream", profile);
+  cluster.Pump(8);
+  shard.Refuse(ServeError::kUnknownBug);
+  cluster.Pump(8);
+  ASSERT_TRUE(client.done(stream));
+  EXPECT_EQ(client.error_code(stream), ServeError::kUnknownBug);
+  EXPECT_EQ(cluster.router.journal().appends(), appends);
+  EXPECT_EQ(cluster.router.journal().pending().size(), 1u);
+#if ROSE_OBS_ENABLED
+  EXPECT_EQ(depth->value(), 1);
+#endif
+  EXPECT_FALSE(client.done(submit));
+
+  shard.Result(7, "submit\n");
+  cluster.Pump(8);
+  ASSERT_TRUE(client.done(submit));
+  EXPECT_FALSE(client.failed(submit));
+  EXPECT_TRUE(cluster.router.journal().pending().empty());
+#if ROSE_OBS_ENABLED
+  EXPECT_EQ(depth->value(), 0);
+#endif
 }
 
 // --- Damaged replies -----------------------------------------------------------

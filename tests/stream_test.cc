@@ -304,45 +304,40 @@ std::string OracleTail(const std::string& detail) {
   return tail;
 }
 
-// --- StreamIngestor: window and drops ---------------------------------------
+// --- StreamWindow: window and drops ------------------------------------------
 
 TEST(StreamIngestorTest, EvictionWithoutSpillDropsOldestButStreamSurvives) {
   const Dump dump = MakeDump("RedisRaft-42", 42);
   const std::string blob = dump.trace.SerializeBinary();
   const size_t window_bytes = 8u << 10;
-  StreamIngestor ingestor(window_bytes);
-  ingestor.Open(1);
-  ASSERT_TRUE(ingestor.Feed(1, blob));
-  EXPECT_GT(ingestor.drops(1), 0u);
-  EXPECT_EQ(ingestor.total_drops(), ingestor.drops(1));
-  EXPECT_LE(ingestor.resident_bytes(), window_bytes);
+  StreamWindow window(window_bytes);
+  ASSERT_TRUE(window.Feed(blob));
+  EXPECT_GT(window.drops(), 0u);
+  EXPECT_LE(window.cost(), window_bytes);
 
   // The session still materializes — the newest events survived, the oldest
   // are gone, and the result is a well-formed container.
-  const std::string materialized = ingestor.Materialize(1);
+  const std::string materialized = window.Materialize();
   const Trace parsed = Trace::ParseBinary(materialized);
   EXPECT_GT(parsed.size(), 0u);
   EXPECT_LT(parsed.size(), dump.trace.size());
-  ingestor.Close(1);
 }
 
 TEST(StreamIngestorTest, OverflowedWindowMaterializesExactlyTheNewestEvents) {
   const Dump dump = MakeDump("RedisRaft-42", 42);
   const std::string blob = dump.trace.SerializeBinary();
   const size_t window_bytes = 8u << 10;  // Below the window's decoded cost.
-  StreamIngestor ingestor(window_bytes);
-  ingestor.Open(1);
-  ASSERT_TRUE(ingestor.Feed(1, blob));
-  const uint64_t dropped = ingestor.drops(1);
+  StreamWindow window(window_bytes);
+  ASSERT_TRUE(window.Feed(blob));
+  const uint64_t dropped = window.drops();
   ASSERT_GT(dropped, 0u);
   ASSERT_LT(dropped, dump.trace.size());
-  EXPECT_EQ(ingestor.total_drops(), dropped);
-  EXPECT_LE(ingestor.resident_bytes(), window_bytes);
+  EXPECT_LE(window.cost(), window_bytes);
 
-  ASSERT_TRUE(ingestor.Feed(1, OracleTail("overflow")));
-  ASSERT_TRUE(ingestor.oracle_pending(1));
-  EXPECT_EQ(ingestor.TakeOracle(1).detail, "overflow");
-  EXPECT_FALSE(ingestor.oracle_pending(1));
+  ASSERT_TRUE(window.Feed(OracleTail("overflow")));
+  ASSERT_TRUE(window.oracle_pending());
+  EXPECT_EQ(window.TakeOracle().detail, "overflow");
+  EXPECT_FALSE(window.oracle_pending());
 
   // The window kept the newest events, so it materializes as exactly their
   // canonical dump. The dump is in timestamp order, so its newest events
@@ -352,11 +347,7 @@ TEST(StreamIngestorTest, OverflowedWindowMaterializesExactlyTheNewestEvents) {
   for (size_t i = dropped; i < dump.trace.size(); i++) {
     newest.AppendRemapped(dump.trace[i], dump.trace.pool());
   }
-  EXPECT_EQ(ingestor.Materialize(1), newest.SerializeBinary());
-
-  ingestor.Close(1);
-  EXPECT_EQ(ingestor.session_count(), 0u);
-  EXPECT_EQ(ingestor.resident_bytes(), 0u);
+  EXPECT_EQ(window.Materialize(), newest.SerializeBinary());
 }
 
 // --- A scriptable fake server (protocol-level client/sink tests) -------------
@@ -588,8 +579,8 @@ class StreamSinkTest : public StreamTracerTest {
     server.Pump(client);
   }
 
-  // Drains every received kStreamData frame for session `id` into `sink`.
-  void FeedIngestor(FakeServer& server, StreamIngestor& ingestor, uint64_t id) {
+  // Drains every received kStreamData frame for session `id` into `window`.
+  void FeedWindow(FakeServer& server, StreamWindow& window, uint64_t id) {
     for (;;) {
       std::optional<DecodedFrame> data = server.TakeFrame(ServeFrame::kStreamData);
       if (!data.has_value()) {
@@ -599,7 +590,7 @@ class StreamSinkTest : public StreamTracerTest {
       std::string_view chunk;
       ASSERT_TRUE(DecodeStreamData(data->payload, &job_id, &chunk));
       ASSERT_EQ(job_id, id);
-      ASSERT_TRUE(ingestor.Feed(id, chunk));
+      ASSERT_TRUE(window.Feed(chunk));
     }
   }
 };
@@ -656,11 +647,10 @@ TEST_F(StreamSinkTest, ThrottleSuspendsPumpAndOracleForceShips) {
   EXPECT_EQ(sink.events_lost(), 0u);
 
   // The shipped bytes really carry the oracle mark.
-  StreamIngestor ingestor(ServeConfig{}.stream_window_bytes);
-  ingestor.Open(9);
-  FeedIngestor(server, ingestor, 9);
-  ASSERT_TRUE(ingestor.oracle_pending(9));
-  EXPECT_EQ(ingestor.TakeOracle(9).detail, "forced flush");
+  StreamWindow window(ServeConfig{}.stream_window_bytes);
+  FeedWindow(server, window, 9);
+  ASSERT_TRUE(window.oracle_pending());
+  EXPECT_EQ(window.TakeOracle().detail, "forced flush");
 }
 
 TEST_F(StreamSinkTest, MaterializedWindowIsByteIdenticalToDump) {
@@ -694,16 +684,15 @@ TEST_F(StreamSinkTest, MaterializedWindowIsByteIdenticalToDump) {
   server.Pump(client);
   EXPECT_EQ(sink.events_shipped(), 3u);
 
-  StreamIngestor ingestor(ServeConfig{}.stream_window_bytes);
-  ingestor.Open(5);
-  FeedIngestor(server, ingestor, 5);
-  ASSERT_TRUE(ingestor.oracle_pending(5));
+  StreamWindow window(ServeConfig{}.stream_window_bytes);
+  FeedWindow(server, window, 5);
+  ASSERT_TRUE(window.oracle_pending());
 
-  // The tentpole property at the sink/ingestor level: the server-side
+  // The property streaming rests on, at the sink/window level: the server-side
   // materialization of the streamed window is the byte-identical container a
   // dump of the same window serializes to — same canonical hash, same cache
   // key, same diagnosis.
-  EXPECT_EQ(ingestor.Materialize(5), tracer.Dump().SerializeBinary());
+  EXPECT_EQ(window.Materialize(), tracer.Dump().SerializeBinary());
 }
 
 // --- DiagnosisService end to end ---------------------------------------------
@@ -790,6 +779,63 @@ TEST(DiagnosisServiceStreamTest, TinyWindowSurfacesThrottleBackpressure) {
     client.Poll();
     service.Poll();
   }
+}
+
+// kThrottle names one session, so it carries that session's own window
+// occupancy, not the daemon's total across sessions.
+TEST(DiagnosisServiceStreamTest, ThrottleReportsTheSessionsOwnOccupancy) {
+  const Dump dump = MakeDump("RedisRaft-42", 42);
+  const std::string profile_text = SerializeProfile(dump.profile);
+  ServeConfig config;
+  config.stream_window_bytes = 8u << 10;
+  DiagnosisService service(config);
+  auto [client_end, server_end] = MakePipePair();
+  service.Attach(server_end);
+  ServeConnection link(client_end);
+  std::vector<DecodedFrame> frames;
+  auto pump = [&] {
+    for (int round = 0; round < 8; round++) {
+      link.Flush();
+      service.Poll();
+      DecodedFrame frame;
+      while (link.Next(&frame) == FrameDecoder::Status::kFrame) {
+        frames.push_back(std::move(frame));
+      }
+    }
+  };
+
+  for (const uint64_t token : {1, 2}) {
+    link.Send(ServeFrame::kStreamOpen,
+              EncodeStreamOpen(StreamOpenMsg{"RedisRaft-42", 42, "t", profile_text, token}));
+  }
+  pump();
+  ASSERT_EQ(frames.size(), 2u);
+  AcceptedMsg steady, overflowing;
+  ASSERT_TRUE(DecodeAccepted(frames[0].payload, &steady));
+  ASSERT_TRUE(DecodeAccepted(frames[1].payload, &overflowing));
+  frames.clear();
+
+  // The first session holds the dump's first 100 events, well inside its
+  // window; the second is fed the whole dump and overflows.
+  Trace head;
+  for (size_t i = 0; i < 100; i++) {
+    head.AppendRemapped(dump.trace[i], dump.trace.pool());
+  }
+  link.Send(ServeFrame::kStreamData, EncodeStreamData(steady.job_id, head.SerializeBinary()));
+  pump();
+  ASSERT_TRUE(frames.empty());  // Nothing dropped, nothing throttled.
+  link.Send(ServeFrame::kStreamData,
+            EncodeStreamData(overflowing.job_id, dump.trace.SerializeBinary()));
+  pump();
+
+  ASSERT_FALSE(frames.empty());
+  ASSERT_EQ(frames.front().kind, ServeFrame::kThrottle);
+  ThrottleMsg throttle;
+  ASSERT_TRUE(DecodeThrottle(frames.front().payload, &throttle));
+  EXPECT_EQ(throttle.job_id, overflowing.job_id);
+  EXPECT_TRUE(throttle.on);
+  EXPECT_LE(throttle.resident_bytes, config.stream_window_bytes);
+  EXPECT_GT(service.stream_resident_bytes(), config.stream_window_bytes);
 }
 
 // A session's string pool cannot shrink (a later frame may name any earlier
