@@ -185,7 +185,7 @@ void BM_ServeCacheHit(benchmark::State& state) {
   std::vector<double> warmup_ms;
   ServeRound(service, clients, num_clients, &warmup_ms);
   const uint64_t runs_after_warmup = service.stats().engine_runs;
-  // Zero-copy admission bar: a cache hit must construct no owning Trace —
+  // Cache-hit admission bar: a hit must construct no owning Trace —
   // the canonical hash streams over the raw blob, so trace_io.parse_calls
   // (ticked only by Trace::ParseBinary) must not move during timed rounds.
   Counter* parse_calls = MetricRegistry::Global().GetCounter("trace_io.parse_calls");

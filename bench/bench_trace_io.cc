@@ -101,8 +101,8 @@ void BM_ParseBinary(benchmark::State& state) {
 BENCHMARK(BM_ParseBinary)->Unit(benchmark::kMillisecond);
 
 void BM_StreamBinary(benchmark::State& state) {
-  // Streaming iteration without materializing a Trace — the reader's
-  // zero-copy path (frame_events_ reused per frame).
+  // Streaming iteration without materializing a Trace (frame_events_
+  // reused per frame).
   const std::string encoded = Window().SerializeBinary();
   for (auto _ : state) {
     TraceReader reader(encoded);
@@ -145,8 +145,8 @@ void BM_LoadFileHeap(benchmark::State& state) {
 BENCHMARK(BM_LoadFileHeap)->Unit(benchmark::kMillisecond);
 
 void BM_LoadFileMmap(benchmark::State& state) {
-  // Zero-copy pipeline: mmap + external-arena decode. Same event vector,
-  // pool strings stay in the mapping. Compare against BM_LoadFileHeap.
+  // The mapped pipeline: mmap + ParseBinary over the mapping, so the file
+  // bytes skip the heap read. Compare against BM_LoadFileHeap.
   const std::string& path = WindowFile();
   for (auto _ : state) {
     const MappedTrace mapped = MappedTrace::OpenFile(path);
@@ -175,7 +175,7 @@ void BM_OpenToFirstEventMmap(benchmark::State& state) {
   const std::string& path = WindowFile();
   for (auto _ : state) {
     MmapTraceFile file = MmapTraceFile::Open(path);
-    TraceReader reader(file.bytes(), file.bytes().data());
+    TraceReader reader(file.bytes());
     TraceEvent event;
     const bool ok = reader.Next(&event);
     benchmark::DoNotOptimize(ok);

@@ -116,8 +116,8 @@ rose::FaultSchedule DemoSchedule() {
 }
 
 int LintTrace(const char* path) {
-  // Zero-copy load: the validator and the stats renderer only read, so the
-  // dump is mapped and viewed in place — no owning Trace is built.
+  // The validator and the stats renderer only read, so they take a view of
+  // the mapped dump's decoded trace.
   const rose::MappedTrace mapped = rose::MappedTrace::OpenFile(path);
   const std::vector<rose::Diagnostic>& load_diags = mapped.diagnostics();
   if (!rose::OfCode(load_diags, rose::DiagCode::kTraceFileUnreadable).empty()) {

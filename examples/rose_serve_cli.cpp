@@ -64,7 +64,7 @@ positional arguments:
 flags:
   --dump FILE       load the production dump from FILE instead of simulating;
                     the file is mapped and its raw container bytes are
-                    submitted zero-copy
+                    submitted verbatim
   --profile FILE    load the profiling baseline (required with --dump)
   --save-dump BASE  after generating, write BASE.trc + BASE.profile
   --yaml-out FILE   write the confirmed schedule YAML to FILE

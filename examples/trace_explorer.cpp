@@ -14,7 +14,7 @@
 //                 FILE ends in .txt (then a display-only one-event-per-line
 //                 listing, which --load refuses with TB201)
 //   --load FILE   skip the simulated run and explore a saved binary dump
-//                 instead (mapped and decoded zero-copy)
+//                 instead (mapped, then decoded)
 //   --merge ...   merge saved per-node traces (Trace::Merge, the dump's
 //                 canonicalization over their concatenation): timestamp-
 //                 ordered, ties in argument order, strings re-interned into
@@ -66,7 +66,7 @@ flags:
                     a display-only one-event-per-line listing when FILE
                     ends in .txt; listings cannot be loaded back)
   --load FILE       explore a saved binary dump instead of running; the
-                    file is mapped and decoded zero-copy
+                    file is mapped, then decoded
   --merge A B ...   merge saved per-node traces (timestamp-ordered, ties
                     in argument order); combine with --save to persist
   --stats           print window statistics from the rose::obs registry
@@ -125,9 +125,8 @@ int main(int argc, char** argv) {
   }
 
   rose::Trace trace;
-  // Zero-copy handle for --load; `view` below reads through it without ever
-  // building an owning Trace (promotion happens only if --save needs to
-  // re-encode).
+  // The mapped dump for --load; `view` below reads its decoded trace (a
+  // copy is made only if --save needs to re-encode).
   rose::MappedTrace mapped;
   rose::Profile profile;
   const rose::Profile* profile_for_extract = nullptr;
@@ -299,11 +298,11 @@ int main(int argc, char** argv) {
     std::printf("%s",
                 rose::RenderTraceStats(view, &rose::MetricRegistry::Global()).c_str());
     if (!load_path.empty()) {
-      // resident estimate: a mapped trace keeps only the event vector plus
-      // the pool index on the heap — the string payload stays in the
+      // resident estimate: the decoded event vector plus the pool's entry
+      // table and its copied strings; the container bytes stay in the
       // (page-cached) mapping.
-      const size_t resident =
-          view.size() * sizeof(rose::TraceEvent) + view.pool().size() * 8;
+      const size_t resident = view.size() * sizeof(rose::TraceEvent) +
+                              view.pool().size() * 8 + view.pool().payload_bytes();
       std::printf("mapped bytes: %zu\n", mapped.mapped_bytes());
       std::printf("resident estimate: %zu bytes\n", resident);
     }
@@ -321,8 +320,8 @@ int main(int argc, char** argv) {
     const bool text = save_path.size() > 4 &&
                       save_path.compare(save_path.size() - 4, 4, ".txt") == 0;
     if (mapped.valid()) {
-      // Copy-on-write: re-encoding is the one step that needs an owning
-      // Trace, so the mapped handle is promoted here and nowhere else.
+      // Re-encoding is the one step that needs an owning Trace, so the
+      // mapped handle's trace is copied here and nowhere else.
       trace = mapped.Promote();
     }
     if (!rose::SaveTraceFile(save_path, trace, text)) {

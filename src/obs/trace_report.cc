@@ -74,8 +74,7 @@ std::string RenderTraceStats(TraceView trace, MetricRegistry* registry,
   }
   if (with_encoded_sizes) {
     // Encode straight from the view — works for owning and mapped traces
-    // alike (TraceWriter resolves pool ids through View, which an
-    // external-arena pool serves from the mapped bytes).
+    // alike.
     std::string binary;
     TraceWriter writer(&binary, &trace.pool());
     for (const TraceEvent& event : trace) {

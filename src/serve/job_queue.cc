@@ -1,41 +1,36 @@
 #include "src/serve/job_queue.h"
 
-#include <algorithm>
-
 namespace rose {
 
 JobQueue::PushResult JobQueue::Push(uint64_t tenant, uint64_t job_id) {
   if (size_ >= capacity_) {
     return PushResult::kFull;
   }
-  auto [it, inserted] = per_tenant_.emplace(tenant, std::deque<uint64_t>{});
-  if (inserted) {
-    tenant_order_.push_back(tenant);
+  std::deque<uint64_t>& jobs = per_tenant_[tenant];
+  if (jobs.empty()) {
+    rotation_.push_back(tenant);
   }
-  it->second.push_back(job_id);
+  jobs.push_back(job_id);
   size_++;
   return PushResult::kOk;
 }
 
 std::optional<uint64_t> JobQueue::Pop() {
-  if (size_ == 0 || tenant_order_.empty()) {
+  if (rotation_.empty()) {
     return std::nullopt;
   }
-  // Start after the last-served tenant and take the first one with work;
-  // empty tenants stay registered so their round-robin position is stable.
-  for (size_t i = 0; i < tenant_order_.size(); i++) {
-    const size_t slot = (cursor_ + i) % tenant_order_.size();
-    auto it = per_tenant_.find(tenant_order_[slot]);
-    if (it == per_tenant_.end() || it->second.empty()) {
-      continue;
-    }
-    const uint64_t job_id = it->second.front();
-    it->second.pop_front();
-    size_--;
-    cursor_ = (slot + 1) % tenant_order_.size();
-    return job_id;
+  const uint64_t tenant = rotation_.front();
+  rotation_.pop_front();
+  auto it = per_tenant_.find(tenant);
+  const uint64_t job_id = it->second.front();
+  it->second.pop_front();
+  size_--;
+  if (it->second.empty()) {
+    per_tenant_.erase(it);
+  } else {
+    rotation_.push_back(tenant);
   }
-  return std::nullopt;
+  return job_id;
 }
 
 }  // namespace rose

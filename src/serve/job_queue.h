@@ -9,9 +9,11 @@
 //     buffering unboundedly — is what turns overload into backpressure the
 //     protocol can express.
 //
-//   Fair: Pop services tenants round-robin in first-seen order, so a tenant
-//     that batch-submits 50 dumps cannot starve one that submits a single
-//     urgent window. Within a tenant, jobs stay FIFO.
+//   Fair: Pop serves the tenants with queued jobs round-robin, each joining
+//     the rotation when its queue turns non-empty, so a tenant that
+//     batch-submits 50 dumps cannot starve one that submits a single urgent
+//     window. Within a tenant, jobs stay FIFO. A tenant whose queue drains
+//     leaves the rotation, so the queue holds no state for past tenants.
 //
 // Single-threaded by design: only the service's Poll() thread touches it.
 #ifndef SRC_SERVE_JOB_QUEUE_H_
@@ -21,7 +23,6 @@
 #include <deque>
 #include <map>
 #include <optional>
-#include <vector>
 
 namespace rose {
 
@@ -39,21 +40,16 @@ class JobQueue {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   size_t capacity() const { return capacity_; }
-
-  // Jobs a single tenant has waiting (0 for unknown tenants) — feeds the
-  // per-client serve.queue_depth.* gauges.
-  size_t DepthOf(uint64_t tenant) const {
-    auto it = per_tenant_.find(tenant);
-    return it == per_tenant_.end() ? 0 : it->second.size();
-  }
+  // Tenants with queued jobs (the rotation's length).
+  size_t tenants() const { return rotation_.size(); }
 
  private:
   size_t capacity_;
   size_t size_ = 0;
+  // Queued job ids of each tenant in the rotation; never an empty queue.
   std::map<uint64_t, std::deque<uint64_t>> per_tenant_;
-  // Tenants in first-seen order; the cursor remembers who was served last.
-  std::vector<uint64_t> tenant_order_;
-  size_t cursor_ = 0;
+  // Tenants with queued jobs, the next one to serve first.
+  std::deque<uint64_t> rotation_;
 };
 
 }  // namespace rose

@@ -107,9 +107,9 @@ enum class AcceptKind : uint8_t {
 // in, not copied) and exposes the fields as views into it, so the embedded
 // RTRC blob is never parsed into an owning Trace just to compute a cache
 // key — the blob is hashed in place (CanonicalBlobHash) and, on a cache
-// miss, handed to MappedTrace::FromBuffer. Fields are stored as offsets,
-// not string_views, so moving the envelope (SSO buffers relocate) stays
-// safe.
+// miss, decoded in place by Trace::ParseBinary. Fields are stored as
+// offsets, not string_views, so moving the envelope (SSO buffers relocate)
+// stays safe.
 class SubmitEnvelope {
  public:
   std::string_view bug_id() const { return Field(bug_id_off_, bug_id_len_); }
@@ -127,12 +127,6 @@ class SubmitEnvelope {
   // it to the next submission in FIFO order.
   uint64_t token() const { return token_; }
   const Profile& profile() const { return profile_; }
-
-  // Transfers the trace blob's bytes out as an owned string (one copy — the
-  // only one the admission path ever makes, and only on a cache miss).
-  std::string TakeTraceBlob() const {
-    return std::string(trace_blob());
-  }
 
  private:
   friend bool DecodeSubmitEnvelope(std::string payload, SubmitEnvelope* out);

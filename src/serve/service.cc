@@ -44,7 +44,6 @@ DiagnosisService::DiagnosisService(ServeConfig config)
   metrics_.rejects_causal = reg.GetCounter("serve.rejects_causal");
   metrics_.corrupt_frames = reg.GetCounter("serve.corrupt_frames");
   metrics_.stats_requests = reg.GetCounter("serve.stats_requests");
-  metrics_.admit_zero_copy = reg.GetCounter("serve.admit_zero_copy");
   metrics_.queue_depth = reg.GetGauge("serve.queue_depth");
   metrics_.job_ns = reg.GetHistogram("serve.job_ns");
   metrics_.stream_resident_bytes = reg.GetGauge("stream.resident_bytes");
@@ -168,7 +167,6 @@ void DiagnosisService::AdmitSubmission(
     metrics_.submissions->Inc();
     stats_.cache_hits++;
     metrics_.cache_hits->Inc();
-    metrics_.admit_zero_copy->Inc();
     const uint64_t job_id = reply_job_id != 0 ? reply_job_id : next_job_id_++;
     if (reply_job_id == 0) {
       AcceptedMsg accepted;
@@ -203,7 +201,6 @@ void DiagnosisService::AdmitSubmission(
     metrics_.submissions->Inc();
     stats_.coalesced++;
     metrics_.coalesced->Inc();
-    metrics_.admit_zero_copy->Inc();
     job.subscribers.push_back({conn_id, /*coalesced=*/true, reply_job_id});
     if (reply_job_id == 0) {
       AcceptedMsg accepted;
@@ -219,9 +216,9 @@ void DiagnosisService::AdmitSubmission(
   }
 
   // First sighting of this key: now — and only now — the trace materializes,
-  // as a zero-copy decode over the blob moved out of the envelope (pool
-  // strings resolve into the adopted bytes; no owning Trace is built).
-  MappedTrace mapped = MappedTrace::FromBuffer(env.TakeTraceBlob());
+  // decoded in place from the envelope's blob (AdmitSubmit already refused
+  // a damaged container).
+  Trace trace = Trace::ParseBinary(env.trace_blob());
   Profile profile = env.profile();
 
   // Up-front validation: a structurally-invalid trace would burn thousands
@@ -229,7 +226,7 @@ void DiagnosisService::AdmitSubmission(
   TraceValidateOptions validate_options;
   validate_options.profile = &profile;
   const std::vector<Diagnostic> validation =
-      TraceValidator(validate_options).Validate(mapped.view());
+      TraceValidator(validate_options).Validate(trace);
   if (HasErrors(validation)) {
     RejectInvalid(conn_id, ServeError::kInvalidTrace,
                   "trace failed validation: " + validation.front().ToString(), reply_job_id);
@@ -239,7 +236,7 @@ void DiagnosisService::AdmitSubmission(
   // model itself refutes — a pid alive on two nodes, events from a process
   // after its crash — would feed the engine a graph whose prunes are
   // meaningless. Vector clocks are skipped: admission only needs the prescan.
-  const CausalGraph causal(mapped.view(), CausalOptions{/*vector_clocks=*/false});
+  const CausalGraph causal(trace, CausalOptions{/*vector_clocks=*/false});
   if (HasErrors(causal.diagnostics())) {
     metrics_.rejects_causal->Inc();
     RejectInvalid(conn_id, ServeError::kInvalidTrace,
@@ -250,7 +247,6 @@ void DiagnosisService::AdmitSubmission(
 
   stats_.jobs_submitted++;
   metrics_.submissions->Inc();
-  metrics_.admit_zero_copy->Inc();
 
   auto job = std::make_unique<Job>();
   job->id = next_job_id_++;
@@ -260,7 +256,7 @@ void DiagnosisService::AdmitSubmission(
   job->tag = std::string(env.tag());
   job->spec = spec;
   job->profile = std::move(profile);
-  job->trace = std::move(mapped);
+  job->trace = std::move(trace);
   job->subscribers.push_back({conn_id, /*coalesced=*/false, reply_job_id});
 
   if (queue_.Push(conn_id, job->id) == JobQueue::PushResult::kFull) {
@@ -274,9 +270,6 @@ void DiagnosisService::AdmitSubmission(
   }
   job->admitted = std::chrono::steady_clock::now();
   metrics_.queue_depth->Set(static_cast<int64_t>(queue_.size()));
-  MetricRegistry::Global()
-      .GetGauge("serve.queue_depth.client" + std::to_string(conn_id))
-      ->Set(static_cast<int64_t>(queue_.DepthOf(conn_id)));
 
   if (reply_job_id == 0) {
     AcceptedMsg accepted;
@@ -437,12 +430,6 @@ void DiagnosisService::StartJobs() {
     job.state = Job::State::kRunning;
     running_++;
     metrics_.queue_depth->Set(static_cast<int64_t>(queue_.size()));
-    if (!job.subscribers.empty()) {
-      const uint64_t tenant = job.subscribers.front().conn_id;
-      MetricRegistry::Global()
-          .GetGauge("serve.queue_depth.client" + std::to_string(tenant))
-          ->Set(static_cast<int64_t>(queue_.DepthOf(tenant)));
-    }
 
     ProgressMsg msg;
     msg.job_id = job.id;
@@ -461,7 +448,7 @@ void DiagnosisService::StartJobs() {
     const BugSpec* spec = job.spec;
     pool_->Enqueue([shared, spec, run_config = std::move(run_config)] {
       DiagnosisResult result =
-          DiagnoseTrace(*spec, shared->profile, shared->trace.view(), run_config);
+          DiagnoseTrace(*spec, shared->profile, shared->trace, run_config);
       std::lock_guard<std::mutex> lock(shared->mutex);
       shared->result = std::move(result);
       shared->finished = true;

@@ -43,7 +43,7 @@
 #include "src/serve/protocol.h"
 #include "src/serve/result_cache.h"
 #include "src/serve/stream_ingestor.h"
-#include "src/trace/mapped_trace.h"
+#include "src/trace/event.h"
 
 namespace rose {
 
@@ -131,10 +131,9 @@ class DiagnosisService {
     std::string tag;
     const BugSpec* spec = nullptr;
     Profile profile;
-    // Zero-copy handle over the submission's RTRC blob (the bytes moved out
-    // of the submit envelope — never re-parsed into an owning Trace). The
-    // worker diagnoses through trace.view().
-    MappedTrace trace;
+    // The submission's RTRC blob, decoded once at admission; the envelope
+    // and its bytes are gone by the time a worker diagnoses it.
+    Trace trace;
     // Connections awaiting this job's result.
     struct Subscriber {
       uint64_t conn_id = 0;
@@ -241,9 +240,6 @@ class DiagnosisService {
     Counter* rejects_causal;  // Subset of rejects_invalid: TB303 traces.
     Counter* corrupt_frames;
     Counter* stats_requests;
-    // Admissions (hit, coalesce, or queue) that completed without ever
-    // constructing an owning Trace from the submitted blob.
-    Counter* admit_zero_copy;
     Gauge* queue_depth;
     Histogram* job_ns;
     // rose::stream ("stream.*"): session-level detail; drop and

@@ -121,7 +121,7 @@ class Trace {
   // Events of one type, in order. The returned events' ids still resolve
   // against this trace's pool.
   std::vector<TraceEvent> OfType(EventType type) const;
-  // AF events on `node` with ts < `before`, most recent first — the
+  // AF events on `node` with ts <= `before`, most recent first — the
   // "functions which precede F" input to Algorithm 1.
   std::vector<AfInfo> FunctionsBefore(NodeId node, SimTime before) const;
 

@@ -4,32 +4,8 @@
 #include <utility>
 
 #include "src/common/strings.h"
-#include "src/obs/metrics.h"
-#include "src/trace/trace_io.h"
 
 namespace rose {
-
-namespace {
-
-// rose::obs self-metrics for the zero-copy load path (docs/metrics.md
-// "trace_io.*").
-struct MappedMetrics {
-  Counter* zero_copy_decodes;
-  Counter* promotions;
-};
-
-MappedMetrics& Metrics() {
-  static MappedMetrics* m = [] {
-    MetricRegistry& reg = MetricRegistry::Global();
-    auto* metrics = new MappedMetrics();
-    metrics->zero_copy_decodes = reg.GetCounter("trace_io.zero_copy_decodes");
-    metrics->promotions = reg.GetCounter("trace_io.promotions");
-    return metrics;
-  }();
-  return *m;
-}
-
-}  // namespace
 
 struct MappedTrace::Impl {
   // Exactly one of `file` / `buffer` backs `bytes`.
@@ -37,25 +13,14 @@ struct MappedTrace::Impl {
   std::string buffer;
   bool file_backed = false;
 
-  std::vector<TraceEvent> events;
-  StringPool pool;  // External arena over `bytes`.
+  Trace trace;
   std::vector<Diagnostic> diags;
 
   std::string_view bytes() const { return file_backed ? file.bytes() : buffer; }
 };
 
 MappedTrace MappedTrace::Decode(std::shared_ptr<Impl> impl) {
-  // Zero-copy walk: same frames, CRCs, and failure diagnostics as
-  // Trace::ParseBinary, but pool strings stay in the backing bytes.
-  const std::string_view bytes = impl->bytes();
-  TraceReader reader(bytes, bytes.data());
-  TraceEvent event;
-  while (reader.Next(&event)) {
-    impl->events.push_back(event);
-  }
-  impl->diags = reader.diagnostics();
-  impl->pool = reader.ReleasePool();
-  Metrics().zero_copy_decodes->Inc();
+  impl->trace = Trace::ParseBinary(impl->bytes(), &impl->diags);
   MappedTrace out;
   out.impl_ = std::move(impl);
   return out;
@@ -89,10 +54,7 @@ MappedTrace MappedTrace::FromBuffer(std::string storage) {
 }
 
 TraceView MappedTrace::view() const {
-  if (impl_ == nullptr) {
-    return TraceView();
-  }
-  return TraceView(impl_->events.data(), impl_->events.size(), &impl_->pool);
+  return impl_ != nullptr ? TraceView(impl_->trace) : TraceView();
 }
 
 std::string_view MappedTrace::bytes() const {
@@ -100,7 +62,7 @@ std::string_view MappedTrace::bytes() const {
 }
 
 size_t MappedTrace::event_count() const {
-  return impl_ != nullptr ? impl_->events.size() : 0;
+  return impl_ != nullptr ? impl_->trace.size() : 0;
 }
 
 const std::vector<Diagnostic>& MappedTrace::diagnostics() const {
@@ -115,18 +77,6 @@ bool MappedTrace::mapped() const { return impl_ != nullptr && impl_->file.mapped
 
 size_t MappedTrace::mapped_bytes() const { return mapped() ? impl_->file.size() : 0; }
 
-Trace MappedTrace::Promote() const {
-  if (impl_ == nullptr) {
-    return Trace();
-  }
-  Metrics().promotions->Inc();
-  // Re-intern in id order so the promoted pool assigns identical ids and the
-  // copied events need no remapping.
-  StringPool pool;
-  for (StrId id = 1; id < impl_->pool.size(); id++) {
-    pool.Intern(impl_->pool.View(id));
-  }
-  return Trace(impl_->events, std::move(pool));
-}
+Trace MappedTrace::Promote() const { return impl_ != nullptr ? impl_->trace : Trace(); }
 
 }  // namespace rose

@@ -1,20 +1,14 @@
 #include "src/trace/mmap_file.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <utility>
-
-#include "src/obs/metrics.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define ROSE_HAVE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#else
-#define ROSE_HAVE_MMAP 0
-#endif
+
+#include <cerrno>
+#include <utility>
+
+#include "src/obs/metrics.h"
 
 namespace rose {
 
@@ -46,7 +40,6 @@ bool ReadFileBytes(const std::string& path, std::string* out, int* errno_out) {
   if (errno_out != nullptr) {
     *errno_out = 0;
   }
-#if ROSE_HAVE_MMAP
   // fstat + read into an exact-sized buffer: one copy, no stringstream.
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
@@ -85,23 +78,6 @@ bool ReadFileBytes(const std::string& path, std::string* out, int* errno_out) {
   out->resize(done);
   ::close(fd);
   return true;
-#else
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    if (errno_out != nullptr) {
-      *errno_out = errno;
-    }
-    return false;
-  }
-  out->clear();
-  char buf[1 << 16];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out->append(buf, n);
-  }
-  std::fclose(f);
-  return true;
-#endif
 }
 
 MmapTraceFile& MmapTraceFile::operator=(MmapTraceFile&& other) noexcept {
@@ -123,11 +99,9 @@ MmapTraceFile& MmapTraceFile::operator=(MmapTraceFile&& other) noexcept {
 }
 
 void MmapTraceFile::Reset() {
-#if ROSE_HAVE_MMAP
   if (mapped_ && data_ != nullptr) {
     ::munmap(const_cast<char*>(data_), size_);
   }
-#endif
   data_ = nullptr;
   size_ = 0;
   valid_ = false;
@@ -140,7 +114,6 @@ MmapTraceFile MmapTraceFile::Open(const std::string& path, int* errno_out) {
   if (errno_out != nullptr) {
     *errno_out = 0;
   }
-#if ROSE_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd >= 0) {
     struct stat st {};
@@ -168,8 +141,7 @@ MmapTraceFile MmapTraceFile::Open(const std::string& path, int* errno_out) {
       ::close(fd);
     }
   }
-#endif
-  // mmap unavailable or refused: one exact-sized read into an owned buffer.
+  // mmap refused: one exact-sized read into an owned buffer.
   int read_errno = 0;
   if (!ReadFileBytes(path, &file.fallback_, &read_errno)) {
     if (errno_out != nullptr) {

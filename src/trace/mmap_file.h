@@ -2,12 +2,13 @@
 //
 // The diagnosis phase re-reads a dumped window many times; reading it
 // through a stream copies every byte into a heap buffer before the first
-// event decodes. MmapTraceFile maps the file instead (PROT_READ/MAP_PRIVATE
-// on POSIX) so the container bytes are paged in on demand and the mapped
-// region can back zero-copy string-pool entries (MappedTrace). Platforms
-// without mmap — and files mmap refuses (zero-length, exotic filesystems) —
-// fall back transparently to one fstat-sized read() into an owned buffer;
-// `mapped()` reports which path was taken.
+// event decodes. MmapTraceFile maps the file instead (PROT_READ/MAP_PRIVATE)
+// so the container bytes are paged in on demand: a reader that needs only
+// the leading frames touches only their pages, and a CLI ships a mapped
+// dump's bytes verbatim (MappedTrace::bytes). Files mmap refuses (exotic
+// filesystems, say) fall back transparently to one fstat-sized read() into
+// an owned buffer; `mapped()` reports which path was taken. An empty file
+// opens as a valid, unmapped, empty range.
 #ifndef SRC_TRACE_MMAP_FILE_H_
 #define SRC_TRACE_MMAP_FILE_H_
 
@@ -34,9 +35,9 @@ class MmapTraceFile {
   MmapTraceFile(const MmapTraceFile&) = delete;
   MmapTraceFile& operator=(const MmapTraceFile&) = delete;
 
-  // Maps `path` read-only; on any mmap failure (or off-POSIX builds) falls
-  // back to ReadFileBytes. An unreadable file yields an invalid instance
-  // with the errno in `*errno_out`.
+  // Maps `path` read-only; on any mmap failure falls back to ReadFileBytes.
+  // An unreadable file yields an invalid instance with the errno in
+  // `*errno_out`.
   static MmapTraceFile Open(const std::string& path, int* errno_out = nullptr);
 
   // The file's bytes — stable for the lifetime of this object (and only

@@ -3,7 +3,6 @@
 namespace rose {
 
 StrId StringPool::Intern(std::string_view s) {
-  assert(external_base_ == nullptr && "external-arena pools are immutable");
   if (s.empty()) {
     return kEmptyStrId;
   }
@@ -15,7 +14,6 @@ StrId StringPool::Intern(std::string_view s) {
   entries_.push_back(Entry{static_cast<uint32_t>(arena_.size()),
                            static_cast<uint32_t>(s.size())});
   arena_.append(s);
-  payload_bytes_ = arena_.size();
   index_.emplace(std::string(s), id);
   return id;
 }

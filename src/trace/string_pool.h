@@ -7,10 +7,14 @@
 // against a pool owned by the trace, which shrinks events to a fixed size,
 // makes copying/merging traces cheap, and gives the binary dump format a
 // natural string table.
+//
+// Every pool owns its bytes, decoded dumps included: a window's strings are
+// few and short (the seed-42 RedisRaft-42 dump holds 14, 149 payload bytes
+// in all), so copying them on decode costs nothing measurable (DESIGN.md
+// §13).
 #ifndef SRC_TRACE_STRING_POOL_H_
 #define SRC_TRACE_STRING_POOL_H_
 
-#include <cassert>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -34,52 +38,24 @@ class StringPool {
 
   // Returns the id of `s`, interning it on first sight. Ids are assigned
   // densely in first-intern order, which the binary format relies on.
-  // Must not be called on an external-arena pool (no index is built there;
-  // mutate via Trace::Promote-style re-interning into a fresh pool instead).
   StrId Intern(std::string_view s);
 
   // The string for `id`; the empty string for out-of-range ids. The view
   // points into the pool's arena: it is invalidated by a later Intern() (the
   // arena may relocate), so resolve ids only while the pool is not growing —
-  // true for every dumped, parsed, or merged trace. External-arena pools
-  // (zero-copy mapped traces) resolve against the bound arena instead, which
-  // must outlive the pool and every view taken from it.
+  // true for every dumped, parsed, or merged trace.
   std::string_view View(StrId id) const {
     if (id >= entries_.size()) {
       return {};
     }
     const Entry& entry = entries_[id];
-    if (external_base_ != nullptr) {
-      return std::string_view(external_base_ + entry.offset, entry.length);
-    }
     return std::string_view(arena_).substr(entry.offset, entry.length);
   }
 
   // Number of distinct strings, counting the implicit empty string.
   size_t size() const { return entries_.size(); }
   // Total bytes of distinct string payload (the arena size).
-  size_t payload_bytes() const { return payload_bytes_; }
-
-  // --- External (zero-copy) arena mode ---------------------------------------
-  //
-  // A mapped RTRC file already holds every pool string; instead of copying
-  // them into a private arena, the pool can resolve ids as offsets into that
-  // mapped region. Bind the base once, then append offset/length entries in
-  // stream order. No dedup index is built: Intern() is a programming error on
-  // an external pool. Copies of the pool share the base pointer — the mapping
-  // must outlive them all.
-  void BindExternalArena(const char* base) {
-    assert(entries_.size() == 1 && "bind before appending entries");
-    external_base_ = base;
-  }
-  void AppendExternal(size_t offset, size_t length) {
-    assert(external_base_ != nullptr);
-    entries_.push_back(
-        Entry{static_cast<uint32_t>(offset), static_cast<uint32_t>(length)});
-    payload_bytes_ += length;
-  }
-  void ReserveEntries(size_t n) { entries_.reserve(n); }
-  bool external() const { return external_base_ != nullptr; }
+  size_t payload_bytes() const { return arena_.size(); }
 
  private:
   // Entries store offsets into the arena, not pointers, so the defaulted
@@ -99,10 +75,6 @@ class StringPool {
   };
 
   std::string arena_;
-  // Set when entries resolve against a caller-owned region (a mapped trace
-  // file) instead of `arena_`; never owned by the pool.
-  const char* external_base_ = nullptr;
-  size_t payload_bytes_ = 0;
   std::vector<Entry> entries_;
   std::unordered_map<std::string, StrId, Hash, std::equal_to<>> index_;
 };

@@ -43,32 +43,6 @@ IoMetrics& Metrics() {
   return *m;
 }
 
-// Walks one pool-frame payload: dense ids continuing at pool->size(), a
-// count no larger than the bytes left, then one length-prefixed string per
-// entry. The copying and zero-copy decoders differ only in `insert`, which
-// adds one string and returns false when it is empty or a duplicate.
-template <typename Insert>
-bool WalkPoolFrame(std::string_view payload, StringPool* pool, Insert insert) {
-  uint64_t first_id = 0;
-  uint64_t count = 0;
-  if (!GetVarint(&payload, &first_id) || !GetVarint(&payload, &count)) {
-    return false;
-  }
-  if (first_id != pool->size() || count > payload.size()) {
-    // Ids must be dense and in stream order, or event ids resolve wrongly;
-    // every string takes at least one byte, so a larger count is hostile.
-    return false;
-  }
-  pool->ReserveEntries(pool->size() + count);
-  for (uint64_t i = 0; i < count; i++) {
-    std::string_view s;
-    if (!GetBytes(&payload, &s) || !insert(s)) {
-      return false;
-    }
-  }
-  return payload.empty();
-}
-
 }  // namespace
 
 // --- Streaming frame protocol -----------------------------------------------
@@ -115,12 +89,26 @@ bool DecodeOracleMark(std::string_view payload, OracleMark* out) {
 }
 
 bool DecodeRtrcPoolFrame(std::string_view payload, StringPool* pool) {
-  return WalkPoolFrame(payload, pool, [pool](std::string_view s) {
+  uint64_t first_id = 0;
+  uint64_t count = 0;
+  if (!GetVarint(&payload, &first_id) || !GetVarint(&payload, &count)) {
+    return false;
+  }
+  if (first_id != pool->size() || count > payload.size()) {
+    // Ids must be dense and in stream order, or event ids resolve wrongly;
+    // every string takes at least one byte, so a larger count is hostile.
+    return false;
+  }
+  for (uint64_t i = 0; i < count; i++) {
+    std::string_view s;
     // Intern hands back an existing id for an empty or duplicate string,
     // which would desynchronize ids.
     const size_t id = pool->size();
-    return pool->Intern(s) == id;
-  });
+    if (!GetBytes(&payload, &s) || pool->Intern(s) != id) {
+      return false;
+    }
+  }
+  return payload.empty();
 }
 
 bool DecodeRtrcEventFrame(std::string_view payload, uint16_t format_version,
@@ -363,14 +351,6 @@ TraceReader::TraceReader(std::string_view data) : rest_(data) {
   rest_.remove_prefix(kStreamHeaderSize);
 }
 
-TraceReader::TraceReader(std::string_view data, const char* external_arena_base)
-    : TraceReader(data) {
-  if (external_arena_base != nullptr) {
-    external_base_ = external_arena_base;
-    pool_.BindExternalArena(external_arena_base);
-  }
-}
-
 void TraceReader::Fail(DiagCode code, Severity severity, std::string message,
                        std::string hint) {
   Diagnostic diag;
@@ -391,26 +371,6 @@ bool TraceReader::ok() const {
     }
   }
   return true;
-}
-
-bool TraceReader::DecodePoolFrame(std::string_view payload) {
-  if (external_base_ == nullptr) {
-    return DecodeRtrcPoolFrame(payload, &pool_);
-  }
-  return WalkPoolFrame(payload, &pool_, [this](std::string_view s) {
-    // Zero-copy mode: record the string as an offset into the caller's
-    // stable buffer. Empty and duplicate strings must fail exactly as
-    // copying mode's Intern check does, or the two paths diverge.
-    if (s.empty() || !external_seen_.insert(s).second) {
-      return false;
-    }
-    const size_t offset = static_cast<size_t>(s.data() - external_base_);
-    if (offset > UINT32_MAX || s.size() > UINT32_MAX) {
-      return false;
-    }
-    pool_.AppendExternal(offset, s.size());
-    return true;
-  });
 }
 
 bool TraceReader::DecodeEventFrame(std::string_view payload) {
@@ -467,7 +427,7 @@ bool TraceReader::LoadFrame() {
     }
     switch (frame.kind) {
       case kFramePool:
-        if (!DecodePoolFrame(frame.payload)) {
+        if (!DecodeRtrcPoolFrame(frame.payload, &pool_)) {
           Fail(DiagCode::kMalformedTraceFrame, Severity::kError,
                "string-pool frame does not decode",
                "the dump was written by a broken or incompatible writer");

@@ -36,7 +36,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "src/analyze/diagnostic.h"
@@ -101,9 +100,10 @@ inline void AppendRtrcFrame(std::string* out, uint8_t kind, std::string_view pay
   AppendFrame(out, kind, payload);
 }
 
-// Decodes one string-pool delta frame payload into `*pool` (copying mode).
-// False on malformed payloads, counts past the payload, or ids out of stream
-// order.
+// Decodes one string-pool delta frame payload into `*pool`, copying each
+// string into its arena; every RTRC decoder takes its pool frames through
+// here. False on malformed payloads, counts past the payload, ids out of
+// stream order, and empty or duplicate strings.
 bool DecodeRtrcPoolFrame(std::string_view payload, StringPool* pool);
 // Decodes one event frame payload of a stream announcing `format_version`,
 // appending to `*out`. `*prev_ts` carries the timestamp-delta base across
@@ -115,9 +115,9 @@ bool DecodeRtrcEventFrame(std::string_view payload, uint16_t format_version,
 // --- File helpers -----------------------------------------------------------
 
 // Reads `path` and parses it with Trace::ParseBinary into an owning Trace
-// (MappedTrace::OpenFile is the zero-copy load). Never throws: an unreadable
-// file yields an empty trace plus a TB206 diagnostic; container damage
-// (TB201..TB205) is appended the same way. The
+// (MappedTrace::OpenFile maps the file instead of reading it). Never throws:
+// an unreadable file yields an empty trace plus a TB206 diagnostic;
+// container damage (TB201..TB205) is appended the same way. The
 // caller decides whether a damaged-but-partially-decoded trace is usable —
 // CLIs should treat HasErrors(diags) as a nonzero exit even when events
 // survived.
@@ -168,17 +168,12 @@ class TraceWriter {
 // Decodes a whole binary trace (a dump in memory or mapped) frame by frame,
 // splitting frames in place with SplitFrame. Events stream out through
 // Next(); their StrIds resolve against pool(), which grows as pool frames
-// are consumed (ids match the writer's because both sides intern in order).
-// Decoding stops at the first damaged frame.
+// are consumed (ids match the writer's because both sides intern in order)
+// and owns copies of its strings, so it outlives `data`. Decoding stops at
+// the first damaged frame.
 class TraceReader {
  public:
   explicit TraceReader(std::string_view data);
-
-  // Zero-copy variant: pool strings are recorded as offsets into
-  // `external_arena_base` (the start of the stable buffer containing `data`
-  // — normally a mapped file) instead of being copied into a private arena.
-  // The buffer must outlive the pool and every view resolved through it.
-  TraceReader(std::string_view data, const char* external_arena_base);
 
   // Produces the next event. Returns false at end-of-stream — clean or not;
   // consult ok()/diagnostics() to tell. Never throws.
@@ -199,18 +194,12 @@ class TraceReader {
   // Decodes frames until an event frame yields events, the end frame is
   // seen, or the stream fails. Returns true when frame_events_ has data.
   bool LoadFrame();
-  bool DecodePoolFrame(std::string_view payload);
   bool DecodeEventFrame(std::string_view payload);
   void Fail(DiagCode code, Severity severity, std::string message, std::string hint);
 
   std::string_view rest_;
   StringPool pool_;
   uint16_t format_version_ = 0;
-  // Zero-copy pool mode (see the two-arg constructor); null = copying mode.
-  const char* external_base_ = nullptr;
-  // Duplicate detection for external pools — copying mode gets it for free
-  // from Intern's index. Views point into the caller's stable buffer.
-  std::unordered_set<std::string_view> external_seen_;
   std::vector<Diagnostic> diags_;
   bool done_ = false;
   bool saw_end_ = false;

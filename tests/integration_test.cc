@@ -131,8 +131,8 @@ TEST(PipelineTest, ParallelDiagnosisMatchesSerialOnRealBugs) {
 }
 
 TEST(ZeroCopyPipelineTest, MmapAndHeapLoadsDiagnoseByteIdentically) {
-  // The zero-copy acceptance bar (DESIGN.md §13): diagnosing a dump through
-  // the mmap-backed external-arena view must be byte-for-byte identical —
+  // The mapped-load acceptance bar (DESIGN.md §13): diagnosing a dump through
+  // the mmap-backed MappedTrace view must be byte-for-byte identical —
   // confirmed-schedule YAML included — to diagnosing the same file through
   // the owning heap loader.
   struct Case {

@@ -271,6 +271,18 @@ TEST(JobQueueTest, RoundRobinAcrossTenantsFifoWithin) {
   EXPECT_EQ(queue.Pop(), std::nullopt);
 }
 
+TEST(JobQueueTest, RotationHoldsOnlyTenantsWithQueuedJobs) {
+  // Every connection that ever queued a job is a tenant; once its jobs are
+  // served, the queue keeps nothing of it.
+  JobQueue queue(16);
+  for (uint64_t tenant = 1; tenant <= 1000; tenant++) {
+    ASSERT_EQ(queue.Push(tenant, tenant), JobQueue::PushResult::kOk);
+    ASSERT_EQ(queue.Pop(), std::optional<uint64_t>(tenant));
+  }
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(queue.tenants(), 0u);
+}
+
 // --- ResultCache ------------------------------------------------------------
 
 CachedResult MakeResult(const std::string& yaml, bool reproduced = true) {

@@ -429,7 +429,7 @@ void DecodeEveryRsrvPayload(std::string_view payload) {
     size_t events = 0;
     CanonicalBlobHash(env.trace_blob(), &hash, nullptr, &events);
     EXPECT_LE(events, payload.size());
-    EXPECT_LE(MappedTrace::FromBuffer(env.TakeTraceBlob()).event_count(), payload.size());
+    EXPECT_LE(Trace::ParseBinary(env.trace_blob()).size(), payload.size());
   }
   Profile profile;
   ParseProfile(payload, &profile);

@@ -18,7 +18,7 @@
 #       end-to-end serve determinism: dump one production window, submit it
 #       through rose_served twice (fresh daemon each time, so nothing is
 #       cached) — once as simulated, once mapped back from the saved dump
-#       (the zero-copy load path) — and require byte-identical
+#       (the mapped load path) — and require byte-identical
 #       confirmed-schedule YAML, plus a third run through the offline
 #       reproduce_bug pipeline, which must produce the same bytes again.
 #       Registered as `serve_determinism`.

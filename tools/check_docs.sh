@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Docs-drift check, two halves:
+# Docs-drift check, three parts:
 #
 #  1. docs/cli.md embeds each CLI's --help output verbatim (one fenced
 #     ```text block under the tool's "## <tool>" heading); every block is
@@ -10,6 +10,11 @@
 #     ```text blocks; each is diffed against the defining header, so a new
 #     or renumbered frame kind cannot land without the protocol doc
 #     following.
+#  3. docs/metrics.md has a "| `name` | type |" row, with the matching type,
+#     for every literal GetCounter/GetGauge/GetHistogram("name") in src/;
+#     and every row names a metric src/ registers, literally or under the
+#     prefix of a "prefix" + ... concatenation (engine.level, trace.events.,
+#     cluster.shard_depth.), so a deleted metric cannot keep its row.
 #
 # Registered as the `docs_drift` ctest.
 #
@@ -109,9 +114,56 @@ check_wire_block "### RSRV frame kinds (generated)" "src/serve/protocol.h" \
 check_wire_block "### RJNL record types (generated)" "src/cluster/journal.h" \
   "$(enum_body src/cluster/journal.h JournalRecordType)"
 
+# --- docs/metrics.md: metric rows vs the registrations in src/ --------------
+
+metrics_doc="docs/metrics.md"
+# "name type" per documented row.
+documented_metrics="$(sed -nE 's/^\| `([^`]+)` \| (counter|gauge|histogram) \|.*/\1 \2/p' \
+  "$metrics_doc" | sort -u)"
+# "name type" per literal registration.
+registered_metrics="$(grep -rhoE 'Get(Counter|Gauge|Histogram)\("[^"]+"\)' src |
+  sed -E 's/^Get(Counter|Gauge|Histogram)\("([^"]+)"\)$/\2 \1/' |
+  sed -E 's/ Counter$/ counter/; s/ Gauge$/ gauge/; s/ Histogram$/ histogram/' | sort -u)"
+# Name prefixes registered by concatenation, e.g. "engine.level" + level.
+registered_prefixes="$(grep -rhoE '"[a-z_]+\.[a-z0-9_.]*" *\+' src |
+  sed -E 's/^"([^"]+)".*/\1/' | sort -u)"
+
+while read -r name type; do
+  [ -n "$name" ] || continue
+  if ! grep -qxF "$name $type" <<<"$documented_metrics"; then
+    documented_type="$(awk -v n="$name" '$1 == n { print $2 }' <<<"$documented_metrics")"
+    if [ -n "$documented_type" ]; then
+      echo "check_docs: $metrics_doc types \`$name\` as $documented_type; src/ registers a $type"
+    else
+      echo "check_docs: $metrics_doc has no row for \`$name\` ($type, registered in src/)"
+    fi
+    fail=1
+  fi
+done <<<"$registered_metrics"
+
+while read -r name type; do
+  [ -n "$name" ] || continue
+  if awk -v n="$name" '$1 == n { found = 1 } END { exit !found }' <<<"$registered_metrics"; then
+    continue
+  fi
+  prefixed=0
+  while read -r prefix; do
+    if [ -n "$prefix" ] && [ "${name#"$prefix"}" != "$name" ]; then
+      prefixed=1
+      break
+    fi
+  done <<<"$registered_prefixes"
+  if [ "$prefixed" -eq 0 ]; then
+    echo "check_docs: $metrics_doc documents \`$name\`, which src/ does not register"
+    fail=1
+  fi
+done <<<"$documented_metrics"
+
 if [ "$fail" -ne 0 ]; then
-  echo "check_docs: FAILED — update docs/cli.md / docs/wire_protocol.md to match the tree"
+  echo "check_docs: FAILED — update docs/cli.md / docs/wire_protocol.md /" \
+       "docs/metrics.md to match the tree"
   exit 1
 fi
 echo "check_docs: docs/cli.md matches all $(echo $tools | wc -w) CLIs' --help;" \
-     "docs/wire_protocol.md matches the wire enums"
+     "docs/wire_protocol.md matches the wire enums;" \
+     "docs/metrics.md matches the registered metrics"

@@ -44,12 +44,12 @@
 #  - BENCH_trace_io: the binary encoded_bytes counter must be <= 50% of the
 #    text listing's (BM_SerializeText) on the 1M-event window (the binary
 #    container's acceptance bar). The load-path
-#    pairs compare the owning loader against the zero-copy mapped one on the
-#    same on-disk dump: BM_LoadFileMmap vs BM_LoadFileHeap is the full-decode
-#    comparison (mmap wins by skipping the read() copy and the pool-string
-#    re-copy; margin grows with string-heavy traces and release builds), and
+#    pairs compare the owning loader against the mapped one on the same
+#    on-disk dump: BM_LoadFileMmap vs BM_LoadFileHeap is the full-decode
+#    comparison (both decode with Trace::ParseBinary; mmap skips only the
+#    read() copy), and
 #    BM_OpenToFirstEventMmap must be >= 3x faster than BM_OpenToFirstEventHeap
-#    — the zero-copy data plane's acceptance bar, usually orders of magnitude
+#    — the mapped data plane's acceptance bar, usually orders of magnitude
 #    since only the leading frames decode. BM_CanonicalBlobHash is the serve
 #    admission cache-key cost: one streamed pass, no Trace construction.
 #  - BENCH_serve: per-arg rows are concurrent client counts (1/4/16).
