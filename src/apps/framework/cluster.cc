@@ -198,6 +198,18 @@ void Cluster::AppendLog(NodeId id, const std::string& line) {
   slot.log.push_back(StrFormat("[%9.3fs n%d] ", ToSeconds(kernel_->now()), id) + line);
 }
 
+int32_t Cluster::FunctionId(Literal name) {
+  for (const auto& [text, id] : function_ids_) {
+    if (text == name.data()) {
+      return id;
+    }
+  }
+  const FunctionInfo* info = binary_->FindByName(name.view());
+  const int32_t id = info == nullptr ? -1 : info->id;
+  function_ids_.emplace_back(name.data(), id);
+  return id;
+}
+
 void Cluster::Panic(GuestNode* node, const std::string& reason) {
   AppendLog(node->id(), "PANIC: " + reason);
   kernel_->Kill(node->pid());

@@ -54,7 +54,6 @@ class Cluster : public KernelObserver {
   SimKernel& kernel() { return *kernel_; }
   Network& network() { return *network_; }
   EventLoop& loop() { return kernel_->loop(); }
-  const BinaryInfo* binary() const { return binary_; }
   Rng& rng() { return rng_; }
 
   GuestNode* node(NodeId id);
@@ -102,6 +101,10 @@ class Cluster : public KernelObserver {
     std::vector<std::string> log;
   };
 
+  // The id `name` is registered under in the guest binary, -1 when it is
+  // not registered. Each literal is looked up once per cluster, so the
+  // binary must be complete before the first announcement.
+  int32_t FunctionId(Literal name);
   void BootNode(NodeId id);
   void Deliver(NodeId dst, const Message& msg);
   // Runs `fn(GuestNode*)` against the current guest of `id`, converting a
@@ -115,6 +118,9 @@ class Cluster : public KernelObserver {
   SimKernel* kernel_;
   Network* network_;
   const BinaryInfo* binary_;
+  // (literal, function id) per announced name, keyed by the literal's
+  // address; a guest announces a handful of names, so a flat scan.
+  std::vector<std::pair<const char*, int32_t>> function_ids_;
   ClusterConfig config_;
   Rng rng_;
   std::vector<Slot> slots_;

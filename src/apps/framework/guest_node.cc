@@ -21,17 +21,17 @@ void GuestNode::Assert(bool condition, const std::string& message) {
   }
 }
 
-void GuestNode::EnterFunction(const char* function_name) {
-  const FunctionInfo* info = cluster_->binary()->FindByName(function_name);
-  if (info != nullptr) {
-    kernel().FunctionEnter(pid_, info->id);
+void GuestNode::EnterFunction(Literal function_name) {
+  const int32_t function_id = cluster_->FunctionId(function_name);
+  if (function_id >= 0) {
+    kernel().FunctionEnter(pid_, function_id);
   }
 }
 
-void GuestNode::AtOffset(const char* function_name, int32_t offset) {
-  const FunctionInfo* info = cluster_->binary()->FindByName(function_name);
-  if (info != nullptr) {
-    kernel().FunctionOffset(pid_, info->id, offset);
+void GuestNode::AtOffset(Literal function_name, int32_t offset) {
+  const int32_t function_id = cluster_->FunctionId(function_name);
+  if (function_id >= 0) {
+    kernel().FunctionOffset(pid_, function_id, offset);
   }
 }
 

@@ -60,9 +60,9 @@ class GuestNode {
   // --- Uprobe announcements -------------------------------------------------------
   // Announce entry into a named function (must be registered in the guest's
   // BinaryInfo). The executor may crash/pause this process right here.
-  void EnterFunction(const char* function_name);
+  void EnterFunction(Literal function_name);
   // Announce reaching a specific offset within a function.
-  void AtOffset(const char* function_name, int32_t offset);
+  void AtOffset(Literal function_name, int32_t offset);
 
   // --- Syscall shorthand (all trace-visible, all injectable) ----------------------
   SyscallResult Open(const std::string& path, SimKernel::OpenFlags flags = {});

@@ -34,9 +34,9 @@ const Message::Field* Message::Find(std::string_view key) const {
   return nullptr;
 }
 
-Message::Field& Message::Upsert(std::string_view key) {
+Message::Field& Message::Upsert(Literal key) {
   for (Field& field : fields_) {
-    if (field.key == key) {
+    if (field.key == key.view()) {
       return field;
     }
   }
@@ -44,18 +44,18 @@ Message::Field& Message::Upsert(std::string_view key) {
     fields_.reserve(kInitialFields);
   }
   Field& field = fields_.emplace_back();
-  field.key.assign(key);
+  field.key = key;
   return field;
 }
 
-void Message::SetInt(std::string_view key, int64_t value) {
+void Message::SetInt(Literal key, int64_t value) {
   Field& field = Upsert(key);
   field.is_int = true;
   field.int_value = value;
   field.str_value.clear();
 }
 
-void Message::SetStr(std::string_view key, std::string value) {
+void Message::SetStr(Literal key, std::string value) {
   Field& field = Upsert(key);
   field.is_int = false;
   field.int_value = 0;
@@ -104,11 +104,12 @@ std::string Message::DebugString() const {
     sorted.push_back(&field);
   }
   std::sort(sorted.begin(), sorted.end(),
-            [](const Field* a, const Field* b) { return a->key < b->key; });
-  std::string out = StrFormat("%s(%d->%d", type.c_str(), from, to);
+            [](const Field* a, const Field* b) { return a->key.view() < b->key.view(); });
+  std::string out(type.view());
+  out += StrFormat("(%d->%d", from, to);
   for (const Field* field : sorted) {
     out += ' ';
-    out += field->key;
+    out += field->key.view();
     out += '=';
     if (field->is_int) {
       AppendDecimal(&out, field->int_value);

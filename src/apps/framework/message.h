@@ -5,8 +5,10 @@
 // fabric only sees byte sizes; payloads ride alongside in the delivery
 // closure.
 //
-// Fields live in a small flat vector in insertion order (a message carries a
-// handful of fields, so a linear scan beats any tree). Integer fields stay
+// The type and every field key are Literals: views of string literals,
+// copied with the message for free and never allocated. Fields live in a
+// small flat vector in insertion order (a message carries a handful of
+// fields, so a linear scan beats any tree). Integer fields stay
 // int64_t and are only formatted by StrField and DebugString. ByteSize()
 // counts an integer as its decimal text, so a field's size does not depend
 // on how it is stored: the size is the send syscall's length and the packet
@@ -19,21 +21,22 @@
 #include <string_view>
 #include <vector>
 
+#include "src/common/strings.h"
 #include "src/os/process.h"
 
 namespace rose {
 
 struct Message {
-  std::string type;
+  Literal type;
   NodeId from = kNoNode;
   NodeId to = kNoNode;
 
   Message() = default;
-  Message(std::string type_name, NodeId from_node, NodeId to_node)
-      : type(std::move(type_name)), from(from_node), to(to_node) {}
+  Message(Literal type_name, NodeId from_node, NodeId to_node)
+      : type(type_name), from(from_node), to(to_node) {}
 
-  void SetInt(std::string_view key, int64_t value);
-  void SetStr(std::string_view key, std::string value);
+  void SetInt(Literal key, int64_t value);
+  void SetStr(Literal key, std::string value);
 
   // An integer field, or a string field that parses as one; else `fallback`.
   int64_t IntField(std::string_view key, int64_t fallback = 0) const;
@@ -50,14 +53,14 @@ struct Message {
 
  private:
   struct Field {
-    std::string key;
+    Literal key;
     bool is_int = false;
     int64_t int_value = 0;
     std::string str_value;  // Empty for integer fields.
   };
 
   const Field* Find(std::string_view key) const;
-  Field& Upsert(std::string_view key);
+  Field& Upsert(Literal key);
 
   std::vector<Field> fields_;
 };

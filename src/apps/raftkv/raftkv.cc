@@ -14,12 +14,10 @@ constexpr char kSnapshotPath[] = "/data/snapshot";
 constexpr char kSnapshotTmpPath[] = "/data/snapshot.tmp";
 constexpr char kLogTmpPath[] = "/data/raft.log.tmp";
 
-// AppendEntries field key of the i-th carried entry: "e<i>".
-std::string EntryKey(int i) {
-  std::string key = "e";
-  AppendDecimal(&key, i);
-  return key;
-}
+// AppendEntries carries at most this many entries, the i-th under "e<i>".
+constexpr int kMaxEntriesPerAppend = 10;
+constexpr Literal kEntryKeys[kMaxEntriesPerAppend] = {"e0", "e1", "e2", "e3", "e4",
+                                                      "e5", "e6", "e7", "e8", "e9"};
 
 }  // namespace
 
@@ -150,7 +148,7 @@ void RaftKvNode::AppendEntryToDisk(const LogEntry& entry) {
     Panic("unable to write transaction log");
   }
   const auto fd = static_cast<int32_t>(opened.value);
-  const SyscallResult written = WriteFd(fd, EncodeEntry(entry) + "\n");
+  const SyscallResult written = WriteFd(fd, entry.line + '\n');
   Close(fd);
   if (!written.ok()) {
     Panic("raft log append failed");
@@ -162,7 +160,8 @@ void RaftKvNode::RewriteLogFile() {
   std::string contents = StrFormat("HDR %lld\n", static_cast<long long>(
       log_.empty() ? snap_index_ + 1 : log_.front().index));
   for (const LogEntry& entry : log_) {
-    contents += EncodeEntry(entry) + "\n";
+    contents += entry.line;
+    contents += '\n';
   }
   WriteFileDurably(kLogTmpPath, contents);
   RenamePath(kLogTmpPath, kLogPath);
@@ -286,6 +285,7 @@ void RaftKvNode::RaftLogOpen() {
     }
     if (auto entry = DecodeEntry(line); entry.has_value()) {
       if (entry->index > snap_index_) {
+        entry->line = EncodeEntry(*entry);
         log_.push_back(std::move(*entry));
       }
     }
@@ -360,16 +360,11 @@ void RaftKvNode::CompactLog() {
   // dropping one committed entry; the recovery integrity check then fails on
   // the next restart.
   const int64_t first_kept = options_.bug42 ? snap_index_ + 2 : snap_index_ + 1;
-  std::vector<LogEntry> kept;
-  for (const LogEntry& entry : log_) {
-    if (entry.index >= first_kept) {
-      kept.push_back(entry);
-    }
-  }
-  log_ = std::move(kept);
+  std::erase_if(log_, [first_kept](const LogEntry& entry) { return entry.index < first_kept; });
   std::string contents = StrFormat("HDR %lld\n", static_cast<long long>(first_kept));
   for (const LogEntry& entry : log_) {
-    contents += EncodeEntry(entry) + "\n";
+    contents += entry.line;
+    contents += '\n';
   }
   WriteFileDurably(kLogTmpPath, contents);
   RenamePath(kLogTmpPath, kLogPath);
@@ -626,12 +621,13 @@ void RaftKvNode::SendHeartbeats() {
     msg.SetInt("prev_term", TermAt(next - 1));
     msg.SetInt("commit", commit_index_);
     int count = 0;
-    for (int64_t idx = next; idx <= last_log_index() && count < 10; idx++, count++) {
+    for (int64_t idx = next; idx <= last_log_index() && count < kMaxEntriesPerAppend;
+         idx++, count++) {
       const LogEntry* entry = EntryAt(idx);
       if (entry == nullptr) {
         break;  // Compaction hole (e.g. the bug42 off-by-one): nothing to send.
       }
-      msg.SetStr(EntryKey(count), EncodeEntry(*entry));
+      msg.SetStr(kEntryKeys[count], entry->line);
     }
     msg.SetInt("n", count);
     Send(peer, std::move(msg));
@@ -714,12 +710,16 @@ void RaftKvNode::HandleAppendEntries(const Message& msg) {
     return;
   }
 
-  const auto count = static_cast<int>(msg.IntField("n"));
+  // A leader sends at most kMaxEntriesPerAppend entries; keys past them
+  // would be absent anyway.
+  const int64_t count = std::min<int64_t>(msg.IntField("n"), kMaxEntriesPerAppend);
   for (int i = 0; i < count; i++) {
-    auto entry = DecodeEntry(msg.StrField(EntryKey(i)));
+    std::string line = msg.StrField(kEntryKeys[i].view());
+    auto entry = DecodeEntry(line);
     if (!entry.has_value() || entry->index <= snap_index_) {
       continue;
     }
+    entry->line = std::move(line);  // The leader's text is already canonical.
     const LogEntry* existing = EntryAt(entry->index);
     if (existing != nullptr) {
       if (existing->term == entry->term) {
@@ -826,7 +826,9 @@ void RaftKvNode::ApplyEntry(const LogEntry& entry, bool optimistic) {
     }
   }
   kv_[entry.key] = entry.value;
-  applied_ops_[entry.op_id] = entry.index;
+  if (options_.bug_new2) {
+    applied_ops_[entry.op_id] = entry.index;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -849,12 +851,13 @@ void RaftKvNode::HandleClientPut(const Message& msg) {
   entry.value = msg.StrField("val");
   entry.op_id = msg.StrField("op");
   entry.client = msg.from;
+  entry.line = EncodeEntry(entry);
   AppendEntryToDisk(entry);
-  log_.push_back(entry);
-  pending_client_ops_[entry.index] = {msg.from, entry.op_id};
+  const LogEntry& appended = log_.emplace_back(std::move(entry));
+  pending_client_ops_[appended.index] = {msg.from, appended.op_id};
   if (options_.bug_new2) {
     // RedisRaft-NEW2: apply optimistically at append time.
-    ApplyEntry(entry, /*optimistic=*/true);
+    ApplyEntry(appended, /*optimistic=*/true);
   }
   AdvanceCommit();  // Single-node commit path for tiny clusters.
 }

@@ -85,6 +85,9 @@ class RaftKvNode : public GuestNode {
     std::string value;
     std::string op_id;
     NodeId client = kNoNode;
+    // EncodeEntry of the fields above, made once: the line the log file and
+    // AppendEntries carry. A follower keeps the leader's text as received.
+    std::string line;
   };
 
   // --- Persistence -----------------------------------------------------------
@@ -92,6 +95,7 @@ class RaftKvNode : public GuestNode {
   void AppendEntryToDisk(const LogEntry& entry);
   void RewriteLogFile();
   static std::string EncodeEntry(const LogEntry& entry);
+  // The fields of an encoded line; `line` itself is left empty.
   static std::optional<LogEntry> DecodeEntry(std::string_view line);
 
   // --- Recovery ---------------------------------------------------------------
@@ -154,7 +158,7 @@ class RaftKvNode : public GuestNode {
 
   // State machine.
   std::map<std::string, std::string> kv_;
-  // op_id -> log index it was applied from (bug_new2 bookkeeping).
+  // op_id -> log index it was applied from; kept only under bug_new2.
   std::map<std::string, int64_t> applied_ops_;
   // Pending client replies: log index -> (client, op_id).
   std::map<int64_t, std::pair<NodeId, std::string>> pending_client_ops_;

@@ -32,15 +32,24 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
 }
 
 std::string StrFormat(const char* fmt, ...) {
+  // Most results (log lines, paths, addresses) fit here; a longer one is
+  // formatted a second time straight into the string.
+  char buf[256];
   va_list args;
   va_start(args, fmt);
   va_list args_copy;
   va_copy(args_copy, args);
-  const int needed = std::vsnprintf(nullptr, 0, fmt, args);
+  const int needed = std::vsnprintf(buf, sizeof(buf), fmt, args);
   va_end(args);
-  std::string out(needed > 0 ? static_cast<size_t>(needed) : 0, '\0');
+  std::string out;
   if (needed > 0) {
-    std::vsnprintf(out.data(), out.size() + 1, fmt, args_copy);
+    const auto size = static_cast<size_t>(needed);
+    if (size < sizeof(buf)) {
+      out.assign(buf, size);
+    } else {
+      out.resize(size);
+      std::vsnprintf(out.data(), size + 1, fmt, args_copy);
+    }
   }
   va_end(args_copy);
   return out;

@@ -4,11 +4,37 @@
 
 #include <charconv>
 #include <cstdarg>
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace rose {
+
+// A view of a string literal, for names that are kept without a copy:
+// message types and field keys, uprobe function names. Only a const char
+// array converts to it, so a std::string, a pointer or a mutable buffer does
+// not compile; callers pass a literal or a static table of them, whose bytes
+// outlive every holder. The view stops at the first NUL, as a const char*
+// would.
+class Literal {
+ public:
+  constexpr Literal() = default;
+  template <size_t N>
+  constexpr Literal(const char (&text)[N])  // NOLINT(google-explicit-constructor)
+      : view_(text) {}
+  template <size_t N>
+  Literal(char (&text)[N]) = delete;
+
+  constexpr std::string_view view() const { return view_; }
+  constexpr const char* data() const { return view_.data(); }
+  constexpr size_t size() const { return view_.size(); }
+
+  friend constexpr bool operator==(Literal a, std::string_view b) { return a.view_ == b; }
+
+ private:
+  std::string_view view_ = "";
+};
 
 // Splits `s` on `sep`, keeping empty fields.
 std::vector<std::string> Split(std::string_view s, char sep);
@@ -23,7 +49,8 @@ void AppendDecimal(std::string* out, Int value) {
   out->append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
 }
 
-// printf-style formatting into a std::string.
+// printf-style formatting into a std::string, in one pass for results that
+// fit a small stack buffer.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 bool StartsWith(std::string_view s, std::string_view prefix);

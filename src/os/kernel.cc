@@ -6,6 +6,18 @@
 
 namespace rose {
 
+namespace {
+
+// The entry of `fd` in a process's fd table (ascending fd order), or end().
+template <typename Fds>
+auto FindFd(Fds& fds, int32_t fd) {
+  auto it = std::lower_bound(fds.begin(), fds.end(), fd,
+                             [](const OpenFile& file, int32_t key) { return file.fd < key; });
+  return it != fds.end() && it->fd == fd ? it : fds.end();
+}
+
+}  // namespace
+
 std::string_view ProcStateName(ProcState state) {
   switch (state) {
     case ProcState::kRunning:
@@ -211,9 +223,8 @@ SyscallResult SimKernel::DoSyscall(const SyscallInvocation& inv, Body&& body) {
 }
 
 int32_t SimKernel::AllocFd(Process& proc, OpenFile file) {
-  const int32_t fd = proc.next_fd++;
-  proc.fds[fd] = std::move(file);
-  return fd;
+  file.fd = proc.next_fd++;
+  return proc.fds.emplace_back(std::move(file)).fd;
 }
 
 SyscallResult SimKernel::OpenPath(Pid pid, Sys sys, const std::string& path,
@@ -253,9 +264,11 @@ SyscallResult SimKernel::Close(Pid pid, int32_t fd) {
   inv.fd = fd;
   return DoSyscall(inv, [&]() -> SyscallResult {
     Process& proc = Proc(pid);
-    if (proc.fds.erase(fd) == 0) {
+    auto it = FindFd(proc.fds, fd);
+    if (it == proc.fds.end()) {
       return SyscallResult::Fail(Err::kEBADF);
     }
+    proc.fds.erase(it);
     return SyscallResult::Ok(0);
   });
 }
@@ -268,11 +281,11 @@ SyscallResult SimKernel::Read(Pid pid, int32_t fd, int64_t count, std::string* o
   inv.length = count;
   return DoSyscall(inv, [&]() -> SyscallResult {
     Process& proc = Proc(pid);
-    auto it = proc.fds.find(fd);
+    auto it = FindFd(proc.fds, fd);
     if (it == proc.fds.end()) {
       return SyscallResult::Fail(Err::kEBADF);
     }
-    OpenFile& file = it->second;
+    OpenFile& file = *it;
     if (file.is_socket) {
       // Socket payloads are delivered by the message fabric; the read models
       // the boundary crossing and always drains `count` bytes.
@@ -300,11 +313,11 @@ SyscallResult SimKernel::Write(Pid pid, int32_t fd, std::string_view data) {
   inv.length = static_cast<int64_t>(data.size());
   return DoSyscall(inv, [&]() -> SyscallResult {
     Process& proc = Proc(pid);
-    auto it = proc.fds.find(fd);
+    auto it = FindFd(proc.fds, fd);
     if (it == proc.fds.end()) {
       return SyscallResult::Fail(Err::kEBADF);
     }
-    OpenFile& file = it->second;
+    OpenFile& file = *it;
     if (file.is_socket) {
       return SyscallResult::Ok(static_cast<int64_t>(data.size()));
     }
@@ -329,12 +342,12 @@ SyscallResult SimKernel::PRead(Pid pid, int32_t fd, int64_t offset, int64_t coun
   inv.length = count;
   return DoSyscall(inv, [&]() -> SyscallResult {
     Process& proc = Proc(pid);
-    auto it = proc.fds.find(fd);
+    auto it = FindFd(proc.fds, fd);
     if (it == proc.fds.end()) {
       return SyscallResult::Fail(Err::kEBADF);
     }
     std::string data;
-    const Err err = DiskOf(proc.node).ReadAt(it->second.path, offset, count, &data);
+    const Err err = DiskOf(proc.node).ReadAt(it->path, offset, count, &data);
     if (err != Err::kOk) {
       return SyscallResult::Fail(err);
     }
@@ -354,11 +367,11 @@ SyscallResult SimKernel::PWrite(Pid pid, int32_t fd, int64_t offset, std::string
   inv.length = static_cast<int64_t>(data.size());
   return DoSyscall(inv, [&]() -> SyscallResult {
     Process& proc = Proc(pid);
-    auto it = proc.fds.find(fd);
+    auto it = FindFd(proc.fds, fd);
     if (it == proc.fds.end()) {
       return SyscallResult::Fail(Err::kEBADF);
     }
-    const Err err = DiskOf(proc.node).WriteAt(it->second.path, offset, data);
+    const Err err = DiskOf(proc.node).WriteAt(it->path, offset, data);
     if (err != Err::kOk) {
       return SyscallResult::Fail(err);
     }
@@ -373,7 +386,7 @@ SyscallResult SimKernel::Fsync(Pid pid, int32_t fd) {
   inv.fd = fd;
   return DoSyscall(inv, [&]() -> SyscallResult {
     Process& proc = Proc(pid);
-    if (proc.fds.find(fd) == proc.fds.end()) {
+    if (FindFd(proc.fds, fd) == proc.fds.end()) {
       return SyscallResult::Fail(Err::kEBADF);
     }
     return SyscallResult::Ok(0);
@@ -406,18 +419,18 @@ SyscallResult SimKernel::Fstat(Pid pid, int32_t fd, FileStat* out) {
   inv.fd = fd;
   return DoSyscall(inv, [&]() -> SyscallResult {
     Process& proc = Proc(pid);
-    auto it = proc.fds.find(fd);
+    auto it = FindFd(proc.fds, fd);
     if (it == proc.fds.end()) {
       return SyscallResult::Fail(Err::kEBADF);
     }
-    if (it->second.is_socket) {
+    if (it->is_socket) {
       if (out != nullptr) {
         *out = FileStat{0, 0600, false};
       }
       return SyscallResult::Ok(0);
     }
     FileStat st;
-    const Err err = DiskOf(proc.node).Stat(it->second.path, &st);
+    const Err err = DiskOf(proc.node).Stat(it->path, &st);
     if (err != Err::kOk) {
       return SyscallResult::Fail(err);
     }
@@ -487,11 +500,11 @@ SyscallResult SimKernel::Dup(Pid pid, int32_t fd) {
   inv.fd = fd;
   return DoSyscall(inv, [&]() -> SyscallResult {
     Process& proc = Proc(pid);
-    auto it = proc.fds.find(fd);
+    auto it = FindFd(proc.fds, fd);
     if (it == proc.fds.end()) {
       return SyscallResult::Fail(Err::kEBADF);
     }
-    return SyscallResult::Ok(AllocFd(proc, it->second));
+    return SyscallResult::Ok(AllocFd(proc, *it));
   });
 }
 
@@ -548,8 +561,8 @@ SyscallResult SimKernel::SendTo(Pid pid, int32_t fd, int64_t length) {
   inv.length = length;
   return DoSyscall(inv, [&]() -> SyscallResult {
     Process& proc = Proc(pid);
-    auto it = proc.fds.find(fd);
-    if (it == proc.fds.end() || !it->second.is_socket) {
+    auto it = FindFd(proc.fds, fd);
+    if (it == proc.fds.end() || !it->is_socket) {
       return SyscallResult::Fail(Err::kEBADF);
     }
     return SyscallResult::Ok(length);
@@ -561,8 +574,8 @@ std::string SimKernel::PathOfFd(Pid pid, int32_t fd) const {
   if (proc == nullptr) {
     return "";
   }
-  auto it = proc->fds.find(fd);
-  return it == proc->fds.end() ? "" : it->second.path;
+  auto it = FindFd(proc->fds, fd);
+  return it == proc->fds.end() ? "" : it->path;
 }
 
 void SimKernel::FunctionEnter(Pid pid, int32_t function_id) {

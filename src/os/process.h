@@ -8,7 +8,6 @@
 #define SRC_OS_PROCESS_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -31,6 +30,7 @@ std::string_view ProcStateName(ProcState state);
 
 // An open file-descriptor entry. Sockets are fds whose path is "sock:<ip>".
 struct OpenFile {
+  int32_t fd = -1;
   std::string path;
   int64_t offset = 0;
   bool readonly = false;
@@ -52,7 +52,9 @@ struct Process {
   // Set when a crash signal has been delivered but the victim has not yet
   // reached a kernel boundary where the unwind can happen.
   bool interrupt_pending = false;
-  std::map<int32_t, OpenFile> fds;
+  // Open fds in ascending fd order. The kernel never reuses an fd, so an
+  // open appends and a close erases in place; a process holds a handful.
+  std::vector<OpenFile> fds;
   int32_t next_fd = 3;
   std::vector<PauseRecord> pauses;
 };

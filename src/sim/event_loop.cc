@@ -53,14 +53,7 @@ void EventLoop::SkipCancelled() {
   }
 }
 
-bool EventLoop::Step() {
-  if (halted_) {
-    return false;
-  }
-  SkipCancelled();
-  if (heap_.empty()) {
-    return false;
-  }
+void EventLoop::FireTop() {
   const HeapEntry top = heap_.front();
   std::pop_heap(heap_.begin(), heap_.end(), Later);
   heap_.pop_back();
@@ -72,6 +65,17 @@ bool EventLoop::Step() {
   EventCallback fn = std::move(slots_[top.slot].fn);
   FreeSlot(top.slot);
   fn();
+}
+
+bool EventLoop::Step() {
+  if (halted_) {
+    return false;
+  }
+  SkipCancelled();
+  if (heap_.empty()) {
+    return false;
+  }
+  FireTop();
   return true;
 }
 
@@ -84,9 +88,7 @@ uint64_t EventLoop::RunUntil(SimTime until) {
     if (heap_.empty() || heap_.front().when > until) {
       break;
     }
-    if (!Step()) {
-      break;
-    }
+    FireTop();
     executed++;
   }
   if (!halted_ && now_ < until && until != kSimTimeMax) {

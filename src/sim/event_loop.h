@@ -172,6 +172,8 @@ class EventLoop {
 
   // Drops cancelled entries from the top of the heap.
   void SkipCancelled();
+  // Runs the event on top of the heap, which must be live.
+  void FireTop();
   void FreeSlot(uint32_t slot);
 
   SimTime now_ = 0;

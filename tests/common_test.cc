@@ -227,6 +227,19 @@ TEST(StringsTest, StrFormatBasics) {
   EXPECT_EQ(StrFormat("empty"), "empty");
 }
 
+// StrFormat formats into a 256-byte stack buffer: 255 bytes fit with the
+// NUL, 256 and more take the second, heap-sized pass.
+TEST(StringsTest, StrFormatAtAndPastTheStackBuffer) {
+  for (const size_t size : {255, 256, 1000}) {
+    const std::string body(size - 2, 'x');
+    const std::string out = StrFormat("<%s>", body.c_str());
+    EXPECT_EQ(out.size(), size);
+    EXPECT_EQ(out, "<" + body + ">");
+  }
+  EXPECT_EQ(StrFormat("%0255d", 7), std::string(254, '0') + "7");
+  EXPECT_EQ(StrFormat("%0256d", -7), "-" + std::string(254, '0') + "7");
+}
+
 TEST(StringsTest, PrefixSuffixContains) {
   EXPECT_TRUE(StartsWith("sock:10.0.0.1", "sock:"));
   EXPECT_FALSE(StartsWith("so", "sock:"));

@@ -2,6 +2,9 @@
 // supervision, logging.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "src/apps/framework/cluster.h"
 #include "src/apps/framework/guest_node.h"
 #include "src/harness/world.h"
@@ -41,6 +44,8 @@ class EchoNode : public GuestNode {
 
   void Arm(const std::string& name, SimTime delay) { SetTimer(name, delay); }
   void Disarm(const std::string& name) { CancelTimer(name); }
+  void Enter(Literal function_name) { EnterFunction(function_name); }
+  void Reach(Literal function_name, int32_t offset) { AtOffset(function_name, offset); }
 
   std::vector<Message> received;
   std::vector<std::string> timers;
@@ -160,6 +165,37 @@ TEST_F(FrameworkTest, MessagesToCrashedNodeDropped) {
   // After the restart the fresh node must not see the pre-crash message.
   world_.loop.RunUntil(Seconds(4));
   EXPECT_TRUE(node(b_)->received.empty());
+}
+
+// Records uprobe announcements as (pid, function id, offset); -1 for enters.
+class UprobeRecorder : public KernelObserver {
+ public:
+  void OnFunctionEnter(SimTime /*now*/, Pid pid, int32_t function_id) override {
+    seen.push_back({pid, function_id, -1});
+  }
+  void OnFunctionOffset(SimTime /*now*/, Pid pid, int32_t function_id,
+                        int32_t offset) override {
+    seen.push_back({pid, function_id, offset});
+  }
+  std::vector<std::array<int32_t, 3>> seen;
+};
+
+TEST_F(FrameworkTest, FunctionNamesAnnounceTheirRegistrationIds) {
+  binary_.RegisterFunction("first", "echo.c");
+  const int32_t second = binary_.RegisterFunction("second", "echo.c");
+  ASSERT_NE(second, 0);
+  UprobeRecorder recorder;
+  world_.kernel.AddObserver(&recorder);
+  node(a_)->Enter("unregistered");
+  node(a_)->Reach("unregistered", 0x08);
+  EXPECT_TRUE(recorder.seen.empty());
+  node(a_)->Enter("second");
+  node(a_)->Enter("second");
+  node(a_)->Reach("second", 0x10);
+  const Pid pid = node(a_)->pid();
+  EXPECT_EQ(recorder.seen, (std::vector<std::array<int32_t, 3>>{
+                               {pid, second, -1}, {pid, second, -1}, {pid, second, 0x10}}));
+  world_.kernel.RemoveObserver(&recorder);
 }
 
 TEST_F(FrameworkTest, LogsCarryNodePrefixAndAggregate) {

@@ -60,6 +60,11 @@ class ReferenceMessage {
 };
 
 TEST(MessageTest, ByteSizeMatchesTheAllStringsFormula) {
+  // Message keys are literals, so the keys come from literal tables.
+  static constexpr char kIntKeys[][4] = {"i0", "i1", "i2", "i3", "i4",  "i5",
+                                         "i6", "i7", "i8", "i9", "i10", "i11"};
+  static constexpr char kMixKeys[][4] = {"k0", "k1", "k2", "k3", "k4",  "k5",
+                                         "k6", "k7", "k8", "k9", "k10", "k11"};
   Message msg("AppendEntries", 0, 1);
   ReferenceMessage ref("AppendEntries");
   EXPECT_EQ(msg.ByteSize(), ref.ByteSize());
@@ -67,7 +72,7 @@ TEST(MessageTest, ByteSizeMatchesTheAllStringsFormula) {
                           INT64_MAX, INT64_MIN, INT64_MIN + 1};
   int i = 0;
   for (int64_t value : ints) {
-    const std::string key = "i" + std::to_string(i++);
+    const auto& key = kIntKeys[i++];
     msg.SetInt(key, value);
     ref.SetInt(key, value);
     EXPECT_EQ(msg.ByteSize(), ref.ByteSize()) << value;
@@ -89,7 +94,7 @@ TEST(MessageTest, ByteSizeMatchesTheAllStringsFormula) {
   // A seeded random mix of the same operations.
   Rng rng(5);
   for (int step = 0; step < 500; step++) {
-    const std::string key = "k" + std::to_string(rng.NextBelow(12));
+    const auto& key = kMixKeys[rng.NextBelow(12)];
     if (rng.NextBool(0.5)) {
       const auto value = static_cast<int64_t>(rng.Next());
       msg.SetInt(key, value);

@@ -68,6 +68,37 @@ TEST_F(KernelTest, BadFdFails) {
   EXPECT_EQ(kernel_.Fsync(pid_, 99).err, Err::kEBADF);
 }
 
+// The fd table relies on this: fds are never reused, so every open appends
+// past the newest fd, and a closed fd stays dead for every syscall.
+TEST_F(KernelTest, ClosedFdIsNeverReused) {
+  SimKernel::OpenFlags flags;
+  flags.create = true;
+  int32_t fds[3];
+  for (int i = 0; i < 3; i++) {
+    const SyscallResult opened = kernel_.Open(pid_, "/f" + std::to_string(i), flags);
+    ASSERT_TRUE(opened.ok());
+    fds[i] = static_cast<int32_t>(opened.value);
+  }
+  ASSERT_TRUE(kernel_.Close(pid_, fds[1]).ok());
+  const SyscallResult reopened = kernel_.Open(pid_, "/f1", flags);
+  ASSERT_TRUE(reopened.ok());
+  for (const int32_t fd : fds) {
+    EXPECT_GT(reopened.value, fd);
+  }
+
+  const int32_t closed = fds[1];
+  EXPECT_EQ(kernel_.Close(pid_, closed).err, Err::kEBADF);
+  EXPECT_EQ(kernel_.Read(pid_, closed, 10).err, Err::kEBADF);
+  EXPECT_EQ(kernel_.Write(pid_, closed, "x").err, Err::kEBADF);
+  EXPECT_EQ(kernel_.Dup(pid_, closed).err, Err::kEBADF);
+  EXPECT_EQ(kernel_.Fstat(pid_, closed).err, Err::kEBADF);
+  EXPECT_EQ(kernel_.PathOfFd(pid_, closed), "");
+  // The neighbours of the closed fd are untouched.
+  EXPECT_EQ(kernel_.PathOfFd(pid_, fds[0]), "/f0");
+  EXPECT_EQ(kernel_.PathOfFd(pid_, fds[2]), "/f2");
+  EXPECT_EQ(kernel_.PathOfFd(pid_, static_cast<int32_t>(reopened.value)), "/f1");
+}
+
 TEST_F(KernelTest, EaccesOnProtectedFile) {
   kernel_.DiskOf(0).WriteAll("/key", "secret");
   kernel_.DiskOf(0).Chmod("/key", 0000);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/apps/raftkv/raftkv.h"
+#include "src/common/hash.h"
 #include "src/common/strings.h"
 #include "src/exec/executor.h"
 #include "src/harness/world.h"
@@ -271,6 +272,43 @@ TEST(RaftKvTest, Bug51FiresWhenLeaderPausedMidTransfer) {
   world.cluster->Start();
   world.world.loop.RunUntil(Seconds(25));
   EXPECT_TRUE(Contains(world.cluster->AllLogText(), "cache index integrity"));
+}
+
+// FNV-1a over every server's files (path and bytes) and the cluster's logs
+// after two crashes and a partition, with snapshots, compactions and
+// snapshot transfers along the way. golden_test pins logs and dumps but not
+// disk bytes; this pins what log appends, rewrites, compactions and
+// snapshot installs write.
+TEST(RaftKvTest, DiskImagesAndLogsArePinned) {
+  RaftKvOptions options;
+  options.snapshot_every = 8;
+  RaftKvWorld world(24, options);
+  world.cluster->Start();
+  world.world.loop.ScheduleAt(Seconds(4), [&] {
+    world.world.kernel.Kill(world.server(1)->pid());
+  });
+  world.world.loop.ScheduleAt(Seconds(6), [&] {
+    world.world.network.Isolate("10.0.0.1", world.cluster->AllIps(), Seconds(5));
+  });
+  world.world.loop.ScheduleAt(Seconds(13), [&] {
+    if (RaftKvNode* node = world.server(0)) {
+      world.world.kernel.Kill(node->pid());
+    }
+  });
+  world.world.loop.RunUntil(Seconds(25));
+  uint64_t hash = kFnvOffsetBasis;
+  for (NodeId id = 0; id < world.server_count; id++) {
+    const InMemoryFileSystem& disk = world.world.kernel.DiskOf(id);
+    for (const std::string& path : disk.ListFiles("/")) {
+      const std::string contents = disk.ReadAll(path).value_or("");
+      hash = Fnv1a(hash, static_cast<uint64_t>(id));
+      hash = Fnv1a(hash, path);
+      hash = Fnv1a(hash, static_cast<uint64_t>(contents.size()));
+      hash = Fnv1a(hash, contents);
+    }
+  }
+  hash = Fnv1a(hash, world.cluster->AllLogText());
+  EXPECT_EQ(hash, 0x9e86b5b2b77a1d91ULL);
 }
 
 // Determinism property: identical (seed, schedule) pairs produce identical

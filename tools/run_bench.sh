@@ -2,7 +2,10 @@
 # Runs the machine-readable benchmarks and emits JSON next to the chosen
 # output directory:
 #   BENCH_diagnosis.json — parallel-diagnosis engine (bench_diagnosis_parallel)
-#   BENCH_trace_io.json  — trace encoding, decoding and loading (bench_trace_io)
+#   BENCH_trace_io.json  — trace encoding, decoding and loading (bench_trace_io,
+#                          run as three processes: BM_LoadFileHeap alone,
+#                          BM_LoadFileMmap alone, then every other row;
+#                          their benchmark arrays merged in that order)
 #   BENCH_serve.json     — diagnosis service throughput/latency (bench_serve)
 #   BENCH_serve_cluster.json — sharded serve cluster: jobs/sec vs shard count
 #                          and tail latency under a skewed tenant mix
@@ -52,6 +55,10 @@
 #    — the mapped data plane's acceptance bar, usually orders of magnitude
 #    since only the leading frames decode. BM_CanonicalBlobHash is the serve
 #    admission cache-key cost: one streamed pass, no Trace construction.
+#    Each full-decode load row comes from a fresh process: sharing one,
+#    BM_LoadFileMmap read 89-115 ms after BM_LoadFileHeap but 113-131 ms
+#    alone on a shared 4-core VM, so the pair compared what the earlier
+#    row left behind rather than the two loaders.
 #  - BENCH_serve: per-arg rows are concurrent client counts (1/4/16).
 #    BM_ServeCold items_per_second at 4 clients must be >= 2x the 1-client
 #    row (needs >= 4 real cores); BM_ServeCacheHit must show zero engine
@@ -84,6 +91,8 @@ cd "$(dirname "$0")/.."
 
 build_dir="${1:-build}"
 out_dir="${2:-.}"
+scratch="$(mktemp -d)"
+trap 'rm -rf "$scratch"' EXIT
 
 if [ ! -d "$build_dir" ]; then
   cmake -S . -B "$build_dir"
@@ -96,10 +105,25 @@ cmake --build "$build_dir" --target bench_diagnosis_parallel bench_trace_io benc
   ${BENCH_ARGS:-}
 echo "wrote ${out_dir}/BENCH_diagnosis.json"
 
-"${build_dir}/bench/bench_trace_io" \
-  --benchmark_out="${out_dir}/BENCH_trace_io.json" \
-  --benchmark_out_format=json \
-  ${BENCH_ARGS:-}
+trace_io_parts=()
+for filter in '^BM_LoadFileHeap$' '^BM_LoadFileMmap$' '-^BM_LoadFileHeap$|^BM_LoadFileMmap$'; do
+  part="${scratch}/trace_io_${#trace_io_parts[@]}.json"
+  "${build_dir}/bench/bench_trace_io" \
+    --benchmark_filter="$filter" \
+    --benchmark_out="$part" \
+    --benchmark_out_format=json \
+    ${BENCH_ARGS:-}
+  trace_io_parts+=("$part")
+done
+python3 - "${out_dir}/BENCH_trace_io.json" "${trace_io_parts[@]}" <<'EOF'
+import json, sys
+
+runs = [json.load(open(path)) for path in sys.argv[2:]]
+merged = dict(runs[0])
+merged["benchmarks"] = [row for run in runs for row in run["benchmarks"]]
+with open(sys.argv[1], "w") as f:
+    json.dump(merged, f, indent=1)
+EOF
 echo "wrote ${out_dir}/BENCH_trace_io.json"
 
 "${build_dir}/bench/bench_serve" \
@@ -137,9 +161,8 @@ fi
 cmake --build "$build_dir" --target bench_obs -j "$(nproc)"
 cmake --build "$off_dir" --target bench_obs -j "$(nproc)"
 
-on_json="$(mktemp)"
-off_json="$(mktemp)"
-trap 'rm -f "$on_json" "$off_json"' EXIT
+on_json="${scratch}/obs_on.json"
+off_json="${scratch}/obs_off.json"
 # Repetitions matter here: the overhead is a difference of two ~140 ns
 # measurements, well inside scheduler jitter for a single run. The merge
 # below compares the min across repetitions (the classic noise floor).
