@@ -148,14 +148,17 @@ auto FindTimer(Timers& timers, std::string_view name) {
 
 void Cluster::SetTimer(GuestNode* node, std::string_view name, SimTime delay) {
   Slot& slot = slots_[static_cast<size_t>(node->id())];
+  const SimTime when = loop().now() + delay;
+  // An armed timer keeps its callback (same node, generation and name) and
+  // only moves its deadline.
   auto existing = FindTimer(slot.timers, name);
-  if (existing != slot.timers.end()) {
-    loop().Cancel(existing->second);
+  if (existing != slot.timers.end() && loop().Rearm(existing->second, when)) {
+    return;
   }
   const NodeId id = node->id();
   const uint64_t generation = slot.generation;
-  const TimerId timer = loop().ScheduleAfter(
-      delay, [this, id, generation, name = std::string(name)] {
+  const TimerId timer = loop().ScheduleAt(
+      when, [this, id, generation, name = std::string(name)] {
         TimerFired(id, generation, name);
       });
   if (existing != slot.timers.end()) {

@@ -87,6 +87,11 @@ std::string Message::StrField(std::string_view key, const std::string& fallback)
   return out;
 }
 
+std::string_view Message::StrView(std::string_view key) const {
+  const Field* field = Find(key);
+  return field == nullptr ? std::string_view() : std::string_view(field->str_value);
+}
+
 int64_t Message::ByteSize() const {
   int64_t size = static_cast<int64_t>(type.size()) + 8;
   for (const Field& field : fields_) {

@@ -37,11 +37,16 @@ struct Message {
 
   void SetInt(Literal key, int64_t value);
   void SetStr(Literal key, std::string value);
+  // Room for `count` fields, for a message known to carry more than most.
+  void Reserve(size_t count) { fields_.reserve(count); }
 
   // An integer field, or a string field that parses as one; else `fallback`.
   int64_t IntField(std::string_view key, int64_t fallback = 0) const;
   // A string field, or an integer field in decimal; else `fallback`.
   std::string StrField(std::string_view key, const std::string& fallback = "") const;
+  // A string field's bytes, valid while the message lives unmodified; empty
+  // for an absent or integer field.
+  std::string_view StrView(std::string_view key) const;
   bool HasField(std::string_view key) const { return Find(key) != nullptr; }
 
   // Approximate wire size (drives the tracer's packet accounting):

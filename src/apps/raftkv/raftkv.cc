@@ -148,7 +148,9 @@ void RaftKvNode::AppendEntryToDisk(const LogEntry& entry) {
     Panic("unable to write transaction log");
   }
   const auto fd = static_cast<int32_t>(opened.value);
-  const SyscallResult written = WriteFd(fd, entry.line + '\n');
+  append_buffer_.assign(entry.line);
+  append_buffer_ += '\n';
+  const SyscallResult written = WriteFd(fd, append_buffer_);
   Close(fd);
   if (!written.ok()) {
     Panic("raft log append failed");
@@ -616,6 +618,9 @@ void RaftKvNode::SendHeartbeats() {
       continue;
     }
     Message msg("AppendEntries", id(), peer);
+    // term, prev_idx, prev_term, commit and n, then up to
+    // kMaxEntriesPerAppend entries: more than a message reserves by default.
+    msg.Reserve(5 + kMaxEntriesPerAppend);
     msg.SetInt("term", term_);
     msg.SetInt("prev_idx", next - 1);
     msg.SetInt("prev_term", TermAt(next - 1));
@@ -714,12 +719,11 @@ void RaftKvNode::HandleAppendEntries(const Message& msg) {
   // would be absent anyway.
   const int64_t count = std::min<int64_t>(msg.IntField("n"), kMaxEntriesPerAppend);
   for (int i = 0; i < count; i++) {
-    std::string line = msg.StrField(kEntryKeys[i].view());
+    const std::string_view line = msg.StrView(kEntryKeys[i].view());
     auto entry = DecodeEntry(line);
     if (!entry.has_value() || entry->index <= snap_index_) {
       continue;
     }
-    entry->line = std::move(line);  // The leader's text is already canonical.
     const LogEntry* existing = EntryAt(entry->index);
     if (existing != nullptr) {
       if (existing->term == entry->term) {
@@ -730,6 +734,7 @@ void RaftKvNode::HandleAppendEntries(const Message& msg) {
       }
       RewriteLogFile();
     }
+    entry->line = std::string(line);  // The leader's text is already canonical.
     AppendEntryToDisk(*entry);
     log_.push_back(std::move(*entry));
   }

@@ -140,6 +140,8 @@ class RaftKvNode : public GuestNode {
   void MaintenanceTick();
 
   RaftKvOptions options_;
+  // AppendEntryToDisk's write buffer, reused for every entry.
+  std::string append_buffer_;
 
   // Volatile consensus state.
   Role role_ = Role::kFollower;

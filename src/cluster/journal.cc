@@ -3,6 +3,8 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cerrno>
+
 #include "src/trace/mmap_file.h"
 
 namespace rose {
@@ -81,20 +83,27 @@ bool DecodeComplete(std::string_view payload, CompleteRecord* out) {
 
 namespace {
 
-// Writes every byte to `fd` (continuing after short writes, stopping at an
-// error), then fsyncs; returns the bytes written. The one write path for the
-// leader's records and the follower's copy.
-size_t WriteAndSync(int fd, std::string_view bytes) {
+// Writes every byte to `fd`, retrying EINTR and short writes, then fsyncs.
+// False when a write or the fsync fails. The one write path for the leader's
+// records and the follower's copy.
+bool WriteAndSync(int fd, std::string_view bytes) {
   size_t written = 0;
   while (written < bytes.size()) {
     const ssize_t n = ::write(fd, bytes.data() + written, bytes.size() - written);
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
     if (n <= 0) {
-      break;
+      return false;
     }
     written += static_cast<size_t>(n);
   }
-  ::fsync(fd);
-  return written;
+  while (::fsync(fd) != 0) {
+    if (errno != EINTR) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -110,7 +119,8 @@ ClusterJournal::ClusterJournal(const std::string& path, std::shared_ptr<Transpor
       if (recovered_torn_tail_) {
         (void)::ftruncate(fd_, static_cast<off_t>(intact.size()));
       }
-      (void)::lseek(fd_, static_cast<off_t>(intact.size()), SEEK_SET);
+      intact_end_ = static_cast<off_t>(intact.size());
+      (void)::lseek(fd_, intact_end_, SEEK_SET);
     }
   }
   if (intact.empty()) {
@@ -192,41 +202,54 @@ std::string ClusterJournal::Replay(const std::string& path) {
   return bytes;
 }
 
-void ClusterJournal::Emit(std::string_view bytes) {
+bool ClusterJournal::Emit(std::string_view bytes) {
   if (fd_ >= 0) {
-    bytes_written_ += WriteAndSync(fd_, bytes);
+    if (!WriteAndSync(fd_, bytes)) {
+      // Cut the torn record off, so the next append starts a record replay
+      // can reach instead of landing after one it stops at. The follower
+      // never sees the record: its copy stays a prefix of this file.
+      (void)::ftruncate(fd_, intact_end_);
+      (void)::lseek(fd_, intact_end_, SEEK_SET);
+      return false;
+    }
+    intact_end_ += static_cast<off_t>(bytes.size());
+    bytes_written_ += bytes.size();
     fsyncs_++;
   }
   if (follower_ != nullptr) {
     outbox_.Append(bytes);
   }
+  return true;
 }
 
-void ClusterJournal::Append(JournalRecordType type, std::string_view payload) {
+bool ClusterJournal::Append(JournalRecordType type, std::string_view payload) {
   std::string frame;
   frame.reserve(kFrameHeaderSize + payload.size());
   AppendFrame(&frame, static_cast<uint8_t>(type), payload);
   appends_++;
-  Emit(frame);
+  return Emit(frame);
 }
 
-void ClusterJournal::AppendRingEpoch(const RingEpochRecord& record) {
-  Append(JournalRecordType::kRingEpoch, EncodeRingEpoch(record));
+bool ClusterJournal::AppendRingEpoch(const RingEpochRecord& record) {
+  const bool durable = Append(JournalRecordType::kRingEpoch, EncodeRingEpoch(record));
   last_epoch_ = record;
+  return durable;
 }
 
-void ClusterJournal::AppendDispatch(DispatchRecord record) {
-  Append(JournalRecordType::kDispatch, EncodeDispatch(record));
+bool ClusterJournal::AppendDispatch(DispatchRecord record) {
+  const bool durable = Append(JournalRecordType::kDispatch, EncodeDispatch(record));
   if (record.job_id >= next_job_id_) {
     next_job_id_ = record.job_id + 1;
   }
   const uint64_t job_id = record.job_id;
   pending_[job_id] = std::move(record);
+  return durable;
 }
 
-void ClusterJournal::AppendComplete(const CompleteRecord& record) {
-  Append(JournalRecordType::kComplete, EncodeComplete(record));
+bool ClusterJournal::AppendComplete(const CompleteRecord& record) {
+  const bool durable = Append(JournalRecordType::kComplete, EncodeComplete(record));
   pending_.erase(record.job_id);
+  return durable;
 }
 
 void ClusterJournal::PumpReplication() {

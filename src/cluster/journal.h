@@ -17,7 +17,10 @@
 // observable behavior. Replay tolerates a torn tail — a crash mid-append
 // leaves a truncated or CRC-broken final record, which replay drops and
 // Append() then overwrites (the file is truncated back to the last good
-// record), exactly the recovery the RTRC trace container practices.
+// record), exactly the recovery the RTRC trace container practices. A write
+// or fsync that fails while the process lives (EINTR and short writes are
+// retried) is cut off the same way at once and reported by the append, so
+// the records after it still replay.
 //
 // Replication: the one follower, fixed when the journal opens, receives the
 // journal as a byte stream over a Transport — the same framed bytes that hit
@@ -30,6 +33,8 @@
 // re-dispatch; the last epoch record names the membership it believed in.
 #ifndef SRC_CLUSTER_JOURNAL_H_
 #define SRC_CLUSTER_JOURNAL_H_
+
+#include <sys/types.h>
 
 #include <cstdint>
 #include <map>
@@ -99,9 +104,12 @@ class ClusterJournal {
   ClusterJournal& operator=(const ClusterJournal&) = delete;
 
   // --- Appends (written + fsync'd before returning) ------------------------
-  void AppendRingEpoch(const RingEpochRecord& record);
-  void AppendDispatch(DispatchRecord record);
-  void AppendComplete(const CompleteRecord& record);
+  // Each returns false when the record's write or fsync failed. The file is
+  // then cut back to its last intact record, so later appends still replay;
+  // the in-memory state takes the record either way.
+  bool AppendRingEpoch(const RingEpochRecord& record);
+  bool AppendDispatch(DispatchRecord record);
+  bool AppendComplete(const CompleteRecord& record);
 
   // --- Replay results -------------------------------------------------------
   // Dispatches without a completion, by job id; a re-dispatch overwrites the
@@ -129,13 +137,17 @@ class ClusterJournal {
   bool replication_idle() const { return outbox_.empty(); }
 
  private:
-  void Append(JournalRecordType type, std::string_view payload);
-  // Writes `bytes` to the file (if any) and queues them for the follower.
-  void Emit(std::string_view bytes);
+  bool Append(JournalRecordType type, std::string_view payload);
+  // Writes `bytes` to the file (if any) and queues them for the follower;
+  // on a failed write or fsync, truncates the file to `intact_end_` instead
+  // and returns false.
+  bool Emit(std::string_view bytes);
   // Reads `path` into the replay results; returns its intact prefix.
   std::string Replay(const std::string& path);
 
   int fd_ = -1;
+  // File offset just past the last intact record.
+  off_t intact_end_ = 0;
   std::shared_ptr<Transport> follower_;
   // Bytes not yet taken by the follower; empty without one.
   Outbox outbox_;

@@ -1,7 +1,7 @@
 // BugSpec for the MiniBft (mini Tendermint) bug of Table 1.
 #include "src/apps/minibft/minibft.h"
 #include "src/harness/bug_registry.h"
-#include "src/oracle/oracle.h"
+#include "src/harness/log_oracle.h"
 
 namespace rose {
 
@@ -25,9 +25,7 @@ Deployment DeployMiniBft(SimWorld& world, uint64_t seed, const MiniBftOptions& o
   }
   Cluster* raw = cluster.get();
   deployment.leader_probe = [] { return static_cast<NodeId>(0); };
-  deployment.oracle = [raw] {
-    return LogsContain(raw->AllLogText(), "unexpected validator key change");
-  };
+  deployment.oracle = LogOracle(raw, "unexpected validator key change");
   deployment.cluster = std::move(cluster);
   return deployment;
 }

@@ -1,7 +1,7 @@
 // BugSpec for the MiniBroker (mini Kafka Streams) bug of Table 1.
 #include "src/apps/minibroker/minibroker.h"
 #include "src/harness/bug_registry.h"
-#include "src/oracle/oracle.h"
+#include "src/harness/log_oracle.h"
 
 namespace rose {
 
@@ -25,9 +25,7 @@ Deployment DeployMiniBroker(SimWorld& world, uint64_t seed, const MiniBrokerOpti
   }
   Cluster* raw = cluster.get();
   deployment.leader_probe = [] { return kBrokerStreams; };
-  deployment.oracle = [raw] {
-    return LogsContain(raw->AllLogText(), "emit-on-change updates lost");
-  };
+  deployment.oracle = LogOracle(raw, "emit-on-change updates lost");
   deployment.cluster = std::move(cluster);
   return deployment;
 }

@@ -1,6 +1,7 @@
 // BugSpecs for the two MiniDocStore (mini MongoDB) bugs of Table 1.
 #include "src/apps/minidocstore/minidocstore.h"
 #include "src/harness/bug_registry.h"
+#include "src/harness/log_oracle.h"
 #include "src/oracle/oracle.h"
 #include "src/workload/kv_client.h"
 
@@ -50,13 +51,14 @@ Deployment DeployMiniDocStore(SimWorld& world, uint64_t seed,
     }
     return best;
   };
-  const auto leader_probe = deployment.leader_probe;
-  deployment.oracle = [raw, server_count, oracle_kind, leader_probe] {
-    if (oracle_kind == DsOracleKind::kUnavailability) {
-      return LogsContain(raw->AllLogText(), "replica set has no primary");
-    }
-    // Data loss: an acknowledged write missing from the authoritative
-    // primary's oplog.
+  if (oracle_kind == DsOracleKind::kUnavailability) {
+    deployment.oracle = LogOracle(raw, "replica set has no primary");
+    deployment.cluster = std::move(cluster);
+    return deployment;
+  }
+  // Data loss: an acknowledged write missing from the authoritative
+  // primary's oplog.
+  deployment.oracle = [raw, server_count, leader_probe = deployment.leader_probe] {
     const NodeId primary_id = leader_probe();
     if (primary_id == kNoNode) {
       return false;

@@ -2,7 +2,7 @@
 #include "src/apps/minihdfs/hdfs_client.h"
 #include "src/apps/minihdfs/minihdfs.h"
 #include "src/harness/bug_registry.h"
-#include "src/oracle/oracle.h"
+#include "src/harness/log_oracle.h"
 
 namespace rose {
 
@@ -33,9 +33,7 @@ Deployment DeployMiniHdfs(SimWorld& world, uint64_t seed, const MiniHdfsOptions&
   }
   Cluster* raw = cluster.get();
   deployment.leader_probe = [] { return kHdfsNameNode; };
-  deployment.oracle = [raw, oracle_pattern] {
-    return LogsContain(raw->AllLogText(), oracle_pattern);
-  };
+  deployment.oracle = LogOracle(raw, oracle_pattern);
   deployment.cluster = std::move(cluster);
   return deployment;
 }

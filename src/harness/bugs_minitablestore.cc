@@ -1,7 +1,7 @@
 // BugSpec for the MiniTableStore (mini HBase) bug of Table 1.
 #include "src/apps/minitablestore/minitablestore.h"
 #include "src/harness/bug_registry.h"
-#include "src/oracle/oracle.h"
+#include "src/harness/log_oracle.h"
 
 namespace rose {
 
@@ -26,9 +26,7 @@ Deployment DeployMiniTableStore(SimWorld& world, uint64_t seed,
   }
   Cluster* raw = cluster.get();
   deployment.leader_probe = [] { return kTableMaster; };
-  deployment.oracle = [raw] {
-    return LogsContain(raw->AllLogText(), "duplicate procedure execution detected");
-  };
+  deployment.oracle = LogOracle(raw, "duplicate procedure execution detected");
   deployment.cluster = std::move(cluster);
   return deployment;
 }

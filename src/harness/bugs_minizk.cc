@@ -1,7 +1,7 @@
 // BugSpecs for the four MiniZk (mini ZooKeeper) bugs of Table 1.
 #include "src/apps/minizk/minizk.h"
 #include "src/harness/bug_registry.h"
-#include "src/oracle/oracle.h"
+#include "src/harness/log_oracle.h"
 #include "src/workload/kv_client.h"
 
 namespace rose {
@@ -43,9 +43,7 @@ Deployment DeployMiniZk(SimWorld& world, uint64_t seed, const MiniZkOptions& opt
     }
     return kNoNode;
   };
-  deployment.oracle = [raw, oracle_pattern] {
-    return LogsContain(raw->AllLogText(), oracle_pattern);
-  };
+  deployment.oracle = LogOracle(raw, oracle_pattern);
   deployment.cluster = std::move(cluster);
   return deployment;
 }

@@ -1,7 +1,7 @@
 // BugSpecs for the five RaftKV (mini RedisRaft) bugs of Table 1.
 #include "src/apps/raftkv/raftkv.h"
 #include "src/harness/bug_registry.h"
-#include "src/oracle/oracle.h"
+#include "src/harness/log_oracle.h"
 #include "src/workload/kv_client.h"
 
 namespace rose {
@@ -48,9 +48,7 @@ Deployment DeployRaftKv(SimWorld& world, uint64_t seed, const RaftKvOptions& opt
     }
     return kNoNode;
   };
-  deployment.oracle = [raw, oracle_pattern] {
-    return LogsContain(raw->AllLogText(), oracle_pattern);
-  };
+  deployment.oracle = LogOracle(raw, oracle_pattern);
   deployment.cluster = std::move(cluster);
   return deployment;
 }

@@ -6,10 +6,6 @@
 
 namespace rose {
 
-bool LogsContain(const std::string& all_log_text, const std::string& pattern) {
-  return Contains(all_log_text, pattern);
-}
-
 std::vector<HistoryViolation> ElleLite::CheckAppendHistory(
     const std::vector<std::string>& acked, const std::vector<std::string>& committed) {
   std::vector<HistoryViolation> violations;

@@ -1,12 +1,12 @@
 // Bug oracles.
 //
-// The paper's oracles are log greps, health checks, or Elle. Here:
-//   - LogsContain: scan merged node logs for a failure signature;
-//   - ElleLite: an append-history consistency checker in the spirit of Elle,
-//     detecting lost acknowledged writes and duplicated applications. Like
-//     Elle it is deliberately the *expensive* oracle (it walks the entire
-//     operation history), which is why the Redpanda rows of Table 1 run
-//     longer than the others.
+// The paper's oracles are log greps, health checks, or Elle. The log grep
+// reads a deployed cluster's logs, so it lives in src/harness/log_oracle.h.
+// This module holds ElleLite: an append-history consistency checker in the
+// spirit of Elle, detecting lost acknowledged writes and duplicated
+// applications. Like Elle it is deliberately the *expensive* oracle (it
+// walks the entire operation history), which is why the Redpanda rows of
+// Table 1 run longer than the others.
 #ifndef SRC_ORACLE_ORACLE_H_
 #define SRC_ORACLE_ORACLE_H_
 
@@ -14,9 +14,6 @@
 #include <vector>
 
 namespace rose {
-
-// True if any node log line contains `pattern`.
-bool LogsContain(const std::string& all_log_text, const std::string& pattern);
 
 struct HistoryViolation {
   enum class Kind { kLostWrite, kDuplicate, kReordered };

@@ -134,10 +134,13 @@ Err InMemoryFileSystem::WriteAt(const std::string& path, int64_t offset, std::st
   if (offset < 0) {
     return Err::kEINVAL;
   }
-  if (static_cast<size_t>(offset) + data.size() > contents.size()) {
-    contents.resize(static_cast<size_t>(offset) + data.size(), '\0');
+  const auto at = static_cast<size_t>(offset);
+  if (at > contents.size()) {
+    contents.resize(at, '\0');  // A write past EOF leaves a hole of zeros.
   }
-  contents.replace(static_cast<size_t>(offset), data.size(), data);
+  // Overwrite the bytes the write overlaps and append the rest in place, so
+  // an append copies only `data`.
+  contents.replace(at, std::min(data.size(), contents.size() - at), data);
   return Err::kOk;
 }
 

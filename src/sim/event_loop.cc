@@ -20,11 +20,28 @@ TimerId EventLoop::ScheduleAt(SimTime when, EventCallback fn) {
   const uint64_t seq = next_seq_++;
   Slot& entry = slots_[slot];
   entry.fn = std::move(fn);
+  entry.when = when;
   entry.seq = seq;
   live_++;
+  File(when, seq, slot);
+  return (static_cast<TimerId>(entry.generation) << 32) | slot;
+}
+
+void EventLoop::File(SimTime when, uint64_t seq, uint32_t slot) {
+  slots_[slot].filed_when = when;
+  slots_[slot].filed_seq = seq;
   heap_.push_back(HeapEntry{when, seq, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later);
-  return (static_cast<TimerId>(entry.generation) << 32) | slot;
+}
+
+EventLoop::Slot* EventLoop::LiveSlot(TimerId id) {
+  const auto slot = static_cast<uint32_t>(id);
+  const auto generation = static_cast<uint32_t>(id >> 32);
+  if (slot >= slots_.size() || slots_[slot].seq == 0 ||
+      slots_[slot].generation != generation) {
+    return nullptr;  // Invalid, already fired, or already cancelled.
+  }
+  return &slots_[slot];
 }
 
 void EventLoop::FreeSlot(uint32_t slot) {
@@ -36,20 +53,47 @@ void EventLoop::FreeSlot(uint32_t slot) {
 }
 
 void EventLoop::Cancel(TimerId id) {
-  const auto slot = static_cast<uint32_t>(id);
-  const auto generation = static_cast<uint32_t>(id >> 32);
-  if (slot >= slots_.size() || slots_[slot].seq == 0 ||
-      slots_[slot].generation != generation) {
-    return;  // Invalid, already fired, or already cancelled.
+  Slot* entry = LiveSlot(id);
+  if (entry == nullptr) {
+    return;
   }
-  slots_[slot].fn.Reset();
-  FreeSlot(slot);
+  entry->fn.Reset();
+  FreeSlot(static_cast<uint32_t>(id));
+}
+
+bool EventLoop::Rearm(TimerId id, SimTime when) {
+  Slot* entry = LiveSlot(id);
+  if (entry == nullptr) {
+    return false;
+  }
+  if (when < now_) {
+    when = now_;
+  }
+  // Drawn here, as ScheduleAt would, so the seq stream is unchanged.
+  const uint64_t seq = next_seq_++;
+  entry->when = when;
+  entry->seq = seq;
+  // seq exceeds the filed entry's, so the new key sorts first only on an
+  // earlier deadline; otherwise the filed entry surfaces first and is
+  // re-filed then.
+  if (when < entry->filed_when) {
+    File(when, seq, static_cast<uint32_t>(id));
+  }
+  return true;
 }
 
 void EventLoop::SkipCancelled() {
-  while (!heap_.empty() && slots_[heap_.front().slot].seq != heap_.front().seq) {
+  while (!heap_.empty()) {
+    const HeapEntry top = heap_.front();
+    const Slot& entry = slots_[top.slot];
+    if (entry.seq == top.seq) {
+      return;  // Live.
+    }
     std::pop_heap(heap_.begin(), heap_.end(), Later);
     heap_.pop_back();
+    if (entry.seq != 0 && entry.filed_seq == top.seq) {
+      File(entry.when, entry.seq, top.slot);  // Re-armed to a later deadline.
+    }
   }
 }
 

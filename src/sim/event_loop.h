@@ -5,10 +5,19 @@
 // per-loop counter), which keeps runs deterministic.
 //
 // A TimerId encodes (generation << 32 | slot). A slot's generation bumps
-// every time its callback fires or is cancelled, so Cancel() of a timer that
-// already fired — or of a stale id whose slot now holds a newer timer — is an
-// exact O(1) no-op. A cancelled timer's heap entry stays behind until it
-// reaches the top, where a seq mismatch against its slot identifies it.
+// every time its callback fires or is cancelled, so Cancel() or Rearm() of a
+// timer that already fired — or of a stale id whose slot now holds a newer
+// timer — is an exact O(1) no-op. A cancelled timer's heap entry stays
+// behind until it reaches the top, where a seq mismatch against its slot
+// identifies it.
+//
+// A slot records its timer's live (when, seq) and the seq of the one heap
+// entry filed for it. Rearm() draws a fresh seq, as Cancel() plus
+// ScheduleAt() would. A later deadline keeps the filed entry; when that
+// entry reaches the top, SkipCancelled() re-files it under the live key. An
+// earlier deadline files a new entry and orphans the old one. So every
+// timer's filed key is <= its live key, and events fire in exactly the
+// (when, seq) order a cancel-and-reschedule would give them.
 #ifndef SRC_SIM_EVENT_LOOP_H_
 #define SRC_SIM_EVENT_LOOP_H_
 
@@ -131,6 +140,12 @@ class EventLoop {
   // or invalid timer is a no-op.
   void Cancel(TimerId id);
 
+  // Moves a pending timer to absolute time `when` (clamped to now), keeping
+  // its id and callback; it then fires exactly where Cancel() followed by
+  // ScheduleAt() of the same callback would. Returns false, doing nothing,
+  // for an already-fired, cancelled or invalid timer.
+  bool Rearm(TimerId id, SimTime when);
+
   // Runs a single event. Returns false if the queue is empty or the loop halted.
   bool Step();
 
@@ -156,7 +171,11 @@ class EventLoop {
  private:
   struct Slot {
     EventCallback fn;
+    SimTime when = 0;         // Deadline of the live timer.
     uint64_t seq = 0;         // Seq of the live timer; 0 when the slot is free.
+    // Key of the one heap entry that stands for the live timer.
+    SimTime filed_when = 0;
+    uint64_t filed_seq = 0;
     uint32_t generation = 1;  // Bumped on every fire/cancel; never 0.
   };
   struct HeapEntry {
@@ -170,7 +189,11 @@ class EventLoop {
     return a.when != b.when ? a.when > b.when : a.seq > b.seq;
   }
 
-  // Drops cancelled entries from the top of the heap.
+  // The slot `id` names while its timer is pending, else nullptr.
+  Slot* LiveSlot(TimerId id);
+  void File(SimTime when, uint64_t seq, uint32_t slot);
+  // Brings a live entry to the top of the heap: drops orphaned and cancelled
+  // entries, and re-files a re-armed timer's entry under its live key.
   void SkipCancelled();
   // Runs the event on top of the heap, which must be live.
   void FireTop();

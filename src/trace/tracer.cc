@@ -128,7 +128,13 @@ void Tracer::OnSyscallExit(SimTime now, const SyscallInvocation& inv,
     switch (inv.sys) {
       case Sys::kOpen:
       case Sys::kOpenAt:
-        BindFd(inv.pid, new_fd, now, fd_paths_.Intern(inv.path));
+        // Guests reopen the same file over and over (RaftKV opens its log
+        // once per entry): hash only a path that differs from the last.
+        if (inv.path != last_open_path_) {
+          last_open_path_ = inv.path;
+          last_open_id_ = fd_paths_.Intern(inv.path);
+        }
+        BindFd(inv.pid, new_fd, now, last_open_id_);
         break;
       case Sys::kConnect:
       case Sys::kAccept:

@@ -159,6 +159,9 @@ class Tracer : public KernelObserver, public IngressTap {
   // Paths the fd bindings name. Private so that bookkeeping for fds no
   // event ever resolves does not show in stream deltas or memory_bytes.
   StringPool fd_paths_;
+  // The path of the newest successful open and its id in fd_paths_.
+  std::string last_open_path_;
+  StrId last_open_id_ = kEmptyStrId;
   std::vector<FdBinding> fd_log_;
   // fd_heads_[pid][fd]: 1-based index of the newest binding in fd_log_
   // (0: never bound).

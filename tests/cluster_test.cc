@@ -1,10 +1,13 @@
 // Tests for rose::cluster — consistent-hash ring stability, the replicated
-// coordinator journal (replay determinism, torn tails, follower byte
-// identity), and the router end to end: clustered output parity with a
-// single daemon, mid-job shard kill -> re-dispatch -> byte-identical result,
-// corrupt-frame resynchronization, journal-replay restart recovery, the
-// per-client reply order across shards, a refused stream open, and failover
-// on a damaged shard frame.
+// coordinator journal (replay determinism, torn tails, a failed append cut
+// off, follower byte identity), and the router end to end: clustered output
+// parity with a single daemon, mid-job shard kill -> re-dispatch ->
+// byte-identical result, corrupt-frame resynchronization, journal-replay
+// restart recovery, the per-client reply order across shards, a refused
+// stream open, and failover on a damaged shard frame.
+#include <sys/resource.h>
+
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -220,6 +223,55 @@ TEST(ClusterJournalTest, TornTailIsDroppedOnReplayAndTruncatedAway) {
   EXPECT_EQ(reopened.replayed_records(), 2u);
   EXPECT_EQ(reopened.pending().size(), 2u);
   EXPECT_EQ(reopened.next_job_id(), 4u);
+  std::filesystem::remove(path);
+}
+
+// A write cut short while the router lives (here by RLIMIT_FSIZE, with
+// SIGXFSZ ignored so the write fails with EFBIG instead of killing the
+// process) must not strand the records after it behind a torn one.
+TEST(ClusterJournalTest, FailedAppendIsCutOffSoLaterAppendsReplay) {
+  const std::string path = TempPath("rose_journal_fsize.rjnl");
+  std::filesystem::remove(path);
+  const DispatchRecord first = SampleDispatch(1, "s0");
+  DispatchRecord second = SampleDispatch(2, "s0");
+  second.payload.assign(4096, 'x');
+  const DispatchRecord third = SampleDispatch(3, "s0");
+  const CompleteRecord done{1, true};
+  const size_t third_bytes = kFrameHeaderSize + EncodeDispatch(third).size();
+  const size_t done_bytes = kFrameHeaderSize + EncodeComplete(done).size();
+  ASSERT_GT(kFrameHeaderSize + EncodeDispatch(second).size(), third_bytes + done_bytes);
+
+  std::vector<bool> durable;
+  uint64_t live_next_job_id = 0;
+  {
+    ClusterJournal journal(path);
+    durable.push_back(journal.AppendDispatch(first));
+    const auto intact = static_cast<rlim_t>(std::filesystem::file_size(path));
+    // Room for the third dispatch and the completion, not for the second.
+    rlimit saved{};
+    ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+    rlimit capped = saved;
+    capped.rlim_cur = intact + third_bytes + done_bytes;
+    const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+    durable.push_back(journal.AppendDispatch(second));
+    durable.push_back(journal.AppendDispatch(third));
+    durable.push_back(journal.AppendComplete(done));
+    // Lift the cap before any assertion can write a report.
+    ::setrlimit(RLIMIT_FSIZE, &saved);
+    std::signal(SIGXFSZ, old_handler);
+    live_next_job_id = journal.next_job_id();
+  }
+  EXPECT_EQ(durable, (std::vector<bool>{true, false, true, true}));
+  EXPECT_EQ(live_next_job_id, 4u);
+
+  ClusterJournal reopened(path);
+  EXPECT_FALSE(reopened.recovered_torn_tail());
+  EXPECT_EQ(reopened.replayed_records(), 3u);  // Dispatch 1, dispatch 3, complete 1.
+  ASSERT_EQ(reopened.pending().size(), 1u);
+  EXPECT_EQ(reopened.pending().begin()->first, 3u);
+  EXPECT_EQ(reopened.pending().begin()->second.payload, third.payload);
+  EXPECT_EQ(reopened.next_job_id(), 4u);  // Job id 3 is never issued again.
   std::filesystem::remove(path);
 }
 

@@ -2,7 +2,9 @@
 // supervision, logging.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <string>
 #include <vector>
 
 #include "src/apps/framework/cluster.h"
@@ -141,6 +143,21 @@ TEST_F(FrameworkTest, PanicCrashesAndSupervisorRestarts) {
   EXPECT_EQ(after->starts, 1);     // Booted exactly once.
   EXPECT_EQ(cluster_->restarts_of(b_), 1);
   EXPECT_TRUE(LogsContainLine("PANIC: told to die"));
+}
+
+// The log oracle scans only lines appended since its last poll, which is
+// exact only while a crash and restart leave the earlier lines in place.
+TEST_F(FrameworkTest, RestartKeepsEarlierLogLinesAsPrefix) {
+  cluster_->AppendLog(b_, "before the crash");
+  const std::vector<std::string> before = cluster_->LogsOf(b_);
+  Message die("panic", a_, b_);
+  cluster_->SendMessage(cluster_->node(a_), b_, std::move(die));
+  world_.loop.RunUntil(Seconds(4));  // Crash, then restart after 2 s.
+  ASSERT_EQ(cluster_->restarts_of(b_), 1);
+  const std::vector<std::string>& after = cluster_->LogsOf(b_);
+  ASSERT_GT(after.size(), before.size());
+  EXPECT_TRUE(std::equal(before.begin(), before.end(), after.begin()));
+  EXPECT_NE(after.back().find("echo started"), std::string::npos);  // The new boot.
 }
 
 TEST_F(FrameworkTest, ExternallyInjectedCrashAlsoSupervised) {

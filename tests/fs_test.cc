@@ -44,6 +44,21 @@ TEST(FsTest, WriteAtExtendsWithZeros) {
   EXPECT_EQ(out, std::string("ab\0\0XY", 6));
 }
 
+TEST(FsTest, WriteAtOverwritesInsideAcrossAndAtEof) {
+  InMemoryFileSystem fs;
+  fs.WriteAll("/f", "abcdef");
+  std::string out;
+  EXPECT_EQ(fs.WriteAt("/f", 2, "XY"), Err::kOk);  // Inside: size holds.
+  fs.ReadAt("/f", 0, 100, &out);
+  EXPECT_EQ(out, "abXYef");
+  EXPECT_EQ(fs.WriteAt("/f", 4, "1234"), Err::kOk);  // Across EOF.
+  fs.ReadAt("/f", 0, 100, &out);
+  EXPECT_EQ(out, "abXY1234");
+  EXPECT_EQ(fs.WriteAt("/f", 8, "!"), Err::kOk);  // At EOF: an append.
+  fs.ReadAt("/f", 0, 100, &out);
+  EXPECT_EQ(out, "abXY1234!");
+}
+
 TEST(FsTest, UnlinkAndRename) {
   InMemoryFileSystem fs;
   fs.WriteAll("/a", "x");

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Docs-drift check, three parts:
+# Docs-drift check, four parts:
 #
 #  1. docs/cli.md embeds each CLI's --help output verbatim (one fenced
 #     ```text block under the tool's "## <tool>" heading); every block is
@@ -15,6 +15,12 @@
 #     and every row names a metric src/ registers, literally or under the
 #     prefix of a "prefix" + ... concatenation (engine.level, trace.events.,
 #     cluster.shard_depth.), so a deleted metric cannot keep its row.
+#  4. EXPERIMENTS.md's Table 1 (measured RR%, Sched, #R, FR% and Level, the
+#     number before each "(paper)"), its headline counts and the Figure 2
+#     level tally, and DESIGN.md §5's F2 row, are recomputed from the
+#     `diagnose` lines of tests/data/catalogue_golden.txt, which golden_test
+#     pins to the code, so the paper tables cannot drift from what the
+#     catalogue measures.
 #
 # Registered as the `docs_drift` ctest.
 #
@@ -159,11 +165,64 @@ while read -r name type; do
   fi
 done <<<"$documented_metrics"
 
+# --- EXPERIMENTS.md: Table 1 and the level tally vs the golden file ----------
+
+experiments_doc="EXPERIMENTS.md"
+golden="tests/data/catalogue_golden.txt"
+# Lines of a "## " section whose heading starts with $2.
+doc_section() {
+  awk -v h="$2" '
+    index($0, h) == 1 { in_section = 1; next }
+    in_section && /^## / { exit }
+    in_section { print }
+  ' "$1"
+}
+# "bug rr sched runs fr level" per diagnose line, RR% and FR% rounded.
+golden_rows="$(awk '$2 == "diagnose" {
+    for (i = 3; i <= NF; i++) { split($i, kv, "="); v[kv[1]] = kv[2] }
+    printf "%s %.0f %d %d %.0f %d\n", $1, v["rr"], v["schedules"], v["runs"], v["fr"], v["level"]
+  }' "$golden")"
+table1="$(doc_section "$experiments_doc" "## Table 1")"
+cell=' ([0-9]+) \([^)]*\) \|'
+table_rows="$(sed -nE "s/^\| ([^ |]+) \|$cell$cell$cell$cell$cell\$/\1 \2 \3 \4 \5 \6/p" \
+  <<<"$table1")"
+if [ -z "$golden_rows" ] || [ "$table_rows" != "$golden_rows" ]; then
+  echo "check_docs: $experiments_doc Table 1 differs from $golden (docs vs golden," \
+       "bug rr sched runs fr level):"
+  diff <(printf '%s\n' "$table_rows") <(printf '%s\n' "$golden_rows") | sed 's/^/  /' || true
+  fail=1
+fi
+bugs="$(grep -c . <<<"$golden_rows")"
+read -r reproduced full_rate first_schedule l1 l2 l3 < <(awk '$2 == "diagnose" {
+    for (i = 3; i <= NF; i++) { split($i, kv, "="); v[kv[1]] = kv[2] }
+    reproduced += v["reproduced"] == 1; full += v["rr"] == 100
+    first += v["schedules"] <= 2; level[v["level"]]++
+  } END { print reproduced + 0, full + 0, first + 0, level[1] + 0, level[2] + 0, level[3] + 0 }' \
+  "$golden")
+headline="$(tr '\n' ' ' <<<"$table1" | tr -s ' ')"
+for claim in "**$reproduced/$bugs bugs reproduced**" "**$full_rate/$bugs at 100% replay rate**" \
+             "**$first_schedule found at the first schedule**"; do
+  if ! grep -qF "$claim" <<<"$headline"; then
+    echo "check_docs: $experiments_doc Table 1 headline lacks \"$claim\" (from $golden)"
+    fail=1
+  fi
+done
+tally="Level 1 = $l1, Level 2 = $l2, Level 3 = $l3"
+if ! doc_section "$experiments_doc" "## Figure 2" | grep -qF "Measured: **$tally**"; then
+  echo "check_docs: $experiments_doc Figure 2 does not read \"Measured: **$tally**\" (from $golden)"
+  fail=1
+fi
+if ! grep -qF "| L1=$l1 / L2=$l2 / L3=$l3 " DESIGN.md; then
+  echo "check_docs: DESIGN.md §5's F2 row does not read \"L1=$l1 / L2=$l2 / L3=$l3\" (from $golden)"
+  fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED — update docs/cli.md / docs/wire_protocol.md /" \
-       "docs/metrics.md to match the tree"
+       "docs/metrics.md / EXPERIMENTS.md / DESIGN.md to match the tree"
   exit 1
 fi
 echo "check_docs: docs/cli.md matches all $(echo $tools | wc -w) CLIs' --help;" \
      "docs/wire_protocol.md matches the wire enums;" \
-     "docs/metrics.md matches the registered metrics"
+     "docs/metrics.md matches the registered metrics;" \
+     "EXPERIMENTS.md Table 1 and Figure 2 match $golden"
