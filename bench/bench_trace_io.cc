@@ -11,8 +11,6 @@
 
 #include "src/analyze/trace_validator.h"
 #include "src/common/rng.h"
-#include "src/trace/mapped_trace.h"
-#include "src/trace/mmap_file.h"
 #include "src/trace/trace_io.h"
 
 namespace rose {
@@ -117,8 +115,8 @@ void BM_StreamBinary(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamBinary)->Unit(benchmark::kMillisecond);
 
-// The binary window written to disk once — the on-disk dump both load-path
-// benchmarks read. Lives for the process; size printed by the first user.
+// The binary window written to disk once: the on-disk dump BM_LoadFile
+// reads. Lives for the process.
 const std::string& WindowFile() {
   static const std::string path = [] {
     const std::string p =
@@ -131,58 +129,17 @@ const std::string& WindowFile() {
   return path;
 }
 
-void BM_LoadFileHeap(benchmark::State& state) {
-  // The pre-mmap pipeline: read the whole file into a heap buffer, then
-  // ParseBinary copies every pool string again into a private arena.
+void BM_LoadFile(benchmark::State& state) {
+  // The one trace-file loader: read() the whole file into a heap buffer,
+  // then ParseBinary copies every pool string into the trace's own pool.
   const std::string& path = WindowFile();
   for (auto _ : state) {
-    std::vector<Diagnostic> diags;
-    const Trace loaded = LoadTraceFile(path, &diags);
-    benchmark::DoNotOptimize(loaded.size());
+    const LoadedTrace loaded = LoadTraceFile(path);
+    benchmark::DoNotOptimize(loaded.trace.size());
   }
   state.SetItemsProcessed(state.iterations() * kWindowEvents);
 }
-BENCHMARK(BM_LoadFileHeap)->Unit(benchmark::kMillisecond);
-
-void BM_LoadFileMmap(benchmark::State& state) {
-  // The mapped pipeline: mmap + ParseBinary over the mapping, so the file
-  // bytes skip the heap read. Compare against BM_LoadFileHeap.
-  const std::string& path = WindowFile();
-  for (auto _ : state) {
-    const MappedTrace mapped = MappedTrace::OpenFile(path);
-    benchmark::DoNotOptimize(mapped.event_count());
-  }
-  state.SetItemsProcessed(state.iterations() * kWindowEvents);
-}
-BENCHMARK(BM_LoadFileMmap)->Unit(benchmark::kMillisecond);
-
-void BM_OpenToFirstEventHeap(benchmark::State& state) {
-  // Latency to the FIRST usable event via the owning loader — pays the full
-  // read + parse of all 1M events before event 0 is visible.
-  const std::string& path = WindowFile();
-  for (auto _ : state) {
-    std::vector<Diagnostic> diags;
-    const Trace loaded = LoadTraceFile(path, &diags);
-    benchmark::DoNotOptimize(loaded[0].ts);
-  }
-}
-BENCHMARK(BM_OpenToFirstEventHeap)->Unit(benchmark::kMillisecond);
-
-void BM_OpenToFirstEventMmap(benchmark::State& state) {
-  // Latency to the first event via mmap + streaming reader: map the file,
-  // decode only the leading frames. The acceptance bar is >= 3x faster than
-  // BM_OpenToFirstEventHeap (pages fault in lazily; no up-front copy).
-  const std::string& path = WindowFile();
-  for (auto _ : state) {
-    MmapTraceFile file = MmapTraceFile::Open(path);
-    TraceReader reader(file.bytes());
-    TraceEvent event;
-    const bool ok = reader.Next(&event);
-    benchmark::DoNotOptimize(ok);
-    benchmark::DoNotOptimize(event.ts);
-  }
-}
-BENCHMARK(BM_OpenToFirstEventMmap)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LoadFile)->Unit(benchmark::kMillisecond);
 
 void BM_CanonicalBlobHash(benchmark::State& state) {
   // Serve admission's cache-key path: hash the raw container without

@@ -34,7 +34,6 @@
 #include "src/causal/feasibility.h"
 #include "src/common/strings.h"
 #include "src/obs/trace_report.h"
-#include "src/trace/mapped_trace.h"
 #include "src/trace/trace_io.h"
 
 namespace {
@@ -116,15 +115,13 @@ rose::FaultSchedule DemoSchedule() {
 }
 
 int LintTrace(const char* path) {
-  // The validator and the stats renderer only read, so they take a view of
-  // the mapped dump's decoded trace.
-  const rose::MappedTrace mapped = rose::MappedTrace::OpenFile(path);
-  const std::vector<rose::Diagnostic>& load_diags = mapped.diagnostics();
+  const rose::LoadedTrace loaded = rose::LoadTraceFile(path);
+  const std::vector<rose::Diagnostic>& load_diags = loaded.diagnostics;
   if (!rose::OfCode(load_diags, rose::DiagCode::kTraceFileUnreadable).empty()) {
     std::fprintf(stderr, "lint_schedule: cannot open %s\n", path);
     return 2;
   }
-  const rose::TraceView trace = mapped.view();
+  const rose::Trace& trace = loaded.trace;
   std::printf("trace: %s\n", path);
   // Same rendering path as trace_explorer --stats: the rose::obs registry is
   // the one source for window statistics (no per-tool tallies).
@@ -219,15 +216,14 @@ int main(int argc, char** argv) {
   }
 
   if (against_path != nullptr) {
-    // Read-only feasibility check: map and view, never parse into a Trace.
-    const rose::MappedTrace mapped = rose::MappedTrace::OpenFile(against_path);
-    const std::vector<rose::Diagnostic>& load_diags = mapped.diagnostics();
+    const rose::LoadedTrace loaded = rose::LoadTraceFile(against_path);
+    const std::vector<rose::Diagnostic>& load_diags = loaded.diagnostics;
     if (rose::HasErrors(load_diags)) {
       std::fprintf(stderr, "lint_schedule: cannot read trace %s: %s\n", against_path,
                    load_diags.front().ToString().c_str());
       return 2;
     }
-    const rose::TraceView trace = mapped.view();
+    const rose::Trace& trace = loaded.trace;
     const rose::CausalGraph causal(trace);
     const rose::FeasibilityChecker checker(&causal, trace);
     const rose::FeasibilityReport report = checker.Check(schedule);

@@ -1,6 +1,6 @@
 // The dump a serve example submits, shared by rose_served and rose_routerd:
 // a saved pair (BASE.trc + BASE.profile) or one generated by simulating
-// phases 1-2 for the bug. Either way it is one MappedTrace whose container
+// phases 1-2 for the bug. Either way it is one LoadedTrace whose container
 // bytes ship over the wire as-is (ServeClient::SubmitBlob).
 #ifndef EXAMPLES_OBTAIN_DUMP_H_
 #define EXAMPLES_OBTAIN_DUMP_H_
@@ -9,17 +9,17 @@
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "src/harness/bug_registry.h"
 #include "src/harness/runner.h"
 #include "src/serve/protocol.h"
-#include "src/trace/mapped_trace.h"
-#include "src/trace/mmap_file.h"
+#include "src/trace/trace_io.h"
 
 namespace rose_examples {
 
 struct DumpPayload {
-  rose::MappedTrace mapped;  // Mapped from BASE.trc, or over the generated bytes.
+  rose::LoadedTrace dump;    // Read from BASE.trc, or generated.
   std::string profile_text;  // SerializeProfile() form.
 };
 
@@ -28,9 +28,9 @@ struct DumpPayload {
 inline bool ObtainDump(const char* tool, const std::string& bug_id, const std::string& dump_base,
                        uint64_t seed, DumpPayload* out) {
   if (!dump_base.empty()) {
-    out->mapped = rose::MappedTrace::OpenFile(dump_base + ".trc");
-    if (rose::HasErrors(out->mapped.diagnostics())) {
-      for (const rose::Diagnostic& diag : out->mapped.diagnostics()) {
+    out->dump = rose::LoadTraceFile(dump_base + ".trc");
+    if (rose::HasErrors(out->dump.diagnostics)) {
+      for (const rose::Diagnostic& diag : out->dump.diagnostics) {
         std::fprintf(stderr, "  %s\n", diag.ToString().c_str());
       }
       return false;
@@ -54,7 +54,8 @@ inline bool ObtainDump(const char* tool, const std::string& bug_id, const std::s
     std::fprintf(stderr, "%s: %s never surfaced\n", tool, bug_id.c_str());
     return false;
   }
-  out->mapped = rose::MappedTrace::FromBuffer(production->SerializeBinary());
+  out->dump.bytes = production->SerializeBinary();
+  out->dump.trace = std::move(*production);
   out->profile_text = rose::SerializeProfile(profile);
   return true;
 }

@@ -183,9 +183,9 @@ int main(int argc, char** argv) {
     router.AttachClient(router_end);
     sub.client = std::make_unique<rose::ServeClient>(client_end);
     sub.handle = sub.client->SubmitBlob(sub.bug_id, seed, sub.bug_id, payload.profile_text,
-                                        payload.mapped.bytes());
+                                        payload.dump.bytes);
     std::printf("client %zu: submitted %s (%zu events)\n", client_index,
-                sub.bug_id.c_str(), payload.mapped.event_count());
+                sub.bug_id.c_str(), payload.dump.trace.size());
   }
 
   int failures = 0;

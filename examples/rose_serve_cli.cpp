@@ -16,7 +16,7 @@
 //
 // Flags:
 //   --dump FILE       load the production dump from FILE instead of simulating
-//                     (mapped; its raw container bytes are submitted as-is)
+//                     (its raw container bytes are submitted as-is)
 //   --profile FILE    load the profiling baseline (required with --dump)
 //   --save-dump BASE  after generating, write BASE.trc + BASE.profile
 //   --yaml-out FILE   write the confirmed schedule YAML to FILE
@@ -33,13 +33,13 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "src/harness/bug_registry.h"
 #include "src/harness/runner.h"
 #include "src/net/transport.h"
 #include "src/serve/client.h"
 #include "src/serve/service.h"
-#include "src/trace/mapped_trace.h"
 #include "src/trace/trace_io.h"
 
 namespace {
@@ -63,8 +63,7 @@ positional arguments:
 
 flags:
   --dump FILE       load the production dump from FILE instead of simulating;
-                    the file is mapped and its raw container bytes are
-                    submitted verbatim
+                    its raw container bytes are submitted verbatim
   --profile FILE    load the profiling baseline (required with --dump)
   --save-dump BASE  after generating, write BASE.trc + BASE.profile
   --yaml-out FILE   write the confirmed schedule YAML to FILE
@@ -165,21 +164,20 @@ int main(int argc, char** argv) {
   }
 
   // --- Obtain the dump + baseline: load a saved pair or simulate phases 1-2.
-  // Either way the dump is one mapped handle whose raw container bytes are
-  // shipped to the server as-is (SubmitBlob), so no owning Trace exists
-  // anywhere on the submission path.
-  rose::MappedTrace mapped;
+  // Either way the dump is one LoadedTrace whose raw container bytes are
+  // shipped to the server as-is (SubmitBlob); nothing re-encodes them.
+  rose::LoadedTrace dump;
   std::string profile_text;
   if (!dump_path.empty()) {
     if (profile_path.empty()) {
       std::fprintf(stderr, "rose_serve_cli: --dump requires --profile\n");
       return 2;
     }
-    mapped = rose::MappedTrace::OpenFile(dump_path);
-    for (const rose::Diagnostic& diag : mapped.diagnostics()) {
+    dump = rose::LoadTraceFile(dump_path);
+    for (const rose::Diagnostic& diag : dump.diagnostics) {
       std::fprintf(stderr, "  %s\n", diag.ToString().c_str());
     }
-    if (rose::HasErrors(mapped.diagnostics())) {
+    if (rose::HasErrors(dump.diagnostics)) {
       std::fprintf(stderr, "rose_serve_cli: dump %s is damaged\n", dump_path.c_str());
       return 1;
     }
@@ -190,7 +188,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     std::printf("loaded dump %s (%zu events) + profile %s\n", dump_path.c_str(),
-                mapped.event_count(), profile_path.c_str());
+                dump.trace.size(), profile_path.c_str());
   } else {
     rose::BugRunner runner(spec);
     std::printf("--- phases 1-2: profiling + production tracing (%s, seed %llu) ---\n",
@@ -204,18 +202,18 @@ int main(int argc, char** argv) {
                    attempts);
       return 1;
     }
-    mapped = rose::MappedTrace::FromBuffer(production->SerializeBinary());
+    dump.bytes = production->SerializeBinary();
+    dump.trace = std::move(*production);
     profile_text = rose::SerializeProfile(profile);
     std::printf("dump window holds %zu events (%d production attempt(s))\n",
-                mapped.event_count(), attempts);
+                dump.trace.size(), attempts);
   }
 
   if (!save_dump.empty()) {
     const std::string trc = save_dump + ".trc";
     const std::string prof = save_dump + ".profile";
     std::ofstream prof_out(prof, std::ios::binary);
-    // Copy-on-write: saving re-encodes, the one step needing an owning Trace.
-    if (!rose::SaveTraceFile(trc, mapped.Promote()) || !prof_out) {
+    if (!rose::SaveTraceFile(trc, dump.trace) || !prof_out) {
       std::fprintf(stderr, "rose_serve_cli: cannot write %s\n", save_dump.c_str());
       return 2;
     }
@@ -232,14 +230,14 @@ int main(int argc, char** argv) {
   rose::ServeClient client(client_end);
 
   auto submit_job = [&]() {
-    return client.SubmitBlob(bug_id, seed, "cli", profile_text, mapped.bytes());
+    return client.SubmitBlob(bug_id, seed, "cli", profile_text, dump.bytes);
   };
 
   // --stream: replay the same container bytes through a stream session. The
   // daemon's window re-canonicalizes to the identical blob a kSubmit would
   // have carried, so the result (and the cache key) must match byte for byte.
   auto stream_job = [&]() {
-    const std::string_view blob = mapped.bytes();
+    const std::string_view blob = dump.bytes;
     const uint64_t handle = client.OpenStream(bug_id, seed, "cli", profile_text);
     for (size_t off = 0; off < blob.size(); off += chunk) {
       client.StreamData(handle, blob.substr(off, chunk));

@@ -14,7 +14,7 @@
 //                 FILE ends in .txt (then a display-only one-event-per-line
 //                 listing, which --load refuses with TB201)
 //   --load FILE   skip the simulated run and explore a saved binary dump
-//                 instead (mapped, then decoded)
+//                 instead
 //   --merge ...   merge saved per-node traces (Trace::Merge, the dump's
 //                 canonicalization over their concatenation): timestamp-
 //                 ordered, ties in argument order, strings re-interned into
@@ -41,7 +41,6 @@
 #include "src/harness/bug_registry.h"
 #include "src/harness/runner.h"
 #include "src/obs/trace_report.h"
-#include "src/trace/mapped_trace.h"
 #include "src/trace/trace_io.h"
 
 namespace {
@@ -65,13 +64,12 @@ flags:
   --save FILE       write the dumped window to FILE (binary container, or
                     a display-only one-event-per-line listing when FILE
                     ends in .txt; listings cannot be loaded back)
-  --load FILE       explore a saved binary dump instead of running; the
-                    file is mapped, then decoded
+  --load FILE       explore a saved binary dump instead of running
   --merge A B ...   merge saved per-node traces (timestamp-ordered, ties
                     in argument order); combine with --save to persist
   --stats           print window statistics from the rose::obs registry
                     (events by kind and node, occupancy, pool, sizes);
-                    loaded traces add mapped-bytes and resident rows
+                    loaded traces add file-bytes and resident rows
   --stats-out FILE  write the rose::obs metrics snapshot (YAML) to FILE
                     (see docs/metrics.md)
   --causal          print the happens-before analysis (rose::causal): chain
@@ -125,14 +123,24 @@ int main(int argc, char** argv) {
   }
 
   rose::Trace trace;
-  // The mapped dump for --load; `view` below reads its decoded trace (a
-  // copy is made only if --save needs to re-encode).
-  rose::MappedTrace mapped;
+  size_t file_bytes = 0;  // --load: the dump's size on disk, for --stats.
   rose::Profile profile;
   const rose::Profile* profile_for_extract = nullptr;
   // Set when a loaded file carried error diagnostics; the tool keeps going
   // (intact frames are still worth exploring) but exits nonzero.
   bool load_damaged = false;
+  // Loads one saved dump and reports it; the trace is whatever decoded.
+  auto load = [&load_damaged](const std::string& path) {
+    rose::LoadedTrace loaded = rose::LoadTraceFile(path);
+    std::printf("--- loaded %s: %zu events ---\n", path.c_str(), loaded.trace.size());
+    for (const rose::Diagnostic& diag : loaded.diagnostics) {
+      std::printf("  %s\n", diag.ToString().c_str());
+    }
+    if (rose::HasErrors(loaded.diagnostics)) {
+      load_damaged = true;
+    }
+    return loaded;
+  };
 
   if (!merge_paths.empty()) {
     if (merge_paths.size() < 2) {
@@ -141,32 +149,18 @@ int main(int argc, char** argv) {
     }
     std::vector<rose::Trace> inputs;
     for (const std::string& path : merge_paths) {
-      std::vector<rose::Diagnostic> diags;
-      rose::Trace input = rose::LoadTraceFile(path, &diags);
-      std::printf("--- loaded %s: %zu events ---\n", path.c_str(), input.size());
-      for (const rose::Diagnostic& diag : diags) {
-        std::printf("  %s\n", diag.ToString().c_str());
-      }
-      if (rose::HasErrors(diags)) {
-        load_damaged = true;
-      }
-      inputs.push_back(std::move(input));
+      inputs.push_back(load(path).trace);
     }
     trace = rose::Trace::Merge(inputs);
     std::printf("--- merged %zu traces: %zu events ---\n", inputs.size(), trace.size());
   } else if (!load_path.empty()) {
-    mapped = rose::MappedTrace::OpenFile(load_path);
-    std::printf("--- loaded %s: %zu events ---\n", load_path.c_str(), mapped.event_count());
-    for (const rose::Diagnostic& diag : mapped.diagnostics()) {
-      std::printf("  %s\n", diag.ToString().c_str());
-    }
-    if (rose::HasErrors(mapped.diagnostics())) {
-      // Keep exploring whatever survived, but fail the invocation: scripts
-      // must not mistake a truncated dump for a good one.
-      load_damaged = true;
-      if (mapped.event_count() == 0) {
-        return 1;
-      }
+    rose::LoadedTrace loaded = load(load_path);
+    file_bytes = loaded.bytes.size();
+    trace = std::move(loaded.trace);
+    // A damaged dump: keep exploring whatever survived, but fail the
+    // invocation, so scripts never mistake a truncated dump for a good one.
+    if (load_damaged && trace.empty()) {
+      return 1;
     }
   } else {
     // Borrow the RedisRaft-42 deployment (any guest works; this one crashes
@@ -199,9 +193,7 @@ int main(int argc, char** argv) {
     trace = std::move(outcome.trace);
   }
 
-  // Every read path below goes through a view: backed by the mapped file for
-  // --load, by the owning Trace otherwise.
-  const rose::TraceView view = mapped.valid() ? mapped.view() : rose::TraceView(trace);
+  const rose::TraceView view(trace);
 
   std::map<rose::EventType, int> counts;
   for (const rose::TraceEvent& event : view) {
@@ -299,11 +291,10 @@ int main(int argc, char** argv) {
                 rose::RenderTraceStats(view, &rose::MetricRegistry::Global()).c_str());
     if (!load_path.empty()) {
       // resident estimate: the decoded event vector plus the pool's entry
-      // table and its copied strings; the container bytes stay in the
-      // (page-cached) mapping.
+      // table and its copied strings.
       const size_t resident = view.size() * sizeof(rose::TraceEvent) +
                               view.pool().size() * 8 + view.pool().payload_bytes();
-      std::printf("mapped bytes: %zu\n", mapped.mapped_bytes());
+      std::printf("file bytes: %zu\n", file_bytes);
       std::printf("resident estimate: %zu bytes\n", resident);
     }
   }
@@ -319,11 +310,6 @@ int main(int argc, char** argv) {
   if (!save_path.empty()) {
     const bool text = save_path.size() > 4 &&
                       save_path.compare(save_path.size() - 4, 4, ".txt") == 0;
-    if (mapped.valid()) {
-      // Re-encoding is the one step that needs an owning Trace, so the
-      // mapped handle's trace is copied here and nowhere else.
-      trace = mapped.Promote();
-    }
     if (!rose::SaveTraceFile(save_path, trace, text)) {
       std::fprintf(stderr, "trace_explorer: cannot write %s\n", save_path.c_str());
       return 2;

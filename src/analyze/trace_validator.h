@@ -35,8 +35,7 @@ class TraceValidator {
   explicit TraceValidator(TraceValidateOptions options = {})
       : options_(std::move(options)) {}
 
-  // Accepts any trace view (a Trace converts implicitly), including ones
-  // backed by a mapped dump (MappedTrace).
+  // Accepts any trace view (a Trace converts implicitly).
   std::vector<Diagnostic> Validate(TraceView trace) const;
 
  private:

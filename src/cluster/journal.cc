@@ -5,7 +5,7 @@
 
 #include <cerrno>
 
-#include "src/trace/mmap_file.h"
+#include "src/trace/trace_io.h"
 
 namespace rose {
 
@@ -237,13 +237,15 @@ bool ClusterJournal::AppendRingEpoch(const RingEpochRecord& record) {
 }
 
 bool ClusterJournal::AppendDispatch(DispatchRecord record) {
-  const bool durable = Append(JournalRecordType::kDispatch, EncodeDispatch(record));
+  if (!Append(JournalRecordType::kDispatch, EncodeDispatch(record))) {
+    return false;
+  }
   if (record.job_id >= next_job_id_) {
     next_job_id_ = record.job_id + 1;
   }
   const uint64_t job_id = record.job_id;
   pending_[job_id] = std::move(record);
-  return durable;
+  return true;
 }
 
 bool ClusterJournal::AppendComplete(const CompleteRecord& record) {

@@ -105,8 +105,10 @@ class ClusterJournal {
 
   // --- Appends (written + fsync'd before returning) ------------------------
   // Each returns false when the record's write or fsync failed. The file is
-  // then cut back to its last intact record, so later appends still replay;
-  // the in-memory state takes the record either way.
+  // then cut back to its last intact record, so later appends still replay.
+  // A failed dispatch leaves pending() and next_job_id() as the file has
+  // them (the router refuses that submit); the other records take the
+  // in-memory state either way.
   bool AppendRingEpoch(const RingEpochRecord& record);
   bool AppendDispatch(DispatchRecord record);
   bool AppendComplete(const CompleteRecord& record);

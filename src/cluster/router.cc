@@ -198,16 +198,23 @@ void ClusterRouter::HandleSubmit(ClientConn& conn, std::string payload) {
     return;
   }
 
-  RouterJob& job = AdmitJob(conn, /*is_stream=*/false);
   // Sharded by trace hash — not the full job key — so every submission of
   // one dump lands on the same shard regardless of bug/seed, and that
   // shard's ResultCache answers repeats byte-identically to a single daemon.
   // With no shard alive the admission is journaled shard-less and the job
   // waits; AttachShard re-poses it.
   const std::string owner = ring_.OwnerOf(trace_hash);
-  journal_.AppendDispatch(DispatchRecord{
-      job.id, DiagnosisService::JobKey(trace_hash, env.bug_id(), env.seed()), trace_hash,
-      owner, /*redispatch=*/false, std::string(env.payload())});
+  if (!journal_.AppendDispatch(DispatchRecord{
+          next_job_id_, DiagnosisService::JobKey(trace_hash, env.bug_id(), env.seed()),
+          trace_hash, owner, /*redispatch=*/false, std::string(env.payload())})) {
+    // The dispatch record is not on disk, so a restarted router would never
+    // learn of this job: refuse it before any shard sees it, without using
+    // up its job id. The client retries kQueueFull with backoff.
+    RejectSubmit(conn, ServeError::kQueueFull,
+                 "coordinator journal write failed; retry the submission with backoff");
+    return;
+  }
+  RouterJob& job = AdmitJob(conn, /*is_stream=*/false);  // Takes the journaled id.
   if (!owner.empty()) {
     DispatchTo(job, *shards_.at(owner));
   }

@@ -14,8 +14,8 @@
 // format's own business.
 //
 // Two ways to read frames:
-//   - SplitFrame, a stateless splitter over bytes already in hand (a mapped
-//     dump, a journal file). Its caller decides what a damaged frame means.
+//   - SplitFrame, a stateless splitter over bytes already in hand (a dump
+//     file, a journal file). Its caller decides what a damaged frame means.
 //   - FrameReader, an incremental reader for bytes arriving in chunks (a
 //     serve connection, a trace stream). A length over the format's cap
 //     kills the stream; a CRC mismatch skips exactly that frame.

@@ -73,8 +73,7 @@ std::string RenderTraceStats(TraceView trace, MetricRegistry* registry,
            ToSeconds(trace[trace.size() - 1].ts - trace[0].ts));
   }
   if (with_encoded_sizes) {
-    // Encode straight from the view — works for owning and mapped traces
-    // alike.
+    // Encode straight from the view, whatever backs it.
     std::string binary;
     TraceWriter writer(&binary, &trace.pool());
     for (const TraceEvent& event : trace) {

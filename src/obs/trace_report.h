@@ -22,8 +22,7 @@ namespace rose {
 // — and returns the human-readable report both CLIs print.
 // `with_encoded_sizes` additionally serializes the trace both ways to report
 // binary-vs-text size (skipped where the extra work is unwanted).
-// Takes a view so a mapped trace renders without a copy (an owning Trace
-// converts implicitly).
+// Takes a view; an owning Trace converts implicitly.
 std::string RenderTraceStats(TraceView trace, MetricRegistry* registry,
                              bool with_encoded_sizes = true);
 

@@ -69,10 +69,10 @@ class ServeClient {
   explicit ServeClient(std::shared_ptr<Transport> transport,
                        ServeClientConfig config = {});
 
-  // Queues one submission of an already-serialized RTRC blob (a mapped dump
-  // file's bytes, or Trace::SerializeBinary()) and the profile's
-  // SerializeProfile() text; returns a client-side handle. All views are
-  // copied into the frame immediately (no lifetime obligations).
+  // Queues one submission of an already-serialized RTRC blob (a dump file's
+  // bytes as LoadTraceFile read them, or Trace::SerializeBinary()) and the
+  // profile's SerializeProfile() text; returns a client-side handle. All
+  // views are copied into the frame immediately (no lifetime obligations).
   // Every submission carries an idempotency token derived from the blob's
   // canonical hash: if a suspected-lost submit is resent and the original
   // actually registered, the duplicate kAccepted is recognized by token and

@@ -77,7 +77,7 @@ enum class ServeFrame : uint8_t {
 // Typed rejection codes carried by kError frames.
 enum class ServeError : uint8_t {
   kNone = 0,
-  kQueueFull = 1,       // Bounded job queue at capacity; retry with backoff.
+  kQueueFull = 1,       // Queue at capacity (or journal write failed); retry with backoff.
   kInvalidTrace = 2,    // Trace failed validation (or decoded to nothing).
   kUnknownBug = 3,      // bug_id not in this server's registry.
   kBadFrame = 4,        // Frame skipped: CRC mismatch or undecodable payload.
@@ -245,7 +245,7 @@ void AppendServeHeader(std::string* out);
 void AppendServeFrame(std::string* out, ServeFrame kind, std::string_view payload);
 
 // The kSubmit payload. Wraps an already-serialized RTRC blob (the bytes of
-// a mapped dump file, or Trace::SerializeBinary()) without re-encoding it;
+// a dump file as read, or Trace::SerializeBinary()) without re-encoding it;
 // the canonical hash is encoding-independent, so two encodings of one
 // window dedup to the same cache key.
 std::string EncodeSubmitBlob(std::string_view bug_id, uint64_t seed, std::string_view tag,

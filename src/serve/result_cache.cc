@@ -4,7 +4,7 @@
 #include <fstream>
 
 #include "src/common/strings.h"
-#include "src/trace/mmap_file.h"
+#include "src/trace/trace_io.h"
 
 namespace rose {
 
@@ -16,26 +16,25 @@ std::string KeyName(uint64_t key) {
 
 // Temp-file + atomic rename: a crash mid-write leaves a stray .tmp (never
 // read: Load opens only final names), never a half-written cache entry under
-// its final name. Readers therefore see each file either whole or absent.
+// its final name. Readers therefore see each file either whole or absent. A
+// failed write or rename removes its .tmp.
 bool WriteFileAtomic(const std::filesystem::path& path, std::string_view data) {
   const std::filesystem::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return false;
-    }
-    out.write(data.data(), static_cast<std::streamsize>(data.size()));
-    if (!out.good()) {
-      return false;
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  if (!out) {
     return false;
   }
-  return true;
+  out.write(data.data(), static_cast<std::streamsize>(data.size()));
+  out.close();  // Flushes: a failed write may surface only here.
+  std::error_code ec;
+  if (!out.fail()) {
+    std::filesystem::rename(tmp, path, ec);
+    if (!ec) {
+      return true;
+    }
+  }
+  std::filesystem::remove(tmp, ec);
+  return false;
 }
 
 }  // namespace
@@ -90,7 +89,8 @@ void ResultCache::Persist(uint64_t key, const CachedResult& result) const {
   // from it), so an entry only becomes visible once both halves are durably
   // named. yaml_bytes is written last so any truncation of the meta — or of
   // the yaml it vouches for — is detectable on load.
-  if (!WriteFileAtomic(base.string() + ".yaml", result.schedule_yaml)) {
+  const std::string yaml_path = base.string() + ".yaml";
+  if (!WriteFileAtomic(yaml_path, result.schedule_yaml)) {
     return;
   }
   std::string meta = "rose-serve-result v1\n";
@@ -101,7 +101,11 @@ void ResultCache::Persist(uint64_t key, const CachedResult& result) const {
   meta += StrFormat("runs %u\n", result.runs);
   meta += "summary " + result.fault_summary + "\n";
   meta += StrFormat("yaml_bytes %zu\n", result.schedule_yaml.size());
-  WriteFileAtomic(base.string() + ".meta", meta);
+  if (!WriteFileAtomic(base.string() + ".meta", meta)) {
+    // No meta vouches for the yaml, so nothing would ever read or remove it.
+    std::error_code ec;
+    std::filesystem::remove(yaml_path, ec);
+  }
 }
 
 bool ResultCache::Load(uint64_t key, CachedResult* result) const {

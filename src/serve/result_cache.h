@@ -21,7 +21,8 @@
 //     key's two files, so a running or restarted daemon answers every
 //     schedule it ever confirmed, however many there are. Unconfirmed
 //     results are cached in memory only: they are deterministic too, but
-//     worthless across restarts.
+//     worthless across restarts. A failed write leaves no file behind: its
+//     .tmp goes, and a failed meta write removes the yaml it would vouch for.
 #ifndef SRC_SERVE_RESULT_CACHE_H_
 #define SRC_SERVE_RESULT_CACHE_H_
 

@@ -1,11 +1,15 @@
 #include "src/trace/trace_io.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstring>
 #include <fstream>
 
 #include "src/common/strings.h"
 #include "src/obs/metrics.h"
-#include "src/trace/mmap_file.h"
 
 namespace rose {
 
@@ -563,22 +567,66 @@ Trace Trace::ParseBinary(std::string_view data, std::vector<Diagnostic>* diags) 
   return Trace(std::move(events), reader.ReleasePool());
 }
 
-Trace LoadTraceFile(const std::string& path, std::vector<Diagnostic>* diags) {
-  std::string bytes;
-  int read_errno = 0;
-  if (!ReadFileBytes(path, &bytes, &read_errno)) {
-    if (diags != nullptr) {
-      Diagnostic diag;
-      diag.code = DiagCode::kTraceFileUnreadable;
-      diag.severity = Severity::kError;
-      diag.message = StrFormat("cannot open trace file %s: %s", path.c_str(),
-                               read_errno != 0 ? std::strerror(read_errno) : "unknown error");
-      diag.hint = "check the path and permissions";
-      diags->push_back(std::move(diag));
-    }
-    return Trace();
+bool ReadFileBytes(const std::string& path, std::string* out, int* errno_out) {
+  if (errno_out != nullptr) {
+    *errno_out = 0;
   }
-  return Trace::ParseBinary(bytes, diags);
+  // fstat + read into an exact-sized buffer: one copy, no stringstream.
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    if (errno_out != nullptr) {
+      *errno_out = errno;
+    }
+    return false;
+  }
+  struct stat st {};
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+    if (errno_out != nullptr) {
+      *errno_out = errno != 0 ? errno : EINVAL;
+    }
+    ::close(fd);
+    return false;
+  }
+  out->resize(static_cast<size_t>(st.st_size));
+  size_t done = 0;
+  while (done < out->size()) {
+    const ssize_t n = ::read(fd, out->data() + done, out->size() - done);
+    if (n < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      if (errno_out != nullptr) {
+        *errno_out = errno;
+      }
+      ::close(fd);
+      return false;
+    }
+    if (n == 0) {
+      break;  // File shrank under us; keep what was read.
+    }
+    done += static_cast<size_t>(n);
+  }
+  out->resize(done);
+  ::close(fd);
+  return true;
+}
+
+LoadedTrace LoadTraceFile(const std::string& path) {
+  LoadedTrace loaded;
+  int read_errno = 0;
+  if (!ReadFileBytes(path, &loaded.bytes, &read_errno)) {
+    loaded.bytes.clear();
+    Diagnostic diag;
+    diag.code = DiagCode::kTraceFileUnreadable;
+    diag.severity = Severity::kError;
+    diag.message = StrFormat("cannot open trace file %s: %s", path.c_str(),
+                             read_errno != 0 ? std::strerror(read_errno) : "unknown error");
+    diag.hint = "check the path and permissions";
+    loaded.diagnostics.push_back(std::move(diag));
+    return loaded;
+  }
+  loaded.trace = Trace::ParseBinary(loaded.bytes, &loaded.diagnostics);
+  return loaded;
 }
 
 bool SaveTraceFile(const std::string& path, const Trace& trace, bool text) {

@@ -114,14 +114,28 @@ bool DecodeRtrcEventFrame(std::string_view payload, uint16_t format_version,
 
 // --- File helpers -----------------------------------------------------------
 
-// Reads `path` and parses it with Trace::ParseBinary into an owning Trace
-// (MappedTrace::OpenFile maps the file instead of reading it). Never throws:
-// an unreadable file yields an empty trace plus a TB206 diagnostic;
-// container damage (TB201..TB205) is appended the same way. The
-// caller decides whether a damaged-but-partially-decoded trace is usable —
-// CLIs should treat HasErrors(diags) as a nonzero exit even when events
-// survived.
-Trace LoadTraceFile(const std::string& path, std::vector<Diagnostic>* diags = nullptr);
+// Reads all of `path` with one fstat + read loop into `*out` (sized to the
+// file up front, so each byte is copied once). False on failure, with the
+// failing errno in `*errno_out` when non-null. The one file-read path for
+// trace dumps, profiles, the result cache and the journal.
+bool ReadFileBytes(const std::string& path, std::string* out, int* errno_out = nullptr);
+
+// A trace file as loaded (DESIGN.md §13).
+struct LoadedTrace {
+  // The file as read: what a CLI ships over the serve wire unchanged.
+  std::string bytes;
+  // Trace::ParseBinary(bytes).
+  Trace trace;
+  std::vector<Diagnostic> diagnostics;
+};
+
+// Reads `path` and decodes it with Trace::ParseBinary: the one way a trace
+// file becomes a Trace. Never throws: an unreadable file yields empty bytes,
+// an empty trace and a TB206 diagnostic; container damage (TB201..TB205)
+// keeps the intact prefix and appends its diagnostics. The caller decides
+// whether a damaged-but-partially-decoded trace is usable — CLIs should
+// treat HasErrors(diagnostics) as a nonzero exit even when events survived.
+LoadedTrace LoadTraceFile(const std::string& path);
 
 // Writes `trace` to `path` (binary container, or the display-only
 // one-event-per-line listing when `text` is set). False when the file cannot
@@ -165,7 +179,7 @@ class TraceWriter {
 
 // --- Streaming reader -------------------------------------------------------
 
-// Decodes a whole binary trace (a dump in memory or mapped) frame by frame,
+// Decodes a whole binary trace (a dump or blob in memory) frame by frame,
 // splitting frames in place with SplitFrame. Events stream out through
 // Next(); their StrIds resolve against pool(), which grows as pool frames
 // are consumed (ids match the writer's because both sides intern in order)

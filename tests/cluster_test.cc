@@ -3,8 +3,9 @@
 // off, follower byte identity), and the router end to end: clustered output
 // parity with a single daemon, mid-job shard kill -> re-dispatch ->
 // byte-identical result, corrupt-frame resynchronization, journal-replay
-// restart recovery, the per-client reply order across shards, a refused
-// stream open, and failover on a damaged shard frame.
+// restart recovery, a submit refused because its dispatch did not persist,
+// the per-client reply order across shards, a refused stream open, and
+// failover on a damaged shard frame.
 #include <sys/resource.h>
 
 #include <csignal>
@@ -31,7 +32,7 @@
 #include "src/serve/client.h"
 #include "src/serve/protocol.h"
 #include "src/serve/service.h"
-#include "src/trace/mmap_file.h"
+#include "src/trace/trace_io.h"
 
 namespace rose {
 namespace {
@@ -705,6 +706,82 @@ TEST(ClusterRouterTest, RestartedRouterReplaysJournalAndFinishesPendingJobs) {
     runs += service->stats().engine_runs;
   }
   EXPECT_GT(runs, 0u);
+  std::filesystem::remove(journal_path);
+}
+
+// The dispatch records `path` holds, in file order.
+std::vector<DispatchRecord> DispatchesIn(const std::string& path) {
+  std::string bytes;
+  EXPECT_TRUE(ReadFileBytes(path, &bytes));
+  std::vector<DispatchRecord> dispatches;
+  std::string_view rest = std::string_view(bytes).substr(kStreamHeaderSize);
+  Frame frame;
+  while (SplitFrame(&rest, kJournalFormat.max_payload, &frame) == SplitResult::kFrame) {
+    DispatchRecord record;
+    if (frame.kind == static_cast<uint8_t>(JournalRecordType::kDispatch) &&
+        DecodeDispatch(frame.payload, &record)) {
+      dispatches.push_back(std::move(record));
+    }
+  }
+  return dispatches;
+}
+
+// A submit whose dispatch record cannot reach the disk is refused before any
+// shard sees it. RLIMIT_FSIZE caps the journal at its current size, with
+// SIGXFSZ ignored as in ClusterJournalTest.FailedAppendIsCutOffSoLaterAppendsReplay.
+// Once the cap is lifted, the client's backoff retry is served and
+// journaled exactly once.
+TEST(ClusterRouterTest, SubmitWhoseDispatchFailsToPersistIsRefusedAndRetried) {
+  const std::string journal_path = TempPath("rose_router_fsize.rjnl");
+  std::filesystem::remove(journal_path);
+  const Dump dump = MakeDump("RedisRaft-42", 42);
+  uint64_t trace_hash = 0;
+  ASSERT_TRUE(CanonicalBlobHash(dump.trace.SerializeBinary(), &trace_hash));
+  {
+    RouterConfig config;
+    config.journal_path = journal_path;
+    TestCluster cluster(config);
+    cluster.AddShard("shard0");
+    ServeClient& client = cluster.AddClient();
+
+    rlimit saved{};
+    ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+    rlimit capped = saved;
+    capped.rlim_cur = static_cast<rlim_t>(std::filesystem::file_size(journal_path));
+    const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+    const uint64_t handle = SubmitDump(client, "RedisRaft-42", 42, dump);
+    const uint64_t appends_before = cluster.router.journal().appends();
+    while (cluster.router.journal().appends() == appends_before) {
+      cluster.Pump();
+    }
+    cluster.Pump(4);  // Room for the shard to admit a submit, had it been sent.
+    const uint64_t shard_submits = cluster.services[0]->stats().jobs_submitted;
+    const size_t pending = cluster.router.journal().pending().size();
+    const size_t inflight = cluster.router.inflight_jobs();
+    const bool resolved = client.done(handle);
+    // Lift the cap before any assertion can write a report.
+    ::setrlimit(RLIMIT_FSIZE, &saved);
+    std::signal(SIGXFSZ, old_handler);
+    EXPECT_EQ(shard_submits, 0u);
+    EXPECT_EQ(pending, 0u);
+    EXPECT_EQ(inflight, 0u);
+    EXPECT_FALSE(resolved);  // Refused with kQueueFull, so still retrying.
+
+    cluster.PumpUntilAllDone();
+    ASSERT_FALSE(client.failed(handle)) << client.error_message(handle);
+    EXPECT_EQ(client.result(handle).schedule_yaml, OfflineYaml("RedisRaft-42", 42, dump));
+    EXPECT_EQ(cluster.services[0]->stats().jobs_submitted, 1u);
+  }
+
+  ClusterJournal reopened(journal_path);
+  EXPECT_FALSE(reopened.recovered_torn_tail());
+  EXPECT_TRUE(reopened.pending().empty());
+  const std::vector<DispatchRecord> dispatches = DispatchesIn(journal_path);
+  ASSERT_EQ(dispatches.size(), 1u);
+  EXPECT_EQ(dispatches[0].trace_hash, trace_hash);
+  EXPECT_EQ(dispatches[0].job_id, 1u);  // The refusal used up no job id.
+  EXPECT_FALSE(dispatches[0].redispatch);
   std::filesystem::remove(journal_path);
 }
 

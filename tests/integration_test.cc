@@ -12,7 +12,6 @@
 #include "src/harness/bug_registry.h"
 #include "src/harness/rose.h"
 #include "src/harness/runner.h"
-#include "src/trace/mapped_trace.h"
 #include "src/trace/trace_io.h"
 
 namespace rose {
@@ -130,11 +129,10 @@ TEST(PipelineTest, ParallelDiagnosisMatchesSerialOnRealBugs) {
   }
 }
 
-TEST(ZeroCopyPipelineTest, MmapAndHeapLoadsDiagnoseByteIdentically) {
-  // The mapped-load acceptance bar (DESIGN.md §13): diagnosing a dump through
-  // the mmap-backed MappedTrace view must be byte-for-byte identical —
-  // confirmed-schedule YAML included — to diagnosing the same file through
-  // the owning heap loader.
+TEST(PipelineTest, SavedDumpDiagnosesLikeTheInMemoryTrace) {
+  // The dump primitive's contract (DESIGN.md §13): a window saved to disk
+  // and loaded back must diagnose byte-for-byte like the in-memory
+  // production trace, confirmed-schedule YAML included.
   struct Case {
     const char* id;
     uint64_t seed;
@@ -151,26 +149,23 @@ TEST(ZeroCopyPipelineTest, MmapAndHeapLoadsDiagnoseByteIdentically) {
         (std::filesystem::path(testing::TempDir()) / (std::string(c.id) + ".trc")).string();
     ASSERT_TRUE(SaveTraceFile(path, *production)) << c.id;
 
-    const MappedTrace mapped = MappedTrace::OpenFile(path);
-    ASSERT_TRUE(mapped.valid()) << c.id;
-    std::vector<Diagnostic> diags;
-    const Trace heap = LoadTraceFile(path, &diags);
-    ASSERT_FALSE(HasErrors(diags)) << c.id;
-    ASSERT_EQ(mapped.event_count(), heap.size()) << c.id;
+    const LoadedTrace loaded = LoadTraceFile(path);
+    ASSERT_FALSE(HasErrors(loaded.diagnostics)) << c.id;
+    ASSERT_EQ(loaded.trace.size(), production->size()) << c.id;
 
     RoseConfig config;
     config.seed = c.seed;
-    const DiagnosisResult via_mmap = DiagnoseTrace(*spec, profile, mapped.view(), config);
-    const DiagnosisResult via_heap = DiagnoseTrace(*spec, profile, TraceView(heap), config);
-    ASSERT_TRUE(via_heap.reproduced) << c.id;
-    EXPECT_EQ(via_mmap.reproduced, via_heap.reproduced) << c.id;
-    EXPECT_EQ(via_mmap.schedule.ToYaml(), via_heap.schedule.ToYaml()) << c.id;
-    EXPECT_EQ(via_mmap.fault_summary, via_heap.fault_summary) << c.id;
-    EXPECT_DOUBLE_EQ(via_mmap.replay_rate, via_heap.replay_rate) << c.id;
-    EXPECT_EQ(via_mmap.level, via_heap.level) << c.id;
-    EXPECT_EQ(via_mmap.schedules_generated, via_heap.schedules_generated) << c.id;
-    EXPECT_EQ(via_mmap.total_runs, via_heap.total_runs) << c.id;
-    EXPECT_EQ(via_mmap.virtual_time, via_heap.virtual_time) << c.id;
+    const DiagnosisResult via_file = DiagnoseTrace(*spec, profile, loaded.trace, config);
+    const DiagnosisResult in_memory = DiagnoseTrace(*spec, profile, *production, config);
+    ASSERT_TRUE(in_memory.reproduced) << c.id;
+    EXPECT_EQ(via_file.reproduced, in_memory.reproduced) << c.id;
+    EXPECT_EQ(via_file.schedule.ToYaml(), in_memory.schedule.ToYaml()) << c.id;
+    EXPECT_EQ(via_file.fault_summary, in_memory.fault_summary) << c.id;
+    EXPECT_DOUBLE_EQ(via_file.replay_rate, in_memory.replay_rate) << c.id;
+    EXPECT_EQ(via_file.level, in_memory.level) << c.id;
+    EXPECT_EQ(via_file.schedules_generated, in_memory.schedules_generated) << c.id;
+    EXPECT_EQ(via_file.total_runs, in_memory.total_runs) << c.id;
+    EXPECT_EQ(via_file.virtual_time, in_memory.virtual_time) << c.id;
     std::remove(path.c_str());
   }
 }
@@ -232,8 +227,7 @@ TEST(PipelineTest, StampedDumpDiagnosesLikeItsZeroedCopy) {
   RoseConfig config;
   config.seed = 5;
   const DiagnosisResult plain = DiagnoseTrace(*spec, profile, *zeroed, config);
-  const MappedTrace mapped = MappedTrace::FromBuffer(stamped);
-  const DiagnosisResult with_stamps = DiagnoseTrace(*spec, profile, mapped.view(), config);
+  const DiagnosisResult with_stamps = DiagnoseTrace(*spec, profile, from_binary, config);
   ASSERT_TRUE(plain.reproduced);
   EXPECT_EQ(with_stamps.reproduced, plain.reproduced);
   EXPECT_EQ(with_stamps.schedule.ToYaml(), plain.schedule.ToYaml());

@@ -1,6 +1,10 @@
 // Tests for rose::serve — transports, wire protocol, queue/cache policies,
 // and the diagnosis service end to end (concurrent clients, cache hits,
 // coalescing, corrupt-frame recovery, backpressure, restart persistence).
+#include <sys/resource.h>
+
+#include <algorithm>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -407,6 +411,57 @@ TEST(ResultCacheTest, TruncatedFilesAreSkippedCleanlyOnReload) {
   ResultCache again(8, dir);
   ASSERT_TRUE(again.Get(1).has_value());
   EXPECT_EQ(again.Get(1)->schedule_yaml, "yaml-one-again\n");
+  std::filesystem::remove_all(dir);
+}
+
+// The names in `dir`, sorted.
+std::vector<std::string> DirNames(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+// A directory squatting on the meta's final name fails the meta's rename
+// after the yaml was written: the yaml must go too, since no meta would
+// ever vouch for it.
+TEST(ResultCacheTest, FailedMetaWriteLeavesNoFileBehind) {
+  const std::string dir = testing::TempDir() + "rose_serve_cache_squatted";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(std::filesystem::create_directories(dir + "/000000000000abcd.meta"));
+  {
+    ResultCache cache(8, dir);
+    cache.Put(0xabcd, MakeResult("schedule:\n  name: x\n"));
+  }
+  EXPECT_EQ(DirNames(dir), std::vector<std::string>{"000000000000abcd.meta"});
+  ResultCache fresh(8, dir);
+  EXPECT_FALSE(fresh.Get(0xabcd).has_value());
+  std::filesystem::remove_all(dir);
+}
+
+// A write the file-size limit cuts short (SIGXFSZ ignored, so it fails with
+// EFBIG) fails the entry and leaves neither a .tmp nor a final name.
+TEST(ResultCacheTest, CutShortWriteLeavesNoFileBehind) {
+  const std::string dir = testing::TempDir() + "rose_serve_cache_fsize";
+  std::filesystem::remove_all(dir);
+  {
+    ResultCache cache(8, dir);
+    rlimit saved{};
+    ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+    rlimit capped = saved;
+    capped.rlim_cur = 0;
+    const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+    cache.Put(0xabcd, MakeResult("schedule:\n  name: x\n"));
+    // Lift the cap before any assertion can write a report.
+    ::setrlimit(RLIMIT_FSIZE, &saved);
+    std::signal(SIGXFSZ, old_handler);
+  }
+  EXPECT_TRUE(DirNames(dir).empty());
+  ResultCache fresh(8, dir);
+  EXPECT_FALSE(fresh.Get(0xabcd).has_value());
   std::filesystem::remove_all(dir);
 }
 

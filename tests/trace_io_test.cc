@@ -3,10 +3,10 @@
 // damaged input.
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -14,8 +14,6 @@
 #include "src/analyze/trace_validator.h"
 #include "src/common/rng.h"
 #include "src/diagnose/engine.h"
-#include "src/trace/mapped_trace.h"
-#include "src/trace/mmap_file.h"
 #include "src/trace/trace_io.h"
 #include "tests/stamped_v2_dump.h"
 
@@ -132,13 +130,13 @@ TEST(TraceIoTest, TextListingIsRejectedAsBadMagic) {
   EXPECT_TRUE(Trace::ParseBinary(listing, &diags).empty());
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_EQ(diags[0].code, DiagCode::kBadTraceMagic);
-  diags.clear();
   const std::string path =
       (std::filesystem::path(testing::TempDir()) / "listing.txt").string();
   ASSERT_TRUE(SaveTraceFile(path, original, /*text=*/true));
-  EXPECT_TRUE(LoadTraceFile(path, &diags).empty());
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(diags[0].code, DiagCode::kBadTraceMagic);
+  const LoadedTrace loaded = LoadTraceFile(path);
+  EXPECT_TRUE(loaded.trace.empty());
+  ASSERT_EQ(loaded.diagnostics.size(), 1u);
+  EXPECT_EQ(loaded.diagnostics[0].code, DiagCode::kBadTraceMagic);
   std::remove(path.c_str());
   EXPECT_TRUE(TraceEquals(original, Trace::ParseBinary(original.SerializeBinary())));
 }
@@ -362,7 +360,7 @@ TEST(TraceIoTest, DiagnosisIdenticalAfterBinaryRoundTrip) {
   EXPECT_EQ(in_memory.virtual_time, from_binary.virtual_time);
 }
 
-// --- MappedTrace: the mapped load path (DESIGN.md §13) ----------------------
+// --- LoadTraceFile: the one trace-file loader (DESIGN.md §13) ---------------
 
 std::string TempTracePath(const char* name) {
   return (std::filesystem::path(testing::TempDir()) / name).string();
@@ -382,52 +380,49 @@ std::vector<DiagCode> Codes(const std::vector<Diagnostic>& diags) {
   return codes;
 }
 
-// The two load paths — owning ParseBinary over a heap buffer and
-// MappedTrace over a mapping or adopted buffer — must agree event for event,
-// string for string, and diagnostic for diagnostic on ANY input. The damage
-// matrices below lean on this helper.
-void ExpectMatchesHeapParse(const MappedTrace& mapped, std::string_view encoded,
+// A file holding `encoded`, as LoadTraceFile returned it: the bytes must be
+// the file's, and the trace and diagnostics must agree with
+// Trace::ParseBinary over them event for event, string for string, and
+// diagnostic for diagnostic on ANY input. The damage matrices below lean on
+// this helper.
+void ExpectLoadMatchesParse(const LoadedTrace& loaded, std::string_view encoded,
                             const char* what) {
-  std::vector<Diagnostic> heap_diags;
-  const Trace heap = Trace::ParseBinary(encoded, &heap_diags);
-  ASSERT_TRUE(mapped.valid()) << what;
-  EXPECT_EQ(Codes(mapped.diagnostics()), Codes(heap_diags)) << what;
-  const TraceView view = mapped.view();
-  ASSERT_EQ(view.size(), heap.size()) << what;
-  for (size_t i = 0; i < view.size(); i++) {
-    EXPECT_EQ(view[i].ToLine(view.pool()), heap[i].ToLine(heap.pool()))
+  EXPECT_EQ(loaded.bytes, encoded) << what;
+  std::vector<Diagnostic> parse_diags;
+  const Trace parsed = Trace::ParseBinary(encoded, &parse_diags);
+  EXPECT_EQ(Codes(loaded.diagnostics), Codes(parse_diags)) << what;
+  ASSERT_EQ(loaded.trace.size(), parsed.size()) << what;
+  for (size_t i = 0; i < parsed.size(); i++) {
+    EXPECT_EQ(loaded.trace[i].ToLine(loaded.trace.pool()), parsed[i].ToLine(parsed.pool()))
         << what << " event " << i;
   }
 }
 
-TEST(MappedTraceTest, MmapLargeTraceRoundTripMatchesHeap) {
-  // Large enough to span many frames (writer flushes every 4096 events) and
-  // several pages of mapping — the ASan job dereferences every decoded pool
-  // string through ToLine below.
+TEST(LoadTraceFileTest, LargeTraceRoundTripMatchesParse) {
+  // Large enough to span many frames (writer flushes every 4096 events) —
+  // the ASan job dereferences every decoded pool string through ToLine
+  // below.
   const Trace original = RandomTrace(31, 65536);
   const std::string encoded = original.SerializeBinary();
-  const std::string path = TempTracePath("mapped_roundtrip.trc");
+  const std::string path = TempTracePath("load_roundtrip.trc");
   WriteBytes(path, encoded);
-  const MappedTrace mapped = MappedTrace::OpenFile(path);
-  ASSERT_TRUE(mapped.valid());
-  EXPECT_TRUE(mapped.diagnostics().empty());
-  EXPECT_EQ(mapped.event_count(), original.size());
-  EXPECT_EQ(mapped.bytes(), std::string_view(encoded));
-  ExpectMatchesHeapParse(mapped, encoded, "round trip");
+  const LoadedTrace loaded = LoadTraceFile(path);
+  EXPECT_TRUE(loaded.diagnostics.empty());
+  EXPECT_EQ(loaded.trace.size(), original.size());
+  ExpectLoadMatchesParse(loaded, encoded, "round trip");
   std::remove(path.c_str());
 }
 
-TEST(MappedTraceTest, LegacyVersionFileMatchesHeap) {
-  // mmap parity holds for version-2 dumps: the mapped load skips the
-  // stamps exactly like the heap parse.
+TEST(LoadTraceFileTest, LegacyVersionFileMatchesParse) {
+  // A version-2 dump on disk loads like its in-memory parse: the stamps
+  // are skipped.
   const std::string v2 = FromHex(kStampedV2DumpHex);
-  const std::string path = TempTracePath("mapped_legacy.trc");
+  const std::string path = TempTracePath("load_legacy.trc");
   WriteBytes(path, v2);
-  const MappedTrace mapped = MappedTrace::OpenFile(path);
-  ASSERT_TRUE(mapped.valid());
-  EXPECT_TRUE(mapped.diagnostics().empty());
-  ExpectMatchesHeapParse(mapped, v2, "version 2");
-  EXPECT_TRUE(TraceEquals(mapped.view(), Trace::ParseBinary(FromHex(kStampedV1DumpHex))));
+  const LoadedTrace loaded = LoadTraceFile(path);
+  EXPECT_TRUE(loaded.diagnostics.empty());
+  ExpectLoadMatchesParse(loaded, v2, "version 2");
+  EXPECT_TRUE(TraceEquals(loaded.trace, Trace::ParseBinary(FromHex(kStampedV1DumpHex))));
   std::remove(path.c_str());
 }
 
@@ -504,10 +499,6 @@ TEST(TraceIoTest, LegacyVersionStreamStillLoads) {
   ASSERT_TRUE(CanonicalBlobHash(v2, &blob_hash));
   EXPECT_EQ(blob_hash, kStampedDumpCanonicalHash);
 
-  const MappedTrace mapped = MappedTrace::FromBuffer(v2);
-  EXPECT_TRUE(mapped.diagnostics().empty());
-  EXPECT_TRUE(TraceEquals(mapped.view(), from_v1));
-
   for (const size_t chunk : {size_t{1}, size_t{7}, v2.size()}) {
     bool clean = false;
     EXPECT_TRUE(TraceEquals(StreamDecode(v2, chunk, &clean), from_v1)) << "chunk " << chunk;
@@ -529,7 +520,6 @@ TEST(TraceIoTest, LegacyTruncationAtEveryByteNeverCrashes) {
     EXPECT_FALSE(diags.empty());
     ASSERT_LE(parsed.size(), whole.size());
     EXPECT_TRUE(TraceEquals(parsed, Prefix(whole, parsed.size())));
-    ExpectMatchesHeapParse(MappedTrace::FromBuffer(std::string(prefix)), prefix, "mapped");
 
     bool clean = false;
     const Trace streamed = StreamDecode(prefix, 1, &clean);
@@ -539,21 +529,19 @@ TEST(TraceIoTest, LegacyTruncationAtEveryByteNeverCrashes) {
   }
 }
 
-TEST(MappedTraceTest, TruncationAtEveryByteMatchesHeap) {
+TEST(LoadTraceFileTest, TruncationAtEveryByteMatchesParse) {
   const Trace original = RandomTrace(5, 120);
   const std::string encoded = original.SerializeBinary();
-  const std::string path = TempTracePath("mapped_truncation.trc");
+  const std::string path = TempTracePath("load_truncation.trc");
   for (size_t cut = 0; cut < encoded.size(); cut++) {
     WriteBytes(path, std::string_view(encoded).substr(0, cut));
-    const MappedTrace mapped = MappedTrace::OpenFile(path);
-    ASSERT_TRUE(mapped.valid()) << "cut at " << cut;
-    ExpectMatchesHeapParse(mapped, std::string_view(encoded).substr(0, cut),
+    ExpectLoadMatchesParse(LoadTraceFile(path), std::string_view(encoded).substr(0, cut),
                            ("cut at " + std::to_string(cut)).c_str());
   }
   std::remove(path.c_str());
 }
 
-TEST(MappedTraceTest, CorruptCrcAtEveryFrameMatchesHeap) {
+TEST(LoadTraceFileTest, CorruptCrcAtEveryFrameMatchesParse) {
   const Trace original = RandomTrace(21, 300);
   std::string encoded;
   {
@@ -563,79 +551,26 @@ TEST(MappedTraceTest, CorruptCrcAtEveryFrameMatchesHeap) {
     }
     writer.Finish();
   }
-  const std::string path = TempTracePath("mapped_corrupt.trc");
+  const std::string path = TempTracePath("load_corrupt.trc");
   // Flip one byte at a spread of positions past the magic — version bytes,
   // frame headers, CRCs, pool payloads, event payloads all get hit. (The
-  // magic itself stays intact so both paths take the binary branch.)
+  // magic itself stays intact so the decode takes the binary branch.)
   for (size_t pos = 4; pos < encoded.size(); pos += 17) {
     std::string corrupted = encoded;
     corrupted[pos] ^= char(0x40);
     WriteBytes(path, corrupted);
-    const MappedTrace mapped = MappedTrace::OpenFile(path);
-    ASSERT_TRUE(mapped.valid()) << "flip at " << pos;
-    ExpectMatchesHeapParse(mapped, corrupted, ("flip at " + std::to_string(pos)).c_str());
+    ExpectLoadMatchesParse(LoadTraceFile(path), corrupted,
+                           ("flip at " + std::to_string(pos)).c_str());
   }
   std::remove(path.c_str());
 }
 
-TEST(MappedTraceTest, TextListingReportsBadMagic) {
-  const Trace original = RandomTrace(9, 64);
-  const std::string path = TempTracePath("mapped_text.trc");
-  WriteBytes(path, original.Serialize());
-  const MappedTrace mapped = MappedTrace::OpenFile(path);
-  ASSERT_TRUE(mapped.valid());
-  EXPECT_EQ(mapped.event_count(), 0u);
-  EXPECT_EQ(Codes(mapped.diagnostics()), std::vector<DiagCode>{DiagCode::kBadTraceMagic});
-  std::remove(path.c_str());
-}
-
-TEST(MappedTraceTest, UnreadableFileYieldsDiagnostic) {
-  const MappedTrace mapped = MappedTrace::OpenFile(TempTracePath("nonexistent.trc"));
-  EXPECT_FALSE(mapped.valid());
-  ASSERT_FALSE(mapped.diagnostics().empty());
-  EXPECT_EQ(mapped.diagnostics()[0].code, DiagCode::kTraceFileUnreadable);
-  EXPECT_TRUE(mapped.view().empty());
-  EXPECT_EQ(mapped.event_count(), 0u);
-}
-
-TEST(MappedTraceTest, PromoteProducesIdenticalOwningTrace) {
-  const Trace original = RandomTrace(13, 512);
-  const std::string path = TempTracePath("mapped_promote.trc");
-  WriteBytes(path, original.SerializeBinary());
-  const MappedTrace mapped = MappedTrace::OpenFile(path);
-  ASSERT_TRUE(mapped.valid());
-  const Trace promoted = mapped.Promote();
-  // Identical ids, events, and strings: the re-encodings are byte-equal.
-  EXPECT_EQ(promoted.SerializeBinary(), original.SerializeBinary());
-  EXPECT_EQ(promoted.Serialize(), original.Serialize());
-  std::remove(path.c_str());
-}
-
-// The lifetime contract, ASan-verifiable: dropping the last handle unmaps the
-// backing bytes (guard() expires), while any live copy keeps them valid.
-TEST(MappedTraceTest, UnmapLifetimeGuard) {
-  const Trace original = RandomTrace(17, 128);
-  const std::string path = TempTracePath("mapped_guard.trc");
-  WriteBytes(path, original.SerializeBinary());
-  std::weak_ptr<const void> guard;
-  {
-    MappedTrace outer;
-    {
-      const MappedTrace inner = MappedTrace::OpenFile(path);
-      ASSERT_TRUE(inner.valid());
-      guard = inner.guard();
-      outer = inner;  // A copy shares the mapping.
-    }
-    // The copy keeps the mapping alive — the view must still read cleanly
-    // (under ASan this dereferences the mapped pool strings).
-    EXPECT_FALSE(guard.expired());
-    const TraceView view = outer.view();
-    ASSERT_EQ(view.size(), original.size());
-    EXPECT_EQ(view[0].ToLine(view.pool()), original[0].ToLine(original.pool()));
-  }
-  // Last copy gone: mapping released. (Nothing touches the view past here.)
-  EXPECT_TRUE(guard.expired());
-  std::remove(path.c_str());
+TEST(LoadTraceFileTest, UnreadableFileYieldsDiagnostic) {
+  const LoadedTrace loaded = LoadTraceFile(TempTracePath("nonexistent.trc"));
+  EXPECT_TRUE(loaded.bytes.empty());
+  ASSERT_FALSE(loaded.diagnostics.empty());
+  EXPECT_EQ(loaded.diagnostics[0].code, DiagCode::kTraceFileUnreadable);
+  EXPECT_TRUE(loaded.trace.empty());
 }
 
 TEST(CanonicalBlobHashTest, MatchesParsedTraceHash) {
@@ -700,10 +635,6 @@ TEST(TraceIoTest, HostileCountsAreMalformedNotAllocations) {
       EXPECT_FALSE(CanonicalBlobHash(blob, &hash, &diags));
       EXPECT_EQ(Codes(diags), malformed);
 
-      const MappedTrace mapped = MappedTrace::FromBuffer(blob);
-      EXPECT_EQ(mapped.event_count(), 0u);
-      EXPECT_EQ(Codes(mapped.diagnostics()), malformed);
-
       StreamDecoder stream;
       stream.Feed(blob);
       EXPECT_EQ(stream.Next(), StreamDecoder::Item::kCorrupt);
@@ -744,20 +675,18 @@ TEST(TraceIoTest, TimestampDeltasWrapAcrossTheInt64Range) {
   EXPECT_EQ(stream.events()[2].ts, 0);
 }
 
-TEST(MmapTraceFileTest, ReadFileBytesMatchesMapping) {
-  const std::string path = TempTracePath("mmap_raw.bin");
+TEST(LoadTraceFileTest, ReadFileBytesReadsWholeFileOrReportsErrno) {
+  const std::string path = TempTracePath("read_raw.bin");
   const std::string payload = RandomTrace(41, 256).SerializeBinary();
   WriteBytes(path, payload);
-  MmapTraceFile file = MmapTraceFile::Open(path);
-  ASSERT_TRUE(file.valid());
-  EXPECT_EQ(file.bytes(), std::string_view(payload));
-  std::string heap;
-  ASSERT_TRUE(ReadFileBytes(path, &heap));
-  EXPECT_EQ(heap, payload);
-  int open_errno = 0;
-  const MmapTraceFile missing = MmapTraceFile::Open(TempTracePath("missing.bin"), &open_errno);
-  EXPECT_FALSE(missing.valid());
-  EXPECT_NE(open_errno, 0);
+  std::string bytes;
+  int read_errno = -1;
+  ASSERT_TRUE(ReadFileBytes(path, &bytes, &read_errno));
+  EXPECT_EQ(bytes, payload);
+  EXPECT_EQ(read_errno, 0);
+  std::string missing;
+  EXPECT_FALSE(ReadFileBytes(TempTracePath("missing.bin"), &missing, &read_errno));
+  EXPECT_EQ(read_errno, ENOENT);
   std::remove(path.c_str());
 }
 

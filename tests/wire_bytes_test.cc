@@ -32,8 +32,6 @@
 #include "src/serve/client.h"
 #include "src/serve/protocol.h"
 #include "src/serve/service.h"
-#include "src/trace/mapped_trace.h"
-#include "src/trace/mmap_file.h"
 #include "src/trace/trace_io.h"
 
 namespace rose {
@@ -266,11 +264,6 @@ TEST(HeaderRuleTest, EveryRtrcReaderRefusesVersionZeroAndNewer) {
     ASSERT_EQ(diags.size(), 1u) << version;
     EXPECT_EQ(diags[0].code, DiagCode::kBadTraceVersion) << version;
 
-    const MappedTrace mapped = MappedTrace::FromBuffer(blob);
-    EXPECT_EQ(mapped.event_count(), 0u) << version;
-    ASSERT_EQ(mapped.diagnostics().size(), 1u) << version;
-    EXPECT_EQ(mapped.diagnostics()[0].code, DiagCode::kBadTraceVersion) << version;
-
     StreamDecoder stream;
     stream.Feed(blob);
     EXPECT_EQ(stream.Next(), StreamDecoder::Item::kBadStream) << version;
@@ -282,8 +275,6 @@ TEST(HeaderRuleTest, EveryRtrcReaderRefusesVersionZeroAndNewer) {
     std::vector<Diagnostic> diags;
     Trace::ParseBinary(blob, &diags);
     CanonicalBlobHash(blob, nullptr, &diags);
-    const MappedTrace mapped = MappedTrace::FromBuffer(blob);
-    diags.insert(diags.end(), mapped.diagnostics().begin(), mapped.diagnostics().end());
     for (const Diagnostic& diag : diags) {
       EXPECT_NE(diag.code, DiagCode::kBadTraceVersion) << version;
     }

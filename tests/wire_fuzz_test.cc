@@ -34,7 +34,6 @@
 #include "src/diagnose/extract.h"
 #include "src/schedule/fault_schedule.h"
 #include "src/serve/protocol.h"
-#include "src/trace/mapped_trace.h"
 #include "src/trace/trace_io.h"
 #include "tests/stamped_v2_dump.h"
 
@@ -373,17 +372,10 @@ void CheckBufferBound(FrameFormat format, std::string_view bytes, Rng& rng) {
 
 void CheckRtrc(const std::string& bytes, Rng& rng) {
   const Profile profile = CorpusProfile();
-  std::vector<Diagnostic> heap_diags;
-  const Trace parsed = Trace::ParseBinary(bytes, &heap_diags);
+  std::vector<Diagnostic> parse_diags;
+  const Trace parsed = Trace::ParseBinary(bytes, &parse_diags);
   EXPECT_LE(parsed.size(), bytes.size());
   EXPECT_LE(parsed.pool().size(), bytes.size() + 1);
-
-  const MappedTrace mapped = MappedTrace::FromBuffer(bytes);
-  const TraceView view = mapped.view();
-  ASSERT_EQ(view.size(), parsed.size());
-  EXPECT_EQ(mapped.diagnostics().size(), heap_diags.size());
-  const Trace promoted = mapped.Promote();
-  EXPECT_TRUE(TraceEquals(promoted, parsed));
 
   uint64_t hash = 0;
   size_t events = 0;
@@ -396,10 +388,10 @@ void CheckRtrc(const std::string& bytes, Rng& rng) {
   // Admission's checks, on whatever decoded.
   TraceValidateOptions validate;
   validate.profile = &profile;
-  TraceValidator(validate).Validate(view);
-  const CausalGraph causal(view, CausalOptions{/*vector_clocks=*/false});
+  TraceValidator(validate).Validate(parsed);
+  const CausalGraph causal(parsed, CausalOptions{/*vector_clocks=*/false});
   EXPECT_LE(causal.size(), bytes.size());
-  ExtractFaults(view, profile);
+  ExtractFaults(parsed, profile);
 
   StreamDecoder stream;
   size_t streamed = 0;

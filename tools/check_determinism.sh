@@ -17,8 +17,8 @@
 #   tools/check_determinism.sh serve [build_dir]
 #       end-to-end serve determinism: dump one production window, submit it
 #       through rose_served twice (fresh daemon each time, so nothing is
-#       cached) — once as simulated, once mapped back from the saved dump
-#       (the mapped load path) — and require byte-identical
+#       cached) — once as simulated, once loaded back from the saved dump
+#       (LoadTraceFile, the one trace-file loader) — and require byte-identical
 #       confirmed-schedule YAML, plus a third run through the offline
 #       reproduce_bug pipeline, which must produce the same bytes again.
 #       Registered as `serve_determinism`.

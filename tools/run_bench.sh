@@ -2,10 +2,7 @@
 # Runs the machine-readable benchmarks and emits JSON next to the chosen
 # output directory:
 #   BENCH_diagnosis.json — parallel-diagnosis engine (bench_diagnosis_parallel)
-#   BENCH_trace_io.json  — trace encoding, decoding and loading (bench_trace_io,
-#                          run as three processes: BM_LoadFileHeap alone,
-#                          BM_LoadFileMmap alone, then every other row;
-#                          their benchmark arrays merged in that order)
+#   BENCH_trace_io.json  — trace encoding, decoding and loading (bench_trace_io)
 #   BENCH_serve.json     — diagnosis service throughput/latency (bench_serve)
 #   BENCH_serve_cluster.json — sharded serve cluster: jobs/sec vs shard count
 #                          and tail latency under a skewed tenant mix
@@ -46,19 +43,10 @@
 #    cores (a 1-core host shows flat times).
 #  - BENCH_trace_io: the binary encoded_bytes counter must be <= 50% of the
 #    text listing's (BM_SerializeText) on the 1M-event window (the binary
-#    container's acceptance bar). The load-path
-#    pairs compare the owning loader against the mapped one on the same
-#    on-disk dump: BM_LoadFileMmap vs BM_LoadFileHeap is the full-decode
-#    comparison (both decode with Trace::ParseBinary; mmap skips only the
-#    read() copy), and
-#    BM_OpenToFirstEventMmap must be >= 3x faster than BM_OpenToFirstEventHeap
-#    — the mapped data plane's acceptance bar, usually orders of magnitude
-#    since only the leading frames decode. BM_CanonicalBlobHash is the serve
-#    admission cache-key cost: one streamed pass, no Trace construction.
-#    Each full-decode load row comes from a fresh process: sharing one,
-#    BM_LoadFileMmap read 89-115 ms after BM_LoadFileHeap but 113-131 ms
-#    alone on a shared 4-core VM, so the pair compared what the earlier
-#    row left behind rather than the two loaders.
+#    container's acceptance bar). BM_LoadFile times LoadTraceFile, the one
+#    trace-file loader (read() plus Trace::ParseBinary), on that window
+#    written to disk. BM_CanonicalBlobHash is the serve admission cache-key
+#    cost: one streamed pass, no Trace construction.
 #  - BENCH_serve: per-arg rows are concurrent client counts (1/4/16).
 #    BM_ServeCold items_per_second at 4 clients must be >= 2x the 1-client
 #    row (needs >= 4 real cores); BM_ServeCacheHit must show zero engine
@@ -105,25 +93,10 @@ cmake --build "$build_dir" --target bench_diagnosis_parallel bench_trace_io benc
   ${BENCH_ARGS:-}
 echo "wrote ${out_dir}/BENCH_diagnosis.json"
 
-trace_io_parts=()
-for filter in '^BM_LoadFileHeap$' '^BM_LoadFileMmap$' '-^BM_LoadFileHeap$|^BM_LoadFileMmap$'; do
-  part="${scratch}/trace_io_${#trace_io_parts[@]}.json"
-  "${build_dir}/bench/bench_trace_io" \
-    --benchmark_filter="$filter" \
-    --benchmark_out="$part" \
-    --benchmark_out_format=json \
-    ${BENCH_ARGS:-}
-  trace_io_parts+=("$part")
-done
-python3 - "${out_dir}/BENCH_trace_io.json" "${trace_io_parts[@]}" <<'EOF'
-import json, sys
-
-runs = [json.load(open(path)) for path in sys.argv[2:]]
-merged = dict(runs[0])
-merged["benchmarks"] = [row for run in runs for row in run["benchmarks"]]
-with open(sys.argv[1], "w") as f:
-    json.dump(merged, f, indent=1)
-EOF
+"${build_dir}/bench/bench_trace_io" \
+  --benchmark_out="${out_dir}/BENCH_trace_io.json" \
+  --benchmark_out_format=json \
+  ${BENCH_ARGS:-}
 echo "wrote ${out_dir}/BENCH_trace_io.json"
 
 "${build_dir}/bench/bench_serve" \
